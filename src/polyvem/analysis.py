@@ -18,10 +18,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .assembly import assemble_full
 from .coefficients import CoefficientSet
-from .geometry import Polygon, polygon_quadrature
+from .geometry import Polygon, fan_quadrature, polygon_quadrature
 from .mesh import PolyMesh
-from .vem_core import local_forms, pi_nabla
+from .vem_core import pi_nabla, pi_nabla_batch
 
 __all__ = [
     "error_l2",
@@ -39,53 +40,50 @@ __all__ = [
 ERROR_QUAD_DEGREE = 6
 
 
-def _cell_polys(mesh: PolyMesh):
-    for cell in mesh.cells:
-        ids = np.asarray(cell, dtype=np.int64)
-        yield ids, Polygon(mesh.vertices[ids])
+def _projected_cells(mesh: PolyMesh, u_h: np.ndarray):
+    """Pi u_h and the error quadrature, batch by batch of cells.
 
-
-def _projection_coeffs(poly: Polygon, dofs: np.ndarray) -> np.ndarray:
-    """Coefficients (s0, s1, s2) of Pi u_h in the scaled monomial basis."""
-    return pi_nabla(poly) @ dofs
-
-
-def error_l2(mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable) -> float:
-    """|| u - Pi u_h ||_{L2} with u_h given at all vertices."""
+    Yields (s, x, y, w, centroid, h): coefficients s (G, 3) of Pi u_h in the
+    scaled monomial basis, quadrature nodes and weights (G, m), centroids
+    (G, 2) and diameters (G,).  Cells outside the batches go one by one
+    through `pi_nabla` and `polygon_quadrature`.
+    """
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (len(mesh.vertices),):
         raise ValueError(
             f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)"
         )
+    geom = mesh.geometry
+    for g in geom.batches():
+        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]
+        yield (s, *fan_quadrature(g, ERROR_QUAD_DEGREE), g.centroid, g.diameter)
+    for ci in geom.fallback:
+        poly = Polygon(mesh.cell_vertices(ci))
+        s = pi_nabla(poly) @ u_h[list(mesh.cells[ci])]
+        x, y, w = polygon_quadrature(poly, ERROR_QUAD_DEGREE)
+        c, h = np.array([poly.centroid]), np.array([poly.diameter])
+        yield s[None], x[None], y[None], w[None], c, h
+
+
+def error_l2(mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable) -> float:
+    """|| u - Pi u_h ||_{L2} with u_h given at all vertices."""
     total = 0.0
-    for ids, poly in _cell_polys(mesh):
-        s = _projection_coeffs(poly, u_h[ids])
-        xc, yc = poly.centroid
-        h = poly.diameter
-        qx, qy, wts = polygon_quadrature(poly, ERROR_QUAD_DEGREE)
-        proj = s[0] + s[1] * (qx - xc) / h + s[2] * (qy - yc) / h
-        diff = np.asarray(u_exact(qx, qy), dtype=float) - proj
-        total += float(wts @ diff**2)
+    for s, x, y, w, c, h in _projected_cells(mesh, u_h):
+        h = h[:, None]
+        proj = s[:, :1] + s[:, 1:2] * (x - c[:, :1]) / h + s[:, 2:] * (y - c[:, 1:]) / h
+        diff = np.asarray(u_exact(x, y), dtype=float) - proj
+        total += float((w * diff**2).sum())
     return float(np.sqrt(max(total, 0.0)))
 
 
 def error_h1_semi(mesh: PolyMesh, u_h: np.ndarray, grad_u_exact: Callable) -> float:
     """| u - Pi u_h |_{H1}; the projected gradient is constant per cell."""
-    u_h = np.asarray(u_h, dtype=float)
-    if u_h.shape != (len(mesh.vertices),):
-        raise ValueError(
-            f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)"
-        )
     total = 0.0
-    for ids, poly in _cell_polys(mesh):
-        s = _projection_coeffs(poly, u_h[ids])
-        gx_h = s[1] / poly.diameter
-        gy_h = s[2] / poly.diameter
-        qx, qy, wts = polygon_quadrature(poly, ERROR_QUAD_DEGREE)
-        gx, gy = grad_u_exact(qx, qy)
-        dx = np.asarray(gx, dtype=float) - gx_h
-        dy = np.asarray(gy, dtype=float) - gy_h
-        total += float(wts @ (dx**2 + dy**2))
+    for s, x, y, w, _, h in _projected_cells(mesh, u_h):
+        gx, gy = grad_u_exact(x, y)
+        dx = np.asarray(gx, dtype=float) - (s[:, 1] / h)[:, None]
+        dy = np.asarray(gy, dtype=float) - (s[:, 2] / h)[:, None]
+        total += float((w * (dx**2 + dy**2)).sum())
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -97,7 +95,8 @@ def triple_seminorm_interp(
     The continuous triple seminorm needs boundary derivatives of the exact
     solution; the computable stand-in replaces u by its vertex interpolant
     u_I and evaluates the discrete form sum_E a_h^E(u_I - u_h, u_I - u_h),
-    which includes the stabilization term.
+    which includes the stabilization term.  That sum is d^T A d for the
+    assembled stabilized diffusion matrix A and d = u_I - u_h.
     """
     u_h = np.asarray(u_h, dtype=float)
     u_i = np.asarray(
@@ -107,11 +106,8 @@ def triple_seminorm_interp(
         raise ValueError(
             f"u_h has shape {u_h.shape}, expected {u_i.shape}"
         )
-    total = 0.0
-    for ids, poly in _cell_polys(mesh):
-        d = u_i[ids] - u_h[ids]
-        le = local_forms(poly, coeffs)
-        total += float(d @ le.Ah @ d)
+    d = u_i - u_h
+    total = float(d @ (assemble_full(mesh, coeffs).A @ d))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -3,8 +3,10 @@
 The global space couples the per-element spaces through shared vertex
 values; boundary vertices are eliminated (homogeneous data is the native
 formulation, inhomogeneous data enters through a lift).  Assembly is the
-standard two-phase scheme: coordinate triplets gathered cell by cell, then
-compressed to CSR.  The element loop is strictly ordered, so two runs over
+standard two-phase scheme: coordinate triplets over all vertices, gathered
+batch by batch of cells from the mesh's shared geometry, then compressed
+to CSR; the interior and interior-boundary blocks are slices of the same
+triplets.  Batches and cells are visited in a fixed order, so two runs over
 the same mesh produce bit-identical sparse structures.
 """
 
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 from .coefficients import CoefficientSet
 from .geometry import Polygon
 from .mesh import PolyMesh
-from .vem_core import local_forms
+from .vem_core import LocalElement, local_forms, local_forms_batch
 
 __all__ = [
     "AssemblyError",
@@ -134,33 +136,6 @@ class FullSystem:
     F: np.ndarray
 
 
-class _TripletBuffer:
-    """Coordinate triplets for one global matrix."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.data: list[np.ndarray] = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> None:
-        if len(rows):
-            self.rows.append(rows)
-            self.cols.append(cols)
-            self.data.append(data)
-
-    def tocsr(self, shape) -> sp.csr_matrix:
-        if not self.rows:
-            return sp.csr_matrix(shape)
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
-        out = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-        out.sum_duplicates()
-        return out
-
-
 def _check_domain(mesh: PolyMesh, coeffs: CoefficientSet) -> None:
     if coeffs.domain is not None and coeffs.domain != mesh.domain_tag:
         raise AssemblyError(
@@ -169,26 +144,64 @@ def _check_domain(mesh: PolyMesh, coeffs: CoefficientSet) -> None:
         )
 
 
-def _local_elements(mesh: PolyMesh, coeffs: CoefficientSet):
-    """Yield (vertex ids, LocalElement) per cell, with finiteness checks."""
-    for ci, cell in enumerate(mesh.cells):
-        ids = np.asarray(cell, dtype=np.int64)
-        poly = Polygon(mesh.vertices[ids])
-        try:
-            le = local_forms(poly, coeffs)
-        except ValueError as exc:
-            raise AssemblyError(f"cell {ci}: {exc}") from exc
-        if not (
-            np.isfinite(le.Ah).all()
-            and np.isfinite(le.Bh).all()
-            and np.isfinite(le.Ch).all()
-            and np.isfinite(le.Mh).all()
-            and np.isfinite(le.Fh).all()
-        ):
-            raise AssemblyError(
-                f"cell {ci}: coefficient evaluation produced non-finite values"
-            )
-        yield ids, le
+def _cell_element(mesh: PolyMesh, ci: int, coeffs: CoefficientSet) -> LocalElement:
+    """Per-cell reference forms of one cell, with finiteness checks."""
+    poly = Polygon(mesh.cell_vertices(ci))
+    try:
+        le = local_forms(poly, coeffs)
+    except ValueError as exc:
+        raise AssemblyError(f"cell {ci}: {exc}") from exc
+    if not all(np.isfinite(m).all() for m in (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
+        raise AssemblyError(f"cell {ci}: coefficient evaluation produced non-finite values")
+    return le
+
+
+def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
+    """Coordinate triplets of A, B, C, M over all vertices, and the full load.
+
+    Returns (rows, cols, ops, F): one (rows, cols) pattern shared by the
+    four operators, whose data arrays ``ops`` holds by name.  The batch
+    results are concatenated one operator at a time, so at most one
+    operator is held twice.
+    """
+    _check_domain(mesh, coeffs)
+    geom = mesh.geometry
+    index = np.int32 if len(mesh.vertices) <= np.iinfo(np.int32).max else np.int64
+    ids, local = [], {name: [] for name in "ABCMF"}
+
+    def add(cell_ids, forms):
+        ids.append(cell_ids.astype(index))
+        for name, m in zip("ABCMF", forms):
+            local[name].append(m.reshape(-1))
+
+    per_cell = list(geom.fallback)
+    for batch in geom.batches():
+        forms = local_forms_batch(batch, coeffs)
+        ok = forms.ok
+        if ok.all():
+            add(batch.ids, forms[:5])
+        else:
+            per_cell.extend(batch.cells[~ok])
+            add(batch.ids[ok], [m[ok] for m in forms[:5]])
+    # cells the batches left out, in index order so the first failure raises
+    for ci in sorted(per_cell):
+        le = _cell_element(mesh, ci, coeffs)
+        add(np.asarray(mesh.cells[ci])[None], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh))
+
+    rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
+    cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])
+    F = np.bincount(
+        np.concatenate([i.ravel() for i in ids]),
+        weights=np.concatenate(local.pop("F")),
+        minlength=len(mesh.vertices),
+    )
+    ops = {name: np.concatenate(local.pop(name)) for name in "ABCM"}
+    return rows, cols, ops, F
+
+
+def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
+    """Sum the triplets into CSR; duplicate entries are added, none dropped."""
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
@@ -196,78 +209,32 @@ def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
 
     The load problem reads (A + B + C) u = F (plus lift contributions for
     inhomogeneous Dirichlet data); the eigenproblem pairs A + B (+ C) with M.
+    The operators are the interior and interior-boundary blocks of the
+    triplets `assemble_full` sums.
     """
-    _check_domain(mesh, coeffs)
+    rows, cols, ops, F = _triplets(mesh, coeffs)
     dof = dof_map(mesh)
     n = dof.n_interior
-    nb = dof.n_boundary
-
-    bufs = {name: _TripletBuffer() for name in ("A", "B", "C", "M", "K_coupling")}
-    F = np.zeros(n)
-
-    for ids, le in _local_elements(mesh, coeffs):
-        k = len(ids)
-        rows_v = np.repeat(ids, k)
-        cols_v = np.tile(ids, k)
-        gi_r = dof.interior_index[rows_v]
-        gi_c = dof.interior_index[cols_v]
-
-        mask_ii = (gi_r >= 0) & (gi_c >= 0)
-        r_ii = gi_r[mask_ii]
-        c_ii = gi_c[mask_ii]
-        bufs["A"].add(r_ii, c_ii, le.Ah.ravel()[mask_ii])
-        bufs["B"].add(r_ii, c_ii, le.Bh.ravel()[mask_ii])
-        bufs["C"].add(r_ii, c_ii, le.Ch.ravel()[mask_ii])
-        bufs["M"].add(r_ii, c_ii, le.Mh.ravel()[mask_ii])
-
-        mask_ib = (gi_r >= 0) & (gi_c < 0)
-        if mask_ib.any():
-            K_local = le.Ah + le.Bh + le.Ch
-            bufs["K_coupling"].add(
-                gi_r[mask_ib],
-                dof.boundary_index[cols_v[mask_ib]],
-                K_local.ravel()[mask_ib],
-            )
-
-        fi = dof.interior_index[ids]
-        m = fi >= 0
-        F[fi[m]] += le.Fh[m]
-
-    return GlobalSystem(
-        A=bufs["A"].tocsr((n, n)),
-        B=bufs["B"].tocsr((n, n)),
-        C=bufs["C"].tocsr((n, n)),
-        M=bufs["M"].tocsr((n, n)),
-        K_coupling=bufs["K_coupling"].tocsr((n, nb)),
-        F=F,
-        dof=dof,
+    interior = dof.interior_index.astype(rows.dtype)
+    r, c = interior[rows], interior[cols]
+    ib = (r >= 0) & (c < 0)
+    K_coupling = _csr(
+        ops["A"][ib] + ops["B"][ib] + ops["C"][ib],
+        r[ib],
+        dof.boundary_index[cols[ib]],
+        (n, dof.n_boundary),
     )
+    ii = (r >= 0) & (c >= 0)
+    r, c = r[ii], c[ii]
+    blocks = {name: _csr(ops.pop(name)[ii], r, c, (n, n)) for name in "ABCM"}
+    return GlobalSystem(**blocks, K_coupling=K_coupling, F=F[dof.interior_vertices], dof=dof)
 
 
 def assemble_full(mesh: PolyMesh, coeffs: CoefficientSet) -> FullSystem:
     """Assemble over all vertex DOFs with boundary rows retained."""
-    _check_domain(mesh, coeffs)
-    nv = len(mesh.vertices)
-    bufs = {name: _TripletBuffer() for name in ("A", "B", "C", "M")}
-    F = np.zeros(nv)
-
-    for ids, le in _local_elements(mesh, coeffs):
-        k = len(ids)
-        rows_v = np.repeat(ids, k)
-        cols_v = np.tile(ids, k)
-        bufs["A"].add(rows_v, cols_v, le.Ah.ravel())
-        bufs["B"].add(rows_v, cols_v, le.Bh.ravel())
-        bufs["C"].add(rows_v, cols_v, le.Ch.ravel())
-        bufs["M"].add(rows_v, cols_v, le.Mh.ravel())
-        F[ids] += le.Fh
-
-    return FullSystem(
-        A=bufs["A"].tocsr((nv, nv)),
-        B=bufs["B"].tocsr((nv, nv)),
-        C=bufs["C"].tocsr((nv, nv)),
-        M=bufs["M"].tocsr((nv, nv)),
-        F=F,
-    )
+    rows, cols, ops, F = _triplets(mesh, coeffs)
+    shape = (len(mesh.vertices),) * 2
+    return FullSystem(**{name: _csr(ops.pop(name), rows, cols, shape) for name in "ABCM"}, F=F)
 
 
 BoundaryData = Union[Callable, float, np.ndarray, Sequence[float]]

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "Point2",
@@ -26,6 +25,11 @@ __all__ = [
     "integrate",
     "StarMetric",
     "star_metric",
+    "BATCH_CELLS",
+    "CellBatch",
+    "MeshGeometry",
+    "mesh_geometry",
+    "fan_quadrature",
 ]
 
 # Relative tolerance for "zero" cross products / areas, scaled by diam^2.
@@ -100,39 +104,77 @@ QUAD_RULES: dict[int, TriQuadRule] = {
 }
 
 
-def _shoelace(v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed area and centroid of the polygon with vertex array v."""
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z-component of the cross product of 2-vectors stored in the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _shoelace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed area and centroid of polygons with vertex arrays v, shape (..., n, 2).
+
+    A polygon of zero signed area gets its vertex mean as centroid.
+    """
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area2 = cross.sum()
-    if area2 == 0.0:
-        return 0.0, v.mean(axis=0)
-    cx = ((x + xn) * cross).sum() / (3.0 * area2)
-    cy = ((y + yn) * cross).sum() / (3.0 * area2)
-    return 0.5 * area2, np.array([cx, cy])
+    area2 = cross.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.stack(
+            [((x + xn) * cross).sum(axis=-1), ((y + yn) * cross).sum(axis=-1)], axis=-1
+        ) / (3.0 * area2[..., None])
+    c = np.where((area2 == 0.0)[..., None], v.mean(axis=-2), c)
+    return 0.5 * area2, c
 
 
-def _segments_cross(p1, p2, p3, p4, eps: float) -> bool:
-    """True if segments (p1,p2) and (p3,p4) intersect (touching counts)."""
-    d21 = p2 - p1
-    d43 = p4 - p3
-    d1 = d43[0] * (p1[1] - p3[1]) - d43[1] * (p1[0] - p3[0])
-    d2 = d43[0] * (p2[1] - p3[1]) - d43[1] * (p2[0] - p3[0])
-    d3 = d21[0] * (p3[1] - p1[1]) - d21[1] * (p3[0] - p1[0])
-    d4 = d21[0] * (p4[1] - p1[1]) - d21[1] * (p4[0] - p1[0])
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
+def _diameter(v: np.ndarray) -> np.ndarray:
+    """Largest pairwise vertex distance of polygons v, shape (..., n, 2)."""
+    d = v[..., :, None, :] - v[..., None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def _edge_lengths(v: np.ndarray) -> np.ndarray:
+    """|v_{i+1} - v_i| for polygons v, shape (..., n, 2)."""
+    e = np.roll(v, -1, axis=-2) - v
+    return np.hypot(e[..., 0], e[..., 1])
+
+
+def _fan_triangulable(v: np.ndarray, c: np.ndarray, tol) -> np.ndarray:
+    """True where every fan triangle (v_i, v_{i+1}, c) has area >= -tol/2.
+
+    That is, the polygon is star-shaped with respect to c within tol.
+    """
+    e = np.roll(v, -1, axis=-2) - v
+    return (_cross(e, c[..., None, :] - v) >= -np.asarray(tol)[..., None]).all(axis=-1)
+
+
+def _nonadjacent_edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge pairs (i, j), i < j, that share no vertex; ordered by i, then j."""
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))
+    return i[keep], j[keep]
+
+
+def _segments_cross(p1, p2, p3, p4, eps) -> np.ndarray:
+    """True where segments (p1,p2) and (p3,p4) intersect (touching counts).
+
+    Points have shape (..., 2); eps broadcasts against the leading shape.
+    """
+    eps = np.asarray(eps)
+    d1 = _cross(p4 - p3, p1 - p3)
+    d2 = _cross(p4 - p3, p2 - p3)
+    d3 = _cross(p2 - p1, p3 - p1)
+    d4 = _cross(p2 - p1, p4 - p1)
+
+    def straddle(a, b):
+        return ((a > eps) & (b < -eps)) | ((a < -eps) & (b > eps))
+
+    hit = straddle(d1, d2) & straddle(d3, d4)
     # collinear / touching configurations: fall back to bounding-box overlap
+    e = eps[..., None]
     for d, a, b, p in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
-        if abs(d) <= eps:
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            if np.all(p >= lo - eps) and np.all(p <= hi + eps):
-                return True
-    return False
+        in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
+        hit |= (np.abs(d) <= eps) & in_box.all(axis=-1)
+    return hit
 
 
 class Polygon:
@@ -171,21 +213,19 @@ class Polygon:
     def _validate(self) -> None:
         v = self.vertices
         n = len(v)
-        edges = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        lengths = self.edge_lengths
         if np.any(lengths == 0.0):
             k = int(np.argmin(lengths))
             raise ValueError(f"duplicate consecutive vertices at position {k}")
         diam = self.diameter
         eps = _AREA_EPS * diam * diam
         # simplicity: no two non-adjacent edges may intersect
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue
-                if _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], eps):
-                    raise ValueError(f"polygon is not simple: edges {i} and {j} intersect")
-        area, _ = _shoelace(v)
+        i, j = _nonadjacent_edge_pairs(n)
+        hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], eps)
+        if hit.any():
+            p = int(np.argmax(hit))
+            raise ValueError(f"polygon is not simple: edges {i[p]} and {j[p]} intersect")
+        area = self.area
         if abs(area) <= eps:
             raise ValueError("polygon is degenerate (zero area)")
         if area < 0.0:
@@ -198,13 +238,12 @@ class Polygon:
     @cached_property
     def diameter(self) -> float:
         """Largest pairwise vertex distance."""
-        v = self.vertices
-        d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        return float(_diameter(self.vertices))
 
     @cached_property
     def _area_centroid(self) -> tuple[float, np.ndarray]:
-        return _shoelace(self.vertices)
+        area, c = _shoelace(self.vertices)
+        return float(area), c
 
     @property
     def area(self) -> float:
@@ -217,8 +256,7 @@ class Polygon:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return np.hypot(e[:, 0], e[:, 1])
+        return _edge_lengths(self.vertices)
 
     @property
     def perimeter(self) -> float:
@@ -245,7 +283,7 @@ def area_centroid(poly) -> tuple[float, Point2]:
     if isinstance(poly, Polygon):
         return poly.area, poly.centroid
     a, c = _shoelace(np.asarray(poly, dtype=float))
-    return a, Point2(float(c[0]), float(c[1]))
+    return float(a), Point2(float(c[0]), float(c[1]))
 
 
 def _as_polygon(poly) -> Polygon:
@@ -269,10 +307,7 @@ def triangulate(poly) -> list[np.ndarray]:
     n = len(v)
     c = np.asarray(p.centroid)
     tol = _AREA_EPS * p.diameter ** 2
-    e = np.roll(v, -1, axis=0) - v
-    r = c[None, :] - v
-    cross = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
-    if np.all(cross >= -tol):
+    if _fan_triangulable(v, c, tol):
         return [np.array([v[i], v[(i + 1) % n], c]) for i in range(n)]
     return _ear_clip(v, tol)
 
@@ -365,6 +400,140 @@ def integrate(poly, g: Callable, degree: int) -> float:
     return float(w @ vals)
 
 
+# cells per batch of the vectorized per-cell computations: bounds the
+# (cells x quadrature nodes) temporaries while amortizing the per-batch
+# Python overhead
+BATCH_CELLS = 1024
+
+
+class CellBatch(NamedTuple):
+    """Geometry of cells sharing one vertex count k, as stacked arrays.
+
+    Attributes
+    ----------
+    cells : ndarray, shape (G,)
+        Mesh cell indices, ascending.
+    ids : ndarray, shape (G, k)
+        Vertex ids of each cell, in the cell's (counter-clockwise) order.
+    vertices : ndarray, shape (G, k, 2)
+    area : ndarray, shape (G,)
+        Signed area.
+    centroid : ndarray, shape (G, 2)
+    diameter : ndarray, shape (G,)
+    edge_lengths : ndarray, shape (G, k)
+        Length of the edge from vertex i to vertex i + 1.
+    valid : ndarray of bool, shape (G,)
+        The cell passes the checks of ``Polygon(validate=True)``.
+    fan : ndarray of bool, shape (G,)
+        The cell is star-shaped with respect to its centroid, so the
+        centroid fan triangulates it (what `triangulate` would do).
+    """
+
+    cells: np.ndarray
+    ids: np.ndarray
+    vertices: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray
+    diameter: np.ndarray
+    edge_lengths: np.ndarray
+    valid: np.ndarray
+    fan: np.ndarray
+
+    def take(self, sel) -> "CellBatch":
+        """The cells selected by an index, mask or slice along the first axis."""
+        return CellBatch._make(a[sel] for a in self)
+
+
+class MeshGeometry(NamedTuple):
+    """Cell geometry of a whole mesh, grouped by vertex count.
+
+    Attributes
+    ----------
+    groups : tuple of CellBatch
+        One per vertex count k >= 3, ascending in k.
+    invalid : ndarray
+        Ascending indices of the cells that are not valid polygons (this
+        includes cells with fewer than 3 vertices, which have no group).
+    fallback : ndarray
+        Ascending indices of the cells `batches` leaves out: invalid cells
+        and cells that are not star-shaped with respect to their centroid.
+        These take the per-cell path (`Polygon`, `triangulate`).
+    """
+
+    groups: tuple
+    invalid: np.ndarray
+    fallback: np.ndarray
+
+    def batches(self):
+        """Valid, fan-triangulable cells in batches of at most BATCH_CELLS."""
+        for g in self.groups:
+            g = g.take(g.valid & g.fan)
+            for start in range(0, len(g.cells), BATCH_CELLS):
+                yield g.take(slice(start, start + BATCH_CELLS))
+
+
+def _cell_batch(cells: np.ndarray, ids: np.ndarray, v: np.ndarray) -> CellBatch:
+    k = ids.shape[1]
+    area, centroid = _shoelace(v)
+    diam = _diameter(v)
+    lengths = _edge_lengths(v)
+    eps = _AREA_EPS * diam * diam
+    i, j = _nonadjacent_edge_pairs(k)
+    crossed = _segments_cross(
+        v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], eps[:, None]
+    ).any(axis=1)
+    finite = np.isfinite(v).all(axis=(1, 2))
+    valid = finite & (lengths > 0.0).all(axis=1) & ~crossed & (area > eps)
+    fan = _fan_triangulable(v, centroid, eps)
+    return CellBatch(cells, ids, v, area, centroid, diam, lengths, valid, fan)
+
+
+def mesh_geometry(vertices: np.ndarray, cells) -> MeshGeometry:
+    """Group the cells by vertex count and compute their geometry in batches.
+
+    Groups are ordered by ascending vertex count and cells by ascending
+    index within a group, so the result is a fixed function of the mesh.
+    Vertex ids must be in range.
+    """
+    counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    valid = np.zeros(len(cells), dtype=bool)
+    batched = np.zeros(len(cells), dtype=bool)
+    groups = []
+    for k in np.unique(counts[counts >= 3]):
+        idx = np.flatnonzero(counts == k)
+        ids = np.array([cells[c] for c in idx], dtype=np.int64).reshape(len(idx), k)
+        parts = []
+        for start in range(0, len(idx), BATCH_CELLS):
+            chunk = slice(start, start + BATCH_CELLS)
+            parts.append(_cell_batch(idx[chunk], ids[chunk], vertices[ids[chunk]]))
+        g = CellBatch._make(np.concatenate(a) for a in zip(*parts))
+        groups.append(g)
+        valid[g.cells] = g.valid
+        batched[g.cells] = g.valid & g.fan
+    return MeshGeometry(tuple(groups), np.flatnonzero(~valid), np.flatnonzero(~batched))
+
+
+def fan_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroid-fan quadrature of a batch of cells.
+
+    The batched counterpart of `polygon_quadrature` for cells with
+    ``g.fan``: the same triangles, nodes and weights, row per cell.
+
+    Returns
+    -------
+    x, y, w : ndarray, shape (G, k * npts)
+    """
+    rule = QUAD_RULES[degree]
+    v = g.vertices
+    c = np.broadcast_to(g.centroid[:, None, :], v.shape)
+    tri = np.stack([v, np.roll(v, -1, axis=1), c], axis=2)  # (G, k, 3, 2)
+    pts = np.einsum("qj,gtjd->gtqd", rule.bary, tri)
+    a2 = _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+    w = rule.weights * (0.5 * a2)[..., None]
+    G = len(v)
+    return pts[..., 0].reshape(G, -1), pts[..., 1].reshape(G, -1), w.reshape(G, -1)
+
+
 class StarMetric(NamedTuple):
     """Star-shapedness report for a polygon.
 
@@ -392,6 +561,8 @@ def star_metric(poly) -> StarMetric:
         ``is_star`` is False (with center None, rho 0) when the kernel is
         empty.  A degenerate kernel yields is_star True with rho ~ 0.
     """
+    from scipy.optimize import linprog  # imported here: costly, and only validate needs it
+
     p = _as_polygon(poly)
     v = p.vertices
     e = np.roll(v, -1, axis=0) - v

@@ -21,10 +21,11 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Point2, Polygon, star_metric
+from .geometry import MeshGeometry, Point2, Polygon, mesh_geometry, star_metric
 
 __all__ = [
     "PolyMesh",
@@ -100,6 +101,28 @@ class PolyMesh:
 
     def cell_polygon(self, i: int, validate: bool = False) -> Polygon:
         return Polygon(self.cell_vertices(i), validate=validate)
+
+    @cached_property
+    def geometry(self) -> MeshGeometry:
+        """Cell geometry grouped by vertex count, computed once per mesh.
+
+        Validation, assembly and the error norms all read this.  Safe to
+        cache: the vertex array is read-only and the cells are a tuple.
+
+        Raises
+        ------
+        MeshConformityError
+            Naming the first cell that is not a valid polygon, with the
+            message of ``Polygon(validate=True)``.
+        """
+        geom = mesh_geometry(self.vertices, self.cells)
+        if len(geom.invalid):
+            ci = int(geom.invalid[0])
+            try:
+                Polygon(self.cell_vertices(ci))
+            except ValueError as exc:
+                raise MeshConformityError(f"cell {ci} is not a valid polygon: {exc}") from exc
+        return geom
 
     def edge_counts(self) -> dict:
         """Undirected edge -> number of incident cells."""
@@ -483,16 +506,12 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         flags.  Small star-shapedness radii are reported, not rejected.
     """
     v = mesh.vertices
-    polys = []
     for ci, cell in enumerate(mesh.cells):
         if len(set(cell)) != len(cell):
             raise MeshConformityError(f"cell {ci} repeats a vertex index")
         if any(k < 0 or k >= len(v) for k in cell):
             raise MeshConformityError(f"cell {ci} references a vertex out of range")
-        try:
-            polys.append(Polygon(v[list(cell)]))
-        except ValueError as exc:
-            raise MeshConformityError(f"cell {ci} is not a valid polygon: {exc}") from exc
+    groups = mesh.geometry.groups
 
     directed: set[tuple[int, int]] = set()
     counts: dict[tuple[int, int], int] = defaultdict(int)
@@ -510,7 +529,7 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         if c > 2:
             raise MeshConformityError(f"edge {edge} is shared by {c} cells")
 
-    area = sum(p.area for p in polys)
+    area = sum(float(g.area.sum()) for g in groups)
     ref_area = _domain_area(mesh)
     if abs(area - ref_area) > 1e-10 * abs(ref_area):
         raise MeshConformityError(
@@ -527,20 +546,16 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         bad = int(np.flatnonzero(derived != mesh.boundary_vertex)[0])
         raise MeshConformityError(f"boundary flag of vertex {bad} is inconsistent")
 
-    h = max(p.diameter for p in polys)
-    min_edge = min(p.edge_lengths.min() for p in polys)
+    h = max(float(g.diameter.max()) for g in groups)
+    min_edge = min(float(g.edge_lengths.min()) for g in groups)
     # rho is translation-invariant and structured meshes repeat a handful of
-    # cell shapes, so cache the LP result by translated-shape signature
-    rho_cache: dict[bytes, float] = {}
+    # cell shapes, so solve the LP once per translated-shape signature
     min_rho = np.inf
-    for p in polys:
-        rel = p.vertices - p.vertices[0]
-        key = rel.round(10).tobytes()
-        rho = rho_cache.get(key)
-        if rho is None:
-            rho = star_metric(p).rho
-            rho_cache[key] = rho
-        min_rho = min(min_rho, rho)
+    for g in groups:
+        rel = (g.vertices - g.vertices[:, :1]).round(10).reshape(len(g.cells), -1)
+        _, first = np.unique(rel, axis=0, return_index=True)
+        for c in first:
+            min_rho = min(min_rho, star_metric(g.vertices[c]).rho)
     return MeshQualityReport(
         h=h,
         min_edge=min_edge,

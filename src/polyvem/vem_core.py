@@ -22,13 +22,22 @@ the diameter.  The diffusion coefficient does not scale this term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .geometry import Point2, Polygon, polygon_quadrature
+from .geometry import CellBatch, Point2, Polygon, fan_quadrature, polygon_quadrature
 
-__all__ = ["LocalElement", "pi_nabla", "stab_matrix", "local_forms"]
+__all__ = [
+    "LocalElement",
+    "pi_nabla",
+    "stab_matrix",
+    "local_forms",
+    "FormBatch",
+    "pi_nabla_batch",
+    "local_forms_batch",
+]
 
 QUAD_DEGREE = 4
 
@@ -230,3 +239,115 @@ def local_forms(E, coeffs: CoefficientSet, quad_degree: int = QUAD_DEGREE) -> Lo
         area=area,
         centroid=p.centroid,
     )
+
+
+# --- batched forms ---------------------------------------------------------
+#
+# The functions below compute the same quantities as `pi_nabla`,
+# `stab_matrix` and `local_forms` for a whole CellBatch at once; the
+# per-cell functions above stay the reference they are tested against.
+# Every projected form is P^T Q P with a 3 x 3 moment matrix Q of the
+# scaled monomials, so the quadrature enters only through those moments.
+
+
+class FormBatch(NamedTuple):
+    """Local matrices of a batch of cells, stacked along the first axis.
+
+    Attributes
+    ----------
+    Ah, Bh, Ch, Mh : ndarray, shape (G, k, k)
+    Fh : ndarray, shape (G, k)
+    ok : ndarray of bool, shape (G,)
+        kappa at the centroid is positive and every entry is finite.
+        Cells without it must go through `local_forms`, which raises the
+        reference error.
+    """
+
+    Ah: np.ndarray
+    Bh: np.ndarray
+    Ch: np.ndarray
+    Mh: np.ndarray
+    Fh: np.ndarray
+    ok: np.ndarray
+
+
+def pi_nabla_batch(g: CellBatch) -> np.ndarray:
+    """`pi_nabla` of every cell of a batch, shape (G, 3, k)."""
+    x, y = g.vertices[..., 0], g.vertices[..., 1]
+    h = g.diameter[:, None]
+    scale = h / g.area[:, None]
+    c1 = 0.5 * (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) * scale
+    c2 = -0.5 * (np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)) * scale
+    lengths = g.edge_lengths
+    t = 0.5 * (lengths + np.roll(lengths, 1, axis=1))
+    per = lengths.sum(axis=1, keepdims=True)
+    a1 = (t * (x - g.centroid[:, :1]) / h).sum(axis=1, keepdims=True) / per
+    a2 = (t * (y - g.centroid[:, 1:]) / h).sum(axis=1, keepdims=True) / per
+    c0 = t / per - a1 * c1 - a2 * c2
+    return np.stack([c0, c1, c2], axis=1)
+
+
+def _scaled_monomials(x, y, g: CellBatch) -> np.ndarray:
+    """{1, (x-x_E)/h_E, (y-y_E)/h_E} at points (G, m) of each cell: (G, m, 3)."""
+    h = g.diameter[:, None]
+    return np.stack(
+        [np.ones_like(x), (x - g.centroid[:, :1]) / h, (y - g.centroid[:, 1:]) / h], axis=-1
+    )
+
+
+def _stab_batch(g: CellBatch) -> np.ndarray:
+    """`stab_matrix` of every cell of a batch, shape (G, k, k)."""
+    w = g.diameter[:, None] / g.edge_lengths
+    G, k = w.shape
+    i = np.arange(k)
+    nxt = np.roll(i, -1)
+    S = np.zeros((G, k, k))
+    S[:, i, i] = w + np.roll(w, 1, axis=1)
+    S[:, i, nxt] = -w
+    S[:, nxt, i] = -w
+    return S
+
+
+def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
+    """`local_forms` (default quadrature degree) for every cell of a batch.
+
+    The cells must have ``g.valid`` and ``g.fan``: the quadrature is the
+    centroid fan.  Coefficients are called once per batch, on arrays of
+    shape (G,) for kappa and (G, m) at the quadrature nodes.
+    """
+    h, area = g.diameter, g.area
+    kappa = _eval_scalar(coeffs.kappa, g.centroid[:, 0], g.centroid[:, 1])
+    P = pi_nabla_batch(g)
+    PT = P.transpose(0, 2, 1)
+    k = P.shape[2]
+
+    remainder = np.eye(k) - _scaled_monomials(g.vertices[..., 0], g.vertices[..., 1], g) @ P
+    consistency = (area / (h * h))[:, None, None] * (PT[:, :, 1:] @ P[:, 1:, :])
+    stabilization = remainder.transpose(0, 2, 1) @ _stab_batch(g) @ remainder
+    Ah = kappa[:, None, None] * consistency + stabilization
+
+    xq, yq, wq = fan_quadrature(g, QUAD_DEGREE)
+    mono = _scaled_monomials(xq, yq, g)
+    mono_w = (mono * wq[..., None]).transpose(0, 2, 1)  # (G, 3, m)
+
+    def moments(values):
+        """Integrals of values (G, m) against each scaled monomial: (G, 3)."""
+        return (mono_w @ values[..., None])[..., 0]
+
+    tx, ty = _eval_vector(coeffs.theta, xq, yq)
+    Bq = np.zeros((len(h), 3, 3))
+    Bq[:, :, 1] = moments(tx) / h[:, None]
+    Bq[:, :, 2] = moments(ty) / h[:, None]
+    Bh = PT @ Bq @ P
+    Ch = PT @ ((mono_w * _eval_scalar(coeffs.gamma, xq, yq)[:, None, :]) @ mono) @ P
+    Mh = PT @ (mono_w @ mono) @ P
+    if coeffs.f is not None:
+        Fh = (PT @ moments(_eval_scalar(coeffs.f, xq, yq))[..., None])[..., 0]
+    else:
+        Fh = np.zeros((len(h), k))
+
+    ok = kappa > 0.0
+    for m in (Ah, Bh, Ch, Mh):
+        ok &= np.isfinite(m).all(axis=(1, 2))
+    ok &= np.isfinite(Fh).all(axis=1)
+    return FormBatch(Ah, Bh, Ch, Mh, Fh, ok)

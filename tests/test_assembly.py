@@ -24,7 +24,7 @@ from polyvem.assembly import (
 )
 from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
 from polyvem.geometry import Polygon
-from polyvem.mesh import gen_rotated_T, gen_square_th1, gen_square_th2, gen_square_th3
+from polyvem.mesh import PolyMesh, gen_rotated_T, gen_square_th1, gen_square_th2, gen_square_th3
 from polyvem.vem_core import local_forms
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
@@ -169,6 +169,17 @@ class TestOperatorStructure:
             assemble(mesh, CASES["test1"].coeffs)
         with pytest.raises(AssemblyError, match="domain"):
             assemble_full(mesh, CASES["eigen_square"].coeffs)
+
+    def test_non_simple_cell_rejected(self):
+        mesh = gen_square_th2(2, split_edges=False)
+        cells = list(mesh.cells)
+        cells[2] = (0, 4, 7, 8)  # corners (0,0), (1,0), (0,1), (1,1): a bow-tie
+        bad = PolyMesh(
+            mesh.vertices, tuple(cells), mesh.boundary_vertex, mesh.h, mesh.domain_tag
+        )
+        for build in (assemble, assemble_full):
+            with pytest.raises(ValueError, match="cell 2 .*not simple: edges 1 and 3"):
+                build(bad, CASES["test1"].coeffs)
 
     def test_determinism_bit_identical(self):
         mesh = gen_square_th2(3)

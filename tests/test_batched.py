@@ -1,0 +1,224 @@
+"""Batched cell computations against the per-cell reference.
+
+Assembly and the error norms run on stacked arrays of cells that share a
+vertex count (`PolyMesh.geometry`, `local_forms_batch`, `fan_quadrature`).
+The oracle is the per-cell path they replace: `local_forms`, `pi_nabla`
+and `polygon_quadrature` on one `Polygon` at a time.  The two sum in a
+different order, so agreement is to a relative 1e-12, not bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from polyvem.analysis import error_h1_semi, error_l2, triple_seminorm_interp
+from polyvem.assembly import apply_dirichlet_lift, assemble, assemble_full, expand_solution
+from polyvem.coefficients import CoefficientSet, constant, constant_vector
+from polyvem.geometry import Polygon, fan_quadrature, mesh_geometry, polygon_quadrature
+from polyvem.mesh import (
+    PolyMesh,
+    gen_rotated_T,
+    gen_square_th1,
+    gen_square_th2,
+    gen_square_th3,
+    io_read,
+    io_write,
+    validate,
+)
+from polyvem.solvers import solve_load
+from polyvem.vem_core import local_forms, local_forms_batch, pi_nabla, pi_nabla_batch
+
+RTOL = 1e-12
+
+# every coefficient varies in space and none is tied to a domain, so one
+# set exercises every term on every family
+COEFFS = CoefficientSet(
+    kappa=lambda x, y: 1.0 + np.asarray(x) ** 2,
+    theta=lambda x, y: (np.asarray(y, dtype=float), -np.asarray(x, dtype=float)),
+    gamma=lambda x, y: 1.0 + np.asarray(x) * np.asarray(y),
+    f=lambda x, y: np.sin(3.0 * np.asarray(x)) + np.asarray(y),
+)
+
+FAMILIES = [
+    ("th1", lambda: gen_square_th1(4)),
+    ("th2", lambda: gen_square_th2(4)),
+    ("th3", lambda: gen_square_th3(4)),
+    ("th4", lambda: gen_rotated_T("th4", 8)),
+    ("th5", lambda: gen_rotated_T("th5", 8)),
+    ("th6", lambda: gen_rotated_T("th6", 8)),
+    ("th7", lambda: gen_rotated_T("th7", 8)),
+]
+
+
+def u_smooth(x, y):
+    return np.cos(2.0 * x) * np.exp(y)
+
+
+def grad_u_smooth(x, y):
+    return -2.0 * np.sin(2.0 * x) * np.exp(y), np.cos(2.0 * x) * np.exp(y)
+
+
+def reference_forms(mesh, coeffs):
+    """Dense A, B, C, M, F over all vertices, summed cell by cell."""
+    nv = len(mesh.vertices)
+    ops = {name: np.zeros((nv, nv)) for name in ("A", "B", "C", "M")}
+    F = np.zeros(nv)
+    for ci, cell in enumerate(mesh.cells):
+        ids = list(cell)
+        le = local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
+        for name, local in (("A", le.Ah), ("B", le.Bh), ("C", le.Ch), ("M", le.Mh)):
+            ops[name][np.ix_(ids, ids)] += local
+        F[ids] += le.Fh
+    return ops, F
+
+
+def reference_errors(mesh, u_h, u, grad_u):
+    """L2 and H1 errors of Pi u_h, cell by cell."""
+    l2 = h1 = 0.0
+    for ci, cell in enumerate(mesh.cells):
+        poly = Polygon(mesh.cell_vertices(ci))
+        s = pi_nabla(poly) @ u_h[list(cell)]
+        (xc, yc), h = poly.centroid, poly.diameter
+        x, y, w = polygon_quadrature(poly, 6)
+        proj = s[0] + s[1] * (x - xc) / h + s[2] * (y - yc) / h
+        l2 += w @ (u(x, y) - proj) ** 2
+        gx, gy = grad_u(x, y)
+        h1 += w @ ((gx - s[1] / h) ** 2 + (gy - s[2] / h) ** 2)
+    return np.sqrt(l2), np.sqrt(h1)
+
+
+def reference_triple(mesh, d, coeffs):
+    total = 0.0
+    for ci, cell in enumerate(mesh.cells):
+        le = local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
+        total += d[list(cell)] @ le.Ah @ d[list(cell)]
+    return np.sqrt(total)
+
+
+def assert_close(got, ref):
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(got - ref).max() <= RTOL * scale
+
+
+def check_against_reference(mesh):
+    ops, F = reference_forms(mesh, COEFFS)
+    full = assemble_full(mesh, COEFFS)
+    for name, ref in ops.items():
+        assert_close(getattr(full, name).toarray(), ref)
+    assert_close(full.F, F)
+
+    system = assemble(mesh, COEFFS)
+    ii = system.dof.interior_vertices
+    bb = system.dof.boundary_vertices
+    for name in ("A", "B", "C", "M"):
+        assert_close(getattr(system, name).toarray(), ops[name][np.ix_(ii, ii)])
+    K = ops["A"] + ops["B"] + ops["C"]
+    assert_close(system.K_coupling.toarray(), K[np.ix_(ii, bb)])
+    assert_close(system.F, F[ii])
+
+    rng = np.random.default_rng(5)
+    xy = mesh.vertices
+    u_h = u_smooth(xy[:, 0], xy[:, 1]) + 0.1 * rng.standard_normal(len(xy))
+    ref_l2, ref_h1 = reference_errors(mesh, u_h, u_smooth, grad_u_smooth)
+    assert error_l2(mesh, u_h, u_smooth) == pytest.approx(ref_l2, rel=RTOL)
+    assert error_h1_semi(mesh, u_h, grad_u_smooth) == pytest.approx(ref_h1, rel=RTOL)
+    d = u_smooth(xy[:, 0], xy[:, 1]) - u_h
+    assert triple_seminorm_interp(mesh, u_h, u_smooth, COEFFS) == pytest.approx(
+        reference_triple(mesh, d, COEFFS), rel=RTOL
+    )
+
+
+@pytest.mark.parametrize("name,gen", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_batched_matches_per_cell(name, gen):
+    mesh = gen()
+    geom = mesh.geometry
+    # every cell of the shipped families takes the batched path
+    assert len(geom.fallback) == 0
+    assert sum(len(g.cells) for g in geom.groups) == mesh.n_cells
+    check_against_reference(mesh)
+
+
+def test_random_polygons_match_per_cell():
+    """A soup of random cells with 3 to 12 vertices: star-shaped about the
+    origin (mostly, not always, about the centroid) or with shuffled, mostly
+    self-intersecting vertex order."""
+    rng = np.random.default_rng(7)
+    polys = []
+    for k in range(3, 13):
+        for _ in range(6):
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k)) + np.linspace(0.0, 1e-3, k)
+            rad = rng.uniform(0.2, 1.5, k)
+            v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]) + rng.uniform(-5, 5, 2)
+            polys.append(v)
+        polys.append(rng.permutation(polys[-1]))
+    vertices = np.concatenate(polys)
+    starts = np.cumsum([0] + [len(v) for v in polys])
+    cells = [tuple(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+    geom = mesh_geometry(vertices, cells)
+
+    batched = 0
+    for g in geom.groups:
+        for row, ci in enumerate(g.cells):
+            try:
+                Polygon(polys[ci])
+            except ValueError:
+                assert not g.valid[row]
+            else:
+                assert g.valid[row]
+                assert g.area[row] == pytest.approx(Polygon(polys[ci]).area, rel=RTOL)
+    for b in geom.batches():
+        forms = local_forms_batch(b, COEFFS)
+        P = pi_nabla_batch(b)
+        x, y, w = fan_quadrature(b, 6)
+        for row, ci in enumerate(b.cells):
+            poly = Polygon(polys[ci])
+            le = local_forms(poly, COEFFS)
+            for got, ref in zip(forms[:5], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
+                assert_close(got[row], ref)
+            assert_close(P[row], pi_nabla(poly))
+            for got, ref in zip((x, y, w), polygon_quadrature(poly, 6)):
+                assert_close(got[row], ref)
+            batched += 1
+    # both paths are exercised: batched cells, and valid cells left out
+    assert batched > 0
+    assert set(geom.fallback) - set(geom.invalid)
+
+
+def u_shaped_mesh(tmp_path) -> PolyMesh:
+    """Unit square: a U-shaped cell around a notch filled by two quads.
+
+    The U's centroid (0.5, 0.41) lies in the notch, outside the U, so the
+    centroid fan does not triangulate it and it takes the per-cell path.
+    The mesh goes through a file, as a user-supplied mesh would.
+    """
+    verts = [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.8, 1.0), (0.8, 0.2),
+        (0.2, 0.2), (0.2, 1.0), (0.0, 1.0), (0.5, 0.2), (0.5, 1.0),
+    ]
+    cells = [
+        [0, 1, 2, 3, 4, 8, 5, 6, 7],
+        [5, 8, 9, 6],
+        [8, 4, 3, 9],
+    ]
+    boundary = np.ones(len(verts), dtype=bool)
+    boundary[[4, 5, 8]] = False
+    mesh = PolyMesh(np.array(verts), tuple(map(tuple, cells)), boundary, 1.0, "custom")
+    io_write(tmp_path / "u.json", mesh)
+    return io_read(tmp_path / "u.json")
+
+
+def test_non_star_cell_takes_per_cell_fallback(tmp_path):
+    mesh = u_shaped_mesh(tmp_path)
+    report = validate(mesh)
+    assert report.min_rho == 0.0  # the U has an empty kernel: reported, not rejected
+    geom = mesh.geometry
+    assert geom.fallback.tolist() == [0]
+    assert [len(g.cells) for g in geom.groups] == [2, 1]
+    check_against_reference(mesh)
+
+    # the patch test holds across the fallback cell
+    u = lambda x, y: 1.0 + 2.0 * np.asarray(x) + 3.0 * np.asarray(y)
+    laplace = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0), f=constant(0.0))
+    system = assemble(mesh, laplace)
+    delta, g_b = apply_dirichlet_lift(system, mesh, u)
+    u_full = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
+    assert np.abs(u_full - u(mesh.vertices[:, 0], mesh.vertices[:, 1])).max() <= 1e-12

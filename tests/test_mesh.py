@@ -269,6 +269,43 @@ class TestValidateFailures:
             validate(bad)
 
 
+def _with_cell(mesh, i, cell):
+    cells = list(mesh.cells)
+    cells[i] = cell
+    return PolyMesh(
+        mesh.vertices.copy(), tuple(cells), mesh.boundary_vertex.copy(), mesh.h, mesh.domain_tag
+    )
+
+
+# cell 2 of gen_square_th2(2, split_edges=False) is (1, 4, 5); vertices 0, 1, 4
+# lie on y = 0, and 0, 4, 7, 8 are the corners (0,0), (1,0), (0,1), (1,1)
+BROKEN_CELLS = {
+    "repeat": ((1, 4, 1), "cell 2 repeats a vertex index"),
+    "range": ((1, 4, 9), "cell 2 references a vertex out of range"),
+    "negative": ((1, 4, -1), "cell 2 references a vertex out of range"),
+    "short": ((1, 4), "cell 2 is not a valid polygon: polygon needs at least 3 vertices, got 2"),
+    "clockwise": (
+        (5, 4, 1),
+        "cell 2 is not a valid polygon: polygon is clockwise; vertices must be counter-clockwise",
+    ),
+    "degenerate": ((0, 1, 4), "cell 2 is not a valid polygon: polygon is degenerate (zero area)"),
+    "bowtie": (
+        (0, 4, 7, 8),
+        "cell 2 is not a valid polygon: polygon is not simple: edges 1 and 3 intersect",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_CELLS))
+def test_validate_names_the_broken_cell(kind):
+    cell, message = BROKEN_CELLS[kind]
+    mesh = gen_square_th2(2, split_edges=False)
+    assert mesh.cells[2] == (1, 4, 5)
+    with pytest.raises(MeshConformityError) as info:
+        validate(_with_cell(mesh, 2, cell))
+    assert str(info.value) == message
+
+
 class TestMeshIO:
     def test_round_trip_bit_exact(self, tmp_path):
         mesh = gen_square_th1(4)

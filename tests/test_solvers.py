@@ -20,9 +20,11 @@ from polyvem.coefficients import (
     square_exact_eigenvalues,
 )
 from polyvem.mesh import gen_square_th1, gen_square_th2
+from polyvem import solvers
 from polyvem.solvers import (
     EigenResult,
     SolverError,
+    backward_error,
     solve_adjoint_eigs,
     solve_eigs,
     solve_eigs_dense,
@@ -53,6 +55,39 @@ class TestSolveLinear:
         K = system.K_load
         resid = np.linalg.norm(K @ u - system.F) / np.linalg.norm(system.F)
         assert resid <= 1e-10
+
+    @staticmethod
+    def laplacian_1d(n):
+        """K = tridiag(-1, 2, -1) and F = K u for a smooth u: ||F|| << ||K|| ||u||."""
+        K = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+        x = np.arange(1, n + 1) / (n + 1)
+        return K, K @ np.sin(np.pi * x)
+
+    def test_accepts_correct_solve_with_large_relative_residual(self):
+        # cond(K) ~ n^2: the relative residual of the LU solution exceeds
+        # 1e-10, a bound that does not scale with cond(K); the normwise
+        # backward error, which LU keeps small, is a few eps
+        K, F = self.laplacian_1d(8000)
+        u = solve_linear(K, F)
+        assert np.linalg.norm(K @ u - F) / np.linalg.norm(F) > 1e-10
+        assert backward_error(K, u, F) <= 10 * np.finfo(float).eps
+
+    def test_rejects_perturbed_solution(self, monkeypatch):
+        K, F = self.laplacian_1d(8000)
+        rng = np.random.default_rng(0)
+        splu = solvers.spla.splu
+
+        class PerturbedLU:
+            def __init__(self, A):
+                self.lu = splu(A)
+
+            def solve(self, b, trans="N"):
+                u = self.lu.solve(b, trans=trans)
+                return u + 1e-8 * np.abs(u).max() * rng.standard_normal(len(u))
+
+        monkeypatch.setattr(solvers.spla, "splu", PerturbedLU)
+        with pytest.raises(SolverError, match="backward error"):
+            solve_linear(K, F)
 
     def test_singular_matrix_reports_condition(self):
         K = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
