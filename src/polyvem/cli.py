@@ -2,7 +2,9 @@
 
 Everything is batch and config-driven so a study is reproducible from its
 JSON alone; CSVs embed a hash of the config for provenance.  Exit codes:
-0 success, 1 numerical failure, 2 usage/config error.
+0 success, 1 numerical failure, 2 usage/config error (including an
+`AssemblyError`: coefficients that cannot be assembled, such as a
+non-positive kappa, or coefficients defined on another domain).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import ConvergenceRecord, error_h1_semi, error_l2
-from .assembly import apply_dirichlet_lift, assemble, expand_solution
+from .assembly import AssemblyError, apply_dirichlet_lift, assemble, expand_solution
 from .coefficients import CASES, CoefficientSet, ManufacturedCase, constant_vector
 from .mesh import (
     MeshConformityError,
@@ -659,7 +661,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.problem = "load"
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, MeshConformityError) as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "integrate",
     "StarMetric",
     "star_metric",
+    "star_metrics",
     "BATCH_CELLS",
     "CellBatch",
     "MeshGeometry",
@@ -546,6 +547,32 @@ class StarMetric(NamedTuple):
     rho: float
 
 
+# HiGHS tolerances of the kernel LPs, at their floor.  With the 1e-7
+# defaults the solver may return a center that overshoots the half-plane
+# of a 1e-8 edge by ~1e-9, overstating rho by as much
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _kernel_lp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Chebyshev-center LP of the kernel of a counter-clockwise polygon v.
+
+    Variables (cx, cy, r); returns the rows and right-hand side of
+    ``a_ub @ (cx, cy, r) <= b_ub``, the variable bounds and the diameter.
+    """
+    e = np.roll(v, -1, axis=0) - v
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    # inward unit normal of edge i is (-e_y, e_x)/|e|; the ball (c, r) fits
+    # iff m.c - r >= m.v_i for each edge, i.e. -m.c + r <= -m.v_i
+    m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
+    a_ub = np.column_stack([-m, np.ones(len(v))])
+    b_ub = -(m * v).sum(axis=1)
+    diam = float(_diameter(v))
+    lo = v.min(axis=0)
+    hi = v.max(axis=0)
+    bounds = np.array([(lo[0], hi[0]), (lo[1], hi[1]), (0.0, diam)])
+    return a_ub, b_ub, bounds, diam
+
+
 def star_metric(poly) -> StarMetric:
     """Kernel-based star-shapedness metric.
 
@@ -563,26 +590,51 @@ def star_metric(poly) -> StarMetric:
     """
     from scipy.optimize import linprog  # imported here: costly, and only validate needs it
 
-    p = _as_polygon(poly)
-    v = p.vertices
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    # inward unit normal of edge i is (-e_y, e_x)/|e|; the ball (c, r) fits
-    # iff m.c - r >= m.v_i for each edge, i.e. -m.c + r <= -m.v_i
-    m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
-    a_ub = np.column_stack([-m, np.ones(len(v))])
-    b_ub = -(m * v).sum(axis=1)
-    diam = p.diameter
-    lo = v.min(axis=0)
-    hi = v.max(axis=0)
+    a_ub, b_ub, bounds, diam = _kernel_lp(_as_polygon(poly).vertices)
     res = linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=a_ub,
         b_ub=b_ub,
-        bounds=[(lo[0], hi[0]), (lo[1], hi[1]), (0.0, diam)],
+        bounds=bounds,
         method="highs",
+        options=_LP_OPTIONS,
     )
     if not res.success:
         return StarMetric(False, None, 0.0)
     cx, cy, r = res.x
     return StarMetric(True, Point2(float(cx), float(cy)), float(r) / diam)
+
+
+def star_metrics(polys) -> list[StarMetric] | None:
+    """`star_metric` of many polygons from one block-diagonal linear program.
+
+    The polygons' programs share no variable, so maximizing the sum of the
+    radii maximizes each radius.  The polygons are taken as given: (k, 2)
+    counter-clockwise vertex arrays of simple polygons, not re-validated.
+
+    Returns
+    -------
+    list of StarMetric, or None
+        None when the program has no solution, which means some polygon
+        has an empty kernel; `star_metric` per polygon then tells which.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
+    if not len(polys):
+        return []
+    a_ub, b_ub, bounds, diam = zip(*(_kernel_lp(np.asarray(v, dtype=float)) for v in polys))
+    res = linprog(
+        c=np.tile([0.0, 0.0, -1.0], len(polys)),
+        A_ub=block_diag(a_ub, format="csc"),
+        b_ub=np.concatenate(b_ub),
+        bounds=np.concatenate(bounds),
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if not res.success:
+        return None
+    return [
+        StarMetric(True, Point2(float(cx), float(cy)), float(r) / d)
+        for (cx, cy, r), d in zip(res.x.reshape(-1, 3), diam)
+    ]

@@ -7,31 +7,43 @@ edge carries an extra vertex at squared-length distance from one endpoint,
 and offset brick meshes.  All of them keep every cell star-shaped with
 respect to a ball, which is the one shape assumption the solver relies on.
 
-Generators emit cells as coordinate lists; a small builder dedupes vertices
-on a 1e-12 quantization grid (with neighbor probing, so values produced by
-different but equivalent arithmetic merge) and then inserts every mesh
-vertex that lies strictly inside an axis-aligned cell edge into that edge.
-All hanging-vertex situations in the shipped families occur on axis-aligned
-lines, so non-axis-aligned edges are never split.
+Generators emit cells as stacked coordinate arrays; the builder dedupes
+vertices on a 1e-12 quantization grid (with neighbor probing, so values
+produced by different but equivalent arithmetic merge) and then inserts
+every mesh vertex that lies strictly inside an axis-aligned cell edge into
+that edge, all as array operations.  All hanging-vertex situations in the
+shipped families occur on axis-aligned lines, so non-axis-aligned edges are
+never split.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MeshGeometry, Point2, Polygon, mesh_geometry, star_metric
+from .geometry import (
+    BATCH_CELLS,
+    MeshGeometry,
+    Point2,
+    Polygon,
+    _diameter,
+    mesh_geometry,
+    star_metric,
+    star_metrics,
+)
 
 __all__ = [
     "PolyMesh",
     "MeshQualityReport",
     "MeshConformityError",
     "MeshIOError",
+    "EdgeTopology",
+    "edge_topology",
     "gen_square_th1",
     "gen_square_th2",
     "gen_square_th3",
@@ -124,15 +136,18 @@ class PolyMesh:
                 raise MeshConformityError(f"cell {ci} is not a valid polygon: {exc}") from exc
         return geom
 
+    @cached_property
+    def topology(self) -> "EdgeTopology":
+        """Directed cell edges and undirected incidence counts.
+
+        Vertex ids must be non-negative (`validate` checks the range first).
+        """
+        return edge_topology(*_flatten(self.cells))
+
     def edge_counts(self) -> dict:
         """Undirected edge -> number of incident cells."""
-        counts: dict[tuple[int, int], int] = defaultdict(int)
-        for cell in self.cells:
-            n = len(cell)
-            for k in range(n):
-                a, b = cell[k], cell[(k + 1) % n]
-                counts[(a, b) if a < b else (b, a)] += 1
-        return counts
+        topo = self.topology
+        return dict(zip(map(tuple, topo.edges.tolist()), topo.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -145,80 +160,142 @@ class MeshQualityReport:
     vertex_count: int
 
 
-class _MeshBuilder:
-    """Accumulates cells given by coordinates, dedupes shared vertices."""
+def _flatten(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated vertex ids and per-cell vertex counts of a cell sequence."""
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+    return flat, sizes
 
-    def __init__(self):
-        self.coords: list[tuple[float, float]] = []
-        self._key2id: dict[tuple[int, int], int] = {}
-        self.cells: list[list[int]] = []
 
-    def vertex(self, x: float, y: float) -> int:
-        qx = round(x / _SNAP)
-        qy = round(y / _SNAP)
-        # probe neighbors so one-ulp differences across equivalent arithmetic
-        # cannot split a shared vertex over a quantization boundary
-        for dx in (0, -1, 1):
-            for dy in (0, -1, 1):
-                vid = self._key2id.get((qx + dx, qy + dy))
-                if vid is not None:
-                    return vid
-        vid = len(self.coords)
-        self.coords.append((float(x), float(y)))
-        self._key2id[(qx, qy)] = vid
-        return vid
+def _unflatten(flat: np.ndarray, sizes: np.ndarray) -> tuple:
+    ids = flat.tolist()
+    ends = np.cumsum(sizes).tolist()
+    return tuple(tuple(ids[s:e]) for s, e in zip([0, *ends[:-1]], ends))
 
-    def add_cell(self, pts) -> None:
-        self.cells.append([self.vertex(x, y) for x, y in pts])
 
-    def _insert_hanging_vertices(self) -> None:
-        pts = np.asarray(self.coords)
-        col = _cluster_ids(pts[:, 0])
-        row = _cluster_ids(pts[:, 1])
-        by_col = _line_index(col, pts[:, 1])
-        by_row = _line_index(row, pts[:, 0])
-        new_cells = []
-        for cell in self.cells:
-            out: list[int] = []
-            n = len(cell)
-            for k in range(n):
-                a, b = cell[k], cell[(k + 1) % n]
-                out.append(a)
-                if col[a] == col[b]:
-                    out.extend(_between(by_col[col[a]], pts[a][1], pts[b][1]))
-                elif row[a] == row[b]:
-                    out.extend(_between(by_row[row[a]], pts[a][0], pts[b][0]))
-            new_cells.append(out)
-        self.cells = new_cells
+def _out_of_range_cells(flat: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """Per cell: does it reference a vertex id outside [0, n)."""
+    bad = np.zeros(len(sizes), dtype=bool)
+    bad[np.repeat(np.arange(len(sizes)), sizes)[(flat < 0) | (flat >= n)]] = True
+    return bad
 
-    def build(self, domain_tag: str, insert_hanging: bool = True) -> PolyMesh:
-        if insert_hanging:
-            self._insert_hanging_vertices()
-        verts = np.asarray(self.coords, dtype=float)
-        cells = []
-        h = 0.0
-        for cell in self.cells:
-            v = verts[cell]
-            x, y = v[:, 0], v[:, 1]
-            area2 = float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)
-            if area2 < 0.0:
-                cell = cell[::-1]
-                v = verts[cell]
-            cells.append(tuple(cell))
-            d = v[:, None, :] - v[None, :, :]
-            h = max(h, float(np.sqrt((d * d).sum(axis=2)).max()))
-        boundary = np.zeros(len(verts), dtype=bool)
-        counts: dict[tuple[int, int], int] = defaultdict(int)
-        for cell in cells:
-            n = len(cell)
-            for k in range(n):
-                a, b = cell[k], cell[(k + 1) % n]
-                counts[(a, b) if a < b else (b, a)] += 1
-        for (a, b), c in counts.items():
-            if c == 1:
-                boundary[a] = True
-                boundary[b] = True
-        return PolyMesh(verts, tuple(cells), boundary, h, domain_tag)
+
+def _successor(sizes: np.ndarray) -> np.ndarray:
+    """Flat position of each cell vertex's successor in its (cyclic) cell."""
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, int(sizes.sum()) + 1)
+    nonempty = sizes > 0
+    nxt[ends[nonempty] - 1] = (ends - sizes)[nonempty]
+    return nxt
+
+
+class EdgeTopology(NamedTuple):
+    """Directed cell edges and the undirected edges they lie on.
+
+    Attributes
+    ----------
+    tail, head : ndarray, shape (E,)
+        Directed edge tail -> head of every cell side, in traversal order:
+        cells in order, each from its first vertex.
+    edges : ndarray, shape (U, 2)
+        Undirected edges (a, b), a <= b, in lexicographic order.
+    counts : ndarray, shape (U,)
+        Number of cell sides on each undirected edge.
+    edge : ndarray, shape (E,)
+        Row of `edges` that each directed edge lies on.
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    edges: np.ndarray
+    counts: np.ndarray
+    edge: np.ndarray
+
+
+def edge_topology(flat: np.ndarray, sizes: np.ndarray) -> EdgeTopology:
+    """Edge topology of cells given as concatenated ids (>= 0) and vertex counts."""
+    tail = flat
+    head = flat[_successor(sizes)]
+    lo = np.minimum(tail, head)
+    hi = np.maximum(tail, head)
+    n = int(hi.max()) + 1 if len(hi) else 1
+    keys, edge, counts = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
+    return EdgeTopology(tail, head, np.column_stack([keys // n, keys % n]), counts, edge)
+
+
+def _boundary_flags(topo: EdgeTopology, n_vertices: int) -> np.ndarray:
+    """Vertices on an edge of exactly one cell."""
+    flags = np.zeros(n_vertices, dtype=bool)
+    flags[topo.edges[topo.counts == 1]] = True
+    return flags
+
+
+def _max_diameter(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> float:
+    """Largest cell diameter (the mesh size h); cells grouped by vertex count."""
+    starts = np.cumsum(sizes) - sizes
+    h = 0.0
+    for k in np.unique(sizes):
+        idx = starts[sizes == k][:, None] + np.arange(k)
+        for start in range(0, len(idx), BATCH_CELLS):
+            v = vertices[flat[idx[start : start + BATCH_CELLS]]]
+            h = max(h, float(_diameter(v).max()))
+    return h
+
+
+# neighbor probing order of the +-1-quantum vertex merge
+_PROBES = [(dx, dy) for dx in (0, -1, 1) for dy in (0, -1, 1)]
+
+
+def _dedupe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge points (P, 2) that share a _SNAP grid key into one vertex.
+
+    Vertices are numbered in order of first appearance and keep the
+    coordinates they first appeared with.  A key one quantum away from an
+    earlier key (in either coordinate) merges into it, so one-ulp
+    differences across equivalent arithmetic cannot split a shared vertex
+    over a quantization boundary.
+
+    Returns
+    -------
+    coords : ndarray, shape (n, 2)
+    ids : ndarray, shape (P,)
+        Vertex id of each point.
+    """
+    q = np.rint(pts / _SNAP).astype(np.int64)
+    order = np.lexsort((q[:, 1], q[:, 0]))
+    sq = q[order]
+    new = np.ones(len(sq), dtype=bool)
+    new[1:] = (sq[1:] != sq[:-1]).any(axis=1)
+    key = np.empty(len(pts), dtype=np.int64)
+    key[order] = np.cumsum(new) - 1
+    first = order[new]  # first appearance of each key: lexsort is stable
+    keys = sq[new]
+    target = np.arange(len(keys))
+    # only keys whose x or y quantum is one away from another key's can
+    # have a neighbor; resolve those in order of first appearance
+    near = np.zeros(len(keys), dtype=bool)
+    for axis in (0, 1):
+        vals, inv = np.unique(keys[:, axis], return_inverse=True)
+        step = np.diff(vals) == 1
+        adjacent = np.zeros(len(vals), dtype=bool)
+        adjacent[1:] |= step
+        adjacent[:-1] |= step
+        near |= adjacent[inv]
+    registered: dict[tuple[int, int], int] = {}
+    for k in sorted(np.flatnonzero(near).tolist(), key=first.__getitem__):
+        qx, qy = keys[k].tolist()
+        for dx, dy in _PROBES:
+            hit = registered.get((qx + dx, qy + dy))
+            if hit is not None:
+                target[k] = hit
+                break
+        else:
+            registered[(qx, qy)] = k
+    own = np.flatnonzero(target == np.arange(len(keys)))
+    own = own[np.argsort(first[own])]
+    vid = np.empty(len(keys), dtype=np.int64)
+    vid[own] = np.arange(len(own))
+    return pts[first[own]], vid[target][key]
 
 
 def _cluster_ids(vals: np.ndarray) -> np.ndarray:
@@ -234,78 +311,120 @@ def _cluster_ids(vals: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _line_index(ids: np.ndarray, other: np.ndarray) -> dict:
-    """cluster id -> (sorted other-coordinates, vertex ids) for bisecting."""
-    groups: dict[int, list[int]] = defaultdict(list)
-    for vid, cid in enumerate(ids):
-        groups[int(cid)].append(vid)
-    index = {}
-    for cid, vids in groups.items():
-        vals = other[vids]
-        srt = np.argsort(vals)
-        index[cid] = (vals[srt], [vids[j] for j in srt])
-    return index
+def _insert_hanging_vertices(
+    coords: np.ndarray, flat: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Insert every vertex lying strictly inside an axis-aligned cell edge.
+
+    An edge whose end points share a column cluster (else a row cluster)
+    receives the other vertices of that cluster between its end points,
+    in the direction of travel.  Returns the new (flat, sizes).
+    """
+    tail, head = flat, flat[_successor(sizes)]
+    count = np.zeros(len(flat), dtype=np.int64)
+    begin = np.zeros(len(flat), dtype=np.int64)
+    forward = np.ones(len(flat), dtype=bool)
+    on_line = []
+    taken = np.zeros(len(flat), dtype=bool)
+    offset = 0
+    for axis in (0, 1):  # columns (x clusters, parameter y), then rows
+        line = _cluster_ids(coords[:, axis])
+        # exact rank of the parameter, so bisecting the ranks compares
+        # the coordinates themselves
+        uniq, rank = np.unique(coords[:, 1 - axis], return_inverse=True)
+        stride = len(uniq) + 1
+        order = np.argsort(line * stride + rank, kind="stable")
+        sorted_key = (line * stride + rank)[order]
+        sel = ~taken & (line[tail] == line[head])
+        taken |= sel
+        a, b = tail[sel], head[sel]
+        i0 = np.searchsorted(sorted_key, line[a] * stride + np.minimum(rank[a], rank[b]), "right")
+        i1 = np.searchsorted(sorted_key, line[a] * stride + np.maximum(rank[a], rank[b]), "left")
+        count[sel] = np.maximum(i1 - i0, 0)
+        begin[sel] = offset + i0
+        forward[sel] = coords[a, 1 - axis] < coords[b, 1 - axis]
+        on_line.append(order)
+        offset += len(order)
+    line_vids = np.concatenate(on_line)
+
+    out_len = 1 + count
+    out_start = np.cumsum(out_len) - out_len
+    out = np.empty(int(out_len.sum()), dtype=np.int64)
+    out[out_start] = flat
+    edge = np.repeat(np.arange(len(flat)), count)
+    j = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
+    src = np.where(forward[edge], begin[edge] + j, begin[edge] + count[edge] - 1 - j)
+    out[out_start[edge] + 1 + j] = line_vids[src]
+    starts = np.cumsum(sizes) - sizes
+    return out, sizes + np.add.reduceat(count, starts)
 
 
-def _between(line, t0: float, t1: float) -> list[int]:
-    """Vertex ids on a line strictly between parameter values t0 and t1."""
-    vals, vids = line
-    lo, hi = (t0, t1) if t0 < t1 else (t1, t0)
-    i0 = bisect_right(vals, lo)
-    i1 = bisect_left(vals, hi)
-    found = vids[i0:i1]
-    return found if t0 < t1 else found[::-1]
+def _orient_ccw(coords: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Reverse the vertex order of every clockwise cell."""
+    starts = np.cumsum(sizes) - sizes
+    x, y = coords[flat, 0], coords[flat, 1]
+    nxt = _successor(sizes)
+    area2 = np.add.reduceat(x * y[nxt], starts) - np.add.reduceat(x[nxt] * y, starts)
+    rev = np.repeat(area2 < 0.0, sizes)
+    if not rev.any():
+        return flat
+    pos = np.arange(len(flat))
+    first = np.repeat(starts, sizes)
+    last = first + np.repeat(sizes, sizes) - 1
+    return flat[np.where(rev, first + last - pos, pos)]
+
+
+def _build_mesh(parts, domain_tag: str, insert_hanging: bool = True) -> PolyMesh:
+    """Mesh from cells given as coordinate arrays, one (G, k, 2) array per part.
+
+    Shared vertices are merged (`_dedupe`), hanging vertices inserted into
+    axis-aligned edges, every cell oriented counter-clockwise, and h and
+    the boundary flags derived.
+    """
+    sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
+    coords, flat = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
+    if insert_hanging:
+        flat, sizes = _insert_hanging_vertices(coords, flat, sizes)
+    flat = _orient_ccw(coords, flat, sizes)
+    boundary = _boundary_flags(edge_topology(flat, sizes), len(coords))
+    h = _max_diameter(coords, flat, sizes)
+    return PolyMesh(coords, _unflatten(flat, sizes), boundary, h, domain_tag)
 
 
 # ---------------------------------------------------------------------------
-# primitive cell generators (coordinate lists, counter-clockwise)
+# primitive cell generators (stacked coordinate arrays, counter-clockwise)
+
+
+def _rects(xa, xb, ya, yb) -> np.ndarray:
+    """Rectangles (xa,ya) (xb,ya) (xb,yb) (xa,yb), broadcast; shape (G, 4, 2)."""
+    xa, xb, ya, yb = np.broadcast_arrays(xa, xb, ya, yb)
+    corners = [(xa, ya), (xb, ya), (xb, yb), (xa, yb)]
+    return np.stack([np.stack(c, axis=-1) for c in corners], axis=-2).reshape(-1, 4, 2)
 
 
 def _quad_cells(x0, x1, y0, y1, nx, ny):
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append(
-                [
-                    (xs[i], ys[j]),
-                    (xs[i + 1], ys[j]),
-                    (xs[i + 1], ys[j + 1]),
-                    (xs[i], ys[j + 1]),
-                ]
-            )
-    return cells
+    return _rects(xs[None, :-1], xs[None, 1:], ys[:-1, None], ys[1:, None])
 
 
 def _tri_cells(x0, x1, y0, y1, nx, ny):
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = (xs[i], ys[j])
-            v10 = (xs[i + 1], ys[j])
-            v11 = (xs[i + 1], ys[j + 1])
-            v01 = (xs[i], ys[j + 1])
-            cells.append([v00, v10, v11])
-            cells.append([v00, v11, v01])
-    return cells
+    """Each grid quad (v00, v10, v11, v01) split into (v00, v10, v11), (v00, v11, v01)."""
+    quads = _quad_cells(x0, x1, y0, y1, nx, ny)
+    return quads[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2)
 
 
 def _brick_cells(x0, x1, y0, y1, nx, ny):
     """Rows of bricks; odd rows offset by half a brick width."""
     ys = np.linspace(y0, y1, ny + 1)
     w = (x1 - x0) / nx
-    cells = []
-    for j in range(ny):
-        if j % 2 == 0:
-            cuts = np.linspace(x0, x1, nx + 1)
-        else:
-            cuts = np.concatenate([[x0], x0 + w * (np.arange(nx) + 0.5), [x1]])
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            cells.append([(a, ys[j]), (b, ys[j]), (b, ys[j + 1]), (a, ys[j + 1])])
-    return cells
+    cuts = (
+        np.linspace(x0, x1, nx + 1),
+        np.concatenate([[x0], x0 + w * (np.arange(nx) + 0.5), [x1]]),
+    )
+    return np.concatenate(
+        [_rects(cuts[j % 2][:-1], cuts[j % 2][1:], ys[j], ys[j + 1]) for j in range(ny)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +451,11 @@ def gen_square_th1(N: int, interface_y: float = 0.6) -> PolyMesh:
     _check_n(N, 2)
     ny_low = max(1, round(interface_y * N))
     ny_high = max(1, round((1.0 - interface_y) * (N + 1)))
-    b = _MeshBuilder()
-    for cell in _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low):
-        b.add_cell(cell)
-    for cell in _quad_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high):
-        b.add_cell(cell)
-    return b.build("unit_square")
+    parts = [
+        _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low),
+        _quad_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high),
+    ]
+    return _build_mesh(parts, "unit_square")
 
 
 def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
@@ -359,34 +477,19 @@ def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
         reference; the element matrices then reduce to P1 finite elements).
     """
     _check_n(N, 2)
-    b = _MeshBuilder()
-    tris = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
+    p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
     if not split_edges:
-        for tri in tris:
-            b.add_cell(tri)
-        return b.build("unit_square", insert_hanging=False)
-
-    split_cache: dict[tuple, tuple[float, float]] = {}
-
-    def split_point(p, q):
-        key = (p, q) if p <= q else (q, p)
-        pt = split_cache.get(key)
-        if pt is None:
-            a, c = key  # anchor at the lexicographically smaller endpoint
-            he = float(np.hypot(c[0] - a[0], c[1] - a[1]))
-            # arc length he^2 from the anchor: a + he * (c - a)
-            pt = (a[0] + he * (c[0] - a[0]), a[1] + he * (c[1] - a[1]))
-            split_cache[key] = pt
-        return pt
-
-    for tri in tris:
-        cell = []
-        for k in range(3):
-            p, q = tri[k], tri[(k + 1) % 3]
-            cell.append(p)
-            cell.append(split_point(p, q))
-        b.add_cell(cell)
-    return b.build("unit_square", insert_hanging=False)
+        return _build_mesh([p], "unit_square", insert_hanging=False)
+    q = np.roll(p, -1, axis=1)
+    # anchor a at the lexicographically smaller endpoint of each edge (p, q)
+    swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))
+    a = np.where(swap[..., None], q, p)
+    c = np.where(swap[..., None], p, q)
+    he = np.hypot(c[..., 0] - a[..., 0], c[..., 1] - a[..., 1])
+    # arc length he^2 from the anchor: a + he * (c - a)
+    split = a + he[..., None] * (c - a)
+    hexagons = np.stack([p, split], axis=2).reshape(-1, 6, 2)
+    return _build_mesh([hexagons], "unit_square", insert_hanging=False)
 
 
 def gen_square_th3(N: int, interface_y: float = 0.6) -> PolyMesh:
@@ -398,16 +501,15 @@ def gen_square_th3(N: int, interface_y: float = 0.6) -> PolyMesh:
     _check_n(N, 2)
     ny_low = max(1, round(interface_y * N))
     ny_high = max(1, round((1.0 - interface_y) * (N + 1)))
-    b = _MeshBuilder()
-    for cell in _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low):
-        b.add_cell(cell)
-    for cell in _tri_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high):
-        b.add_cell(cell)
-    return b.build("unit_square")
+    parts = [
+        _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low),
+        _tri_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high),
+    ]
+    return _build_mesh(parts, "unit_square")
 
 
 def _rotated_t_half(kind: str, m: int, side: int):
-    """Cells for one half (side -1: x<0, +1: x>0) of the rotated-T domain.
+    """Cell arrays for one half (side -1: x<0, +1: x>0) of the rotated-T domain.
 
     The half is decomposed into three rectangles (outer bar, inner bar, stem)
     meshed conformingly, so the reentrant corner (+-0.25, 0) is a mesh vertex
@@ -430,10 +532,7 @@ def _rotated_t_half(kind: str, m: int, side: int):
             (0.0, 0.25, -0.5, 0.0, nq, ny_bar),
             (0.0, 0.25, 0.0, 1.0, nq, ny_stem),
         ]
-    cells = []
-    for x0, x1, y0, y1, nx, ny in rects:
-        cells.extend(gen(x0, x1, y0, y1, nx, ny))
-    return cells
+    return [gen(*rect) for rect in rects]
 
 
 def gen_rotated_T(family: str, N: int) -> PolyMesh:
@@ -465,12 +564,8 @@ def gen_rotated_T(family: str, N: int) -> PolyMesh:
         "th7": ("brick", "quad"),
     }[family]
     m = N // 2
-    b = _MeshBuilder()
-    for cell in _rotated_t_half(kinds[0], m, -1):
-        b.add_cell(cell)
-    for cell in _rotated_t_half(kinds[1], m + 1, +1):
-        b.add_cell(cell)
-    return b.build("rotated_T")
+    parts = _rotated_t_half(kinds[0], m, -1) + _rotated_t_half(kinds[1], m + 1, +1)
+    return _build_mesh(parts, "rotated_T")
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +577,15 @@ def _domain_area(mesh: PolyMesh) -> float:
         return 1.0
     # custom: shoelace over the directed boundary edges (they form closed
     # loops, so the per-edge cross terms sum to the enclosed area)
-    counts = mesh.edge_counts()
-    total = 0.0
-    v = mesh.vertices
-    for cell in mesh.cells:
-        n = len(cell)
-        for k in range(n):
-            a, b = cell[k], cell[(k + 1) % n]
-            if counts[(a, b) if a < b else (b, a)] == 1:
-                total += v[a, 0] * v[b, 1] - v[b, 0] * v[a, 1]
-    return 0.5 * total
+    topo = mesh.topology
+    on_boundary = topo.counts[topo.edge] == 1
+    a, b = mesh.vertices[topo.tail[on_boundary]], mesh.vertices[topo.head[on_boundary]]
+    return 0.5 * float((a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]).sum())
+
+
+def _star_metrics(shapes) -> list:
+    """Star metrics of the shapes: one block LP, per shape if that fails."""
+    return star_metrics(shapes) or [star_metric(v) for v in shapes]
 
 
 def validate(mesh: PolyMesh) -> MeshQualityReport:
@@ -504,30 +598,35 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         than two cells or traversed twice in the same direction (naming the
         edge), a coverage/overlap area mismatch, or inconsistent boundary
         flags.  Small star-shapedness radii are reported, not rejected.
+        When several faults exist, the one named is the first in cell order.
     """
     v = mesh.vertices
-    for ci, cell in enumerate(mesh.cells):
-        if len(set(cell)) != len(cell):
-            raise MeshConformityError(f"cell {ci} repeats a vertex index")
-        if any(k < 0 or k >= len(v) for k in cell):
-            raise MeshConformityError(f"cell {ci} references a vertex out of range")
+    n = len(v)
+    flat, sizes = _flatten(mesh.cells)
+    cell_of = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((flat, cell_of))
+    same = (flat[order][1:] == flat[order][:-1]) & (cell_of[order][1:] == cell_of[order][:-1])
+    repeats = np.zeros(len(sizes), dtype=bool)
+    repeats[cell_of[order][1:][same]] = True
+    out_of_range = _out_of_range_cells(flat, sizes, n)
+    bad = np.flatnonzero(repeats | out_of_range)
+    if len(bad):
+        ci = int(bad[0])
+        what = "repeats a vertex index" if repeats[ci] else "references a vertex out of range"
+        raise MeshConformityError(f"cell {ci} {what}")
     groups = mesh.geometry.groups
 
-    directed: set[tuple[int, int]] = set()
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for ci, cell in enumerate(mesh.cells):
-        n = len(cell)
-        for k in range(n):
-            a, b = cell[k], cell[(k + 1) % n]
-            if (a, b) in directed:
-                raise MeshConformityError(
-                    f"edge ({a}, {b}) is traversed twice in the same direction"
-                )
-            directed.add((a, b))
-            counts[(a, b) if a < b else (b, a)] += 1
-    for edge, c in counts.items():
-        if c > 2:
-            raise MeshConformityError(f"edge {edge} is shared by {c} cells")
+    topo = mesh.topology
+    _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
+    repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+    if len(repeated):
+        a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
+        raise MeshConformityError(f"edge ({a}, {b}) is traversed twice in the same direction")
+    shared = np.flatnonzero(topo.counts[topo.edge] > 2)
+    if len(shared):
+        u = topo.edge[shared[0]]
+        a, b = topo.edges[u].tolist()
+        raise MeshConformityError(f"edge ({a}, {b}) is shared by {topo.counts[u]} cells")
 
     area = sum(float(g.area.sum()) for g in groups)
     ref_area = _domain_area(mesh)
@@ -537,11 +636,7 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
             " (overlapping or missing cells)"
         )
 
-    derived = np.zeros(len(v), dtype=bool)
-    for (a, b), c in counts.items():
-        if c == 1:
-            derived[a] = True
-            derived[b] = True
+    derived = _boundary_flags(topo, n)
     if not np.array_equal(derived, mesh.boundary_vertex):
         bad = int(np.flatnonzero(derived != mesh.boundary_vertex)[0])
         raise MeshConformityError(f"boundary flag of vertex {bad} is inconsistent")
@@ -549,13 +644,13 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
     h = max(float(g.diameter.max()) for g in groups)
     min_edge = min(float(g.edge_lengths.min()) for g in groups)
     # rho is translation-invariant and structured meshes repeat a handful of
-    # cell shapes, so solve the LP once per translated-shape signature
-    min_rho = np.inf
+    # cell shapes, so the LP covers one cell per translated-shape signature
+    shapes = []
     for g in groups:
         rel = (g.vertices - g.vertices[:, :1]).round(10).reshape(len(g.cells), -1)
         _, first = np.unique(rel, axis=0, return_index=True)
-        for c in first:
-            min_rho = min(min_rho, star_metric(g.vertices[c]).rho)
+        shapes.extend(g.vertices[first])
+    min_rho = min((m.rho for m in _star_metrics(shapes)), default=np.inf)
     return MeshQualityReport(
         h=h,
         min_edge=min_edge,
@@ -573,25 +668,22 @@ def reentrant_corners(mesh: PolyMesh, tol: float = 1e-9) -> list[Point2]:
     and flags right turns.  Collinear boundary vertices (hanging nodes) are
     skipped.  Assumes a domain without holes.
     """
-    counts = mesh.edge_counts()
-    succ: dict[int, int] = {}
-    for cell in mesh.cells:
-        n = len(cell)
-        for k in range(n):
-            a, b = cell[k], cell[(k + 1) % n]
-            if counts[(a, b) if a < b else (b, a)] == 1:
-                succ[a] = b
+    topo = mesh.topology
+    on_boundary = topo.counts[topo.edge] == 1
+    tail, head = topo.tail[on_boundary], topo.head[on_boundary]
+    succ = np.full(mesh.n_vertices, -1)
+    succ[tail] = head
+    # boundary vertices in order of first traversal
+    _, first = np.unique(tail, return_index=True)
+    a = tail[np.sort(first)]
+    b = succ[a]
+    c = succ[b]
     v = mesh.vertices
-    corners = []
-    for a in succ:
-        b = succ[a]
-        c = succ[b]
-        d1 = v[b] - v[a]
-        d2 = v[c] - v[b]
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross < -tol * np.hypot(*d1) * np.hypot(*d2):
-            corners.append(Point2(float(v[b, 0]), float(v[b, 1])))
-    return corners
+    d1 = v[b] - v[a]
+    d2 = v[c] - v[b]
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    turn = cross < -tol * np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1])
+    return [Point2(x, y) for x, y in v[b[turn]].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +695,13 @@ def io_write(path, mesh: PolyMesh) -> None:
     doc = {
         "version": 1,
         "domain": mesh.domain_tag,
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
+        "vertices": np.asarray(mesh.vertices, dtype=float).tolist(),
         "cells": [list(map(int, cell)) for cell in mesh.cells],
-        "boundary": [bool(f) for f in mesh.boundary_vertex],
+        "boundary": np.asarray(mesh.boundary_vertex, dtype=bool).tolist(),
     }
+    # json.dumps encodes in C; json.dump streams through the Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -645,18 +738,15 @@ def io_read(path) -> PolyMesh:
         raise MeshIOError(f"vertices must be an (n, 2) array, got shape {verts.shape}")
     if len(boundary) != len(verts):
         raise MeshIOError("boundary flag count does not match vertex count")
-    n = len(verts)
-    for ci, cell in enumerate(cells):
-        if len(cell) < 3:
-            raise MeshIOError(f"cell {ci} has fewer than 3 vertices")
-        if any(k < 0 or k >= n for k in cell):
-            raise MeshIOError(f"cell {ci} references a vertex out of range")
-    h = 0.0
-    for cell in cells:
-        v = verts[list(cell)]
-        d = v[:, None, :] - v[None, :, :]
-        h = max(h, float(np.sqrt((d * d).sum(axis=2)).max()))
-    return PolyMesh(verts, cells, boundary, h, domain)
+    flat, sizes = _flatten(cells)
+    short = sizes < 3
+    out_of_range = _out_of_range_cells(flat, sizes, len(verts))
+    bad = np.flatnonzero(short | out_of_range)
+    if len(bad):
+        ci = int(bad[0])
+        what = "has fewer than 3 vertices" if short[ci] else "references a vertex out of range"
+        raise MeshIOError(f"cell {ci} {what}")
+    return PolyMesh(verts, cells, boundary, _max_diameter(verts, flat, sizes), domain)
 
 
 def export_vtk(path, mesh: PolyMesh, field=None, field_name: str = "u") -> None:
@@ -668,7 +758,7 @@ def export_vtk(path, mesh: PolyMesh, field=None, field_name: str = "u") -> None:
         "DATASET POLYDATA",
         f"POINTS {mesh.n_vertices} double",
     ]
-    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices)
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist())
     size = sum(len(c) + 1 for c in mesh.cells)
     lines.append(f"POLYGONS {mesh.n_cells} {size}")
     lines.extend(f"{len(c)} " + " ".join(map(str, c)) for c in mesh.cells)
@@ -681,7 +771,7 @@ def export_vtk(path, mesh: PolyMesh, field=None, field_name: str = "u") -> None:
         lines.append(f"POINT_DATA {mesh.n_vertices}")
         lines.append(f"SCALARS {field_name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{val!r}" for val in field)
+        lines.extend(f"{val!r}" for val in field.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

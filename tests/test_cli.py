@@ -350,6 +350,26 @@ def test_main_usage_errors(capsys):
     assert "unknown named case" in capsys.readouterr().err
 
 
+def test_assembly_error_is_a_config_error(tmp_path, capsys):
+    # a non-positive kappa is caught at assembly; it is the user's
+    # coefficient, so it exits 2 with an error line, not a traceback
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        json.dumps(
+            {
+                "problem": "load",
+                "mesh_family": "th1",
+                "N_list": [4],
+                "coefficients": {"kappa": "-1", "f": "1", "u": "0", "grad_u": ["0", "0"]},
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["solve", "--config", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell 0: kappa must be strictly positive")
+
+
 def test_main_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

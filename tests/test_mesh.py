@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -358,13 +359,25 @@ class TestMeshIO:
 
     def test_vtk_export(self, tmp_path):
         mesh = gen_square_th2(4)
+        field = np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0
         path = tmp_path / "mesh.vtk"
-        export_vtk(path, mesh, field=np.arange(mesh.n_vertices, dtype=float))
+        export_vtk(path, mesh, field=field)
         text = path.read_text()
         assert "DATASET POLYDATA" in text
         assert f"POINTS {mesh.n_vertices} double" in text
         assert f"POLYGONS {mesh.n_cells}" in text
         assert "POINT_DATA" in text
+        # every number parses back with float() to the exact value written
+        lines = text.splitlines()
+        start = lines.index(f"POINTS {mesh.n_vertices} double") + 1
+        points = np.array(
+            [[float(t) for t in line.split()] for line in lines[start : start + mesh.n_vertices]]
+        )
+        assert np.array_equal(points[:, :2], mesh.vertices)
+        assert np.array_equal(points[:, 2], np.zeros(mesh.n_vertices))
+        start = lines.index("LOOKUP_TABLE default") + 1
+        values = [float(line) for line in lines[start : start + mesh.n_vertices]]
+        assert np.array_equal(np.array(values), field)
 
     def test_vtk_field_shape_checked(self, tmp_path):
         mesh = gen_square_th2(2)
@@ -383,3 +396,42 @@ class TestPolyMeshModel:
         poly = mesh.cell_polygon(0, validate=True)
         area, _ = area_centroid(poly)
         assert area > 0.0
+
+
+def mesh_digest(mesh):
+    """sha256 prefix of everything a generator decides about a mesh."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+    h.update(np.array([len(c) for c in mesh.cells], dtype="<i8").tobytes())
+    h.update(np.array([i for c in mesh.cells for i in c], dtype="<i8").tobytes())
+    h.update(np.asarray(mesh.boundary_vertex, dtype="u1").tobytes())
+    h.update(repr(float(mesh.h)).encode())
+    h.update(mesh.domain_tag.encode())
+    return h.hexdigest()[:16]
+
+
+# pinned digests of generator output: any change to the vertex numbering,
+# the cell order or a single coordinate bit changes them
+GENERATOR_DIGESTS = [
+    ("th1", 16, lambda: gen_square_th1(16), "167c4805e47d6005"),
+    ("th1", 64, lambda: gen_square_th1(64), "818a9eb86a719f93"),
+    ("th2", 24, lambda: gen_square_th2(24), "0d78ca62be4265c5"),
+    ("th2", 96, lambda: gen_square_th2(96), "8e27292ad3db48e9"),
+    ("th3", 32, lambda: gen_square_th3(32), "43e423d35b47c04c"),
+    ("th3", 128, lambda: gen_square_th3(128), "5e83d81b1289fe1c"),
+    ("th4", 16, lambda: gen_rotated_T("th4", 16), "9479271e46a203c3"),
+    ("th5", 16, lambda: gen_rotated_T("th5", 16), "634f949b781cb3a9"),
+    ("th6", 16, lambda: gen_rotated_T("th6", 16), "d856461de4cdf86b"),
+    ("th7", 16, lambda: gen_rotated_T("th7", 16), "db9f9a6948c9f1b8"),
+    ("th7", 132, lambda: gen_rotated_T("th7", 132), "c9b85e24c8c1ad31"),
+    ("th2-unsplit", 8, lambda: gen_square_th2(8, split_edges=False), "082e1d73f5bb94cc"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [(g[2], g[3]) for g in GENERATOR_DIGESTS],
+    ids=[f"{g[0]}-N{g[1]}" for g in GENERATOR_DIGESTS],
+)
+def test_generators_bit_identical(make, digest):
+    assert mesh_digest(make()) == digest

@@ -1,0 +1,160 @@
+"""Array-level mesh checks against their per-polygon and per-edge references.
+
+`validate` solves the star-metric LP of all distinct cell shapes as one
+block-diagonal program, and every edge count comes from one edge-topology
+helper.  The references are `star_metric` on one polygon at a time and a
+dict count over the cell cycles.  Polygons carry edges down to 1e-12 of
+their diameter: the small-edge regime the method is meant for.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from polyvem.geometry import Polygon, star_metric, star_metrics
+from polyvem.mesh import (
+    PolyMesh,
+    _build_mesh,
+    _quad_cells,
+    _star_metrics,
+    gen_rotated_T,
+    gen_square_th1,
+    gen_square_th2,
+    gen_square_th3,
+)
+
+# kernel-free: the arms x <= 1 and x >= 2 cannot both be seen
+U_SHAPE = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)], dtype=float)
+
+
+@st.composite
+def small_edge_polygons(draw):
+    """A star-shaped polygon about a random center with some edges split
+    at 1e-12..1e-3 of the diameter from one end point."""
+    k = draw(st.integers(3, 8))
+    jitter = draw(st.lists(st.floats(-0.25, 0.25), min_size=k, max_size=k))
+    radii = draw(st.lists(st.floats(0.6, 1.0), min_size=k, max_size=k))
+    cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    t = 2.0 * np.pi * (np.arange(k) + np.array(jitter)) / k
+    v = np.column_stack([cx + np.array(radii) * np.cos(t), cy + np.array(radii) * np.sin(t)])
+    diam = float(np.max(np.hypot(*(v[:, None] - v[None]).transpose(2, 0, 1))))
+    out = []
+    for i in range(k):
+        p, q = v[i], v[(i + 1) % k]
+        out.append(p)
+        if draw(st.booleans()):
+            ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
+            s = ratio * diam / np.hypot(*(q - p))
+            out.append(q + s * (p - q) if draw(st.booleans()) else p + s * (q - p))
+    poly = np.array(out)
+    try:
+        Polygon(poly)
+    except ValueError:
+        assume(False)
+    return poly
+
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+
+
+@SETTINGS
+@given(st.lists(small_edge_polygons(), min_size=1, max_size=6))
+def test_block_lp_matches_per_polygon_rho(polys):
+    batched = star_metrics(polys)
+    assert batched is not None
+    for poly, m in zip(polys, batched):
+        ref = star_metric(poly)
+        assert m.is_star and ref.is_star
+        assert abs(m.rho - ref.rho) <= 1e-12
+
+
+@SETTINGS
+@given(st.lists(small_edge_polygons(), min_size=1, max_size=5), st.integers(0, 5))
+def test_non_star_polygon_leaves_the_others_alone(polys, at):
+    at = min(at, len(polys))
+    alone = _star_metrics(polys)
+    mixed = _star_metrics(polys[:at] + [U_SHAPE] + polys[at:])
+    assert mixed[at].is_star is False and mixed[at].rho == 0.0
+    others = mixed[:at] + mixed[at + 1 :]
+    assert [m.is_star for m in others] == [True] * len(polys)
+    for m, ref in zip(others, alone):
+        assert abs(m.rho - ref.rho) <= 1e-12
+
+
+def test_u_shape_has_empty_kernel():
+    assert star_metric(U_SHAPE).is_star is False
+    assert star_metrics([U_SHAPE]) is None
+
+
+MESHES = {
+    "th1": gen_square_th1(6),
+    "th2": gen_square_th2(5),
+    "th3": gen_square_th3(6),
+    "th4": gen_rotated_T("th4", 8),
+    "th5": gen_rotated_T("th5", 8),
+    "th6": gen_rotated_T("th6", 8),
+    "th7": gen_rotated_T("th7", 8),
+}
+
+
+def reference_edges(cells):
+    directed, counts = [], {}
+    for cell in cells:
+        for k in range(len(cell)):
+            a, b = cell[k], cell[(k + 1) % len(cell)]
+            directed.append((a, b))
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return directed, counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MESHES)), st.data())
+def test_edge_topology_matches_dict_count(family, data):
+    mesh = MESHES[family]
+    picked = data.draw(st.lists(st.integers(0, mesh.n_cells - 1), min_size=1, unique=True))
+    cells = tuple(mesh.cells[i] for i in picked)
+    sub = PolyMesh(
+        mesh.vertices.copy(), cells, mesh.boundary_vertex.copy(), mesh.h, mesh.domain_tag
+    )
+    topo = sub.topology
+    directed, counts = reference_edges(cells)
+    assert list(zip(topo.tail.tolist(), topo.head.tolist())) == directed
+    assert sub.edge_counts() == counts
+    assert [tuple(e) for e in topo.edges[topo.edge].tolist()] == [
+        (min(a, b), max(a, b)) for a, b in directed
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(MESHES))
+def test_boundary_flags_from_topology(family):
+    mesh = MESHES[family]
+    _, counts = reference_edges(mesh.cells)
+    flags = np.zeros(mesh.n_vertices, dtype=bool)
+    for (a, b), c in counts.items():
+        if c == 1:
+            flags[[a, b]] = True
+    assert np.array_equal(flags, mesh.boundary_vertex)
+
+
+def test_clockwise_cells_are_reversed():
+    square = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
+    mesh = _build_mesh([square, square[:, ::-1] + [1.0, 0.0]], "custom")
+    # the second cell arrives clockwise as vertices (2, 4, 5, 1)
+    assert mesh.cells == ((0, 1, 2, 3), (1, 5, 4, 2))
+
+
+def test_one_quantum_apart_merges_into_the_first_vertex():
+    # the right square's left corners sit one 1e-12 quantum off the left
+    # square's right corners; they must still be shared
+    left = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
+    right = _quad_cells(1.0, 2.0, 0.0, 1.0, 1, 1)
+    right[0, [0, 3], 0] -= 1e-12
+    mesh = _build_mesh([left, right], "custom")
+    assert mesh.n_vertices == 6
+    assert mesh.cells == ((0, 1, 2, 3), (1, 4, 5, 2))
+    assert mesh.vertices[1].tolist() == [1.0, 0.0]
+    assert mesh.boundary_vertex.tolist() == [True] * 6
