@@ -14,7 +14,7 @@ import ast
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -22,8 +22,9 @@ import numpy as np
 
 from .analysis import ConvergenceRecord, error_h1_semi, error_l2
 from .assembly import AssemblyError, apply_dirichlet_lift, assemble, expand_solution
-from .coefficients import CASES, CoefficientSet, ManufacturedCase, constant_vector
+from .coefficients import CASES, CoefficientSet, ManufacturedCase
 from .mesh import (
+    ROTATED_T_FAMILIES,
     MeshConformityError,
     PolyMesh,
     export_vtk,
@@ -35,7 +36,7 @@ from .mesh import (
     reentrant_corners,
     validate,
 )
-from .solvers import SolverError, solve_eigs, solve_load, suggested_shift
+from .solvers import EigenResult, SolverError, solve_eigs, solve_load, suggested_shift
 
 __all__ = [
     "ConfigError",
@@ -53,7 +54,7 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 SQUARE_FAMILIES = ("th1", "th2", "th3")
-T_FAMILIES = ("th4", "th5", "th6", "th7")
+T_FAMILIES = ROTATED_T_FAMILIES
 FAMILIES = SQUARE_FAMILIES + T_FAMILIES
 
 # the tables' refinement sequences; generators accept any admissible N,
@@ -232,21 +233,10 @@ class ExperimentConfig:
             ) from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "problem",
-            "mesh_family",
-            "N_list",
-            "coefficients",
-            "domain",
-            "eig_count",
-            "shift",
-            "output_dir",
-            "seed",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        missing = {"problem", "mesh_family", "N_list", "coefficients"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(sorted(missing))}")
         try:
@@ -257,16 +247,8 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         # output_dir is deliberately excluded: it does not affect the numbers,
         # and the hash must agree for the same study written anywhere
-        data = {
-            "problem": self.problem,
-            "mesh_family": self.mesh_family,
-            "N_list": list(self.N_list),
-            "coefficients": self.coefficients,
-            "domain": self.domain,
-            "eig_count": self.eig_count,
-            "shift": self.shift,
-            "seed": self.seed,
-        }
+        data = asdict(self)
+        del data["output_dir"]
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     @property
@@ -291,13 +273,9 @@ def build_coefficients(
     unknown = set(table) - {"kappa", "theta", "gamma", "f", "u", "grad_u"}
     if unknown:
         raise ConfigError(f"unknown coefficient entries: {', '.join(sorted(unknown))}")
-    kappa = parse_expression(table["kappa"]) if "kappa" in table else parse_expression("1")
-    theta = (
-        _parse_vector_expression(table["theta"])
-        if "theta" in table
-        else constant_vector(0.0, 0.0)
-    )
-    gamma = parse_expression(table["gamma"]) if "gamma" in table else parse_expression("0")
+    kappa = parse_expression(table.get("kappa", "1"))
+    theta = _parse_vector_expression(table.get("theta", ["0", "0"]))
+    gamma = parse_expression(table.get("gamma", "0"))
     f = parse_expression(table["f"]) if "f" in table else None
     coeffs = CoefficientSet(kappa, theta, gamma, f=f, domain=config.domain)
     case = None
@@ -329,6 +307,64 @@ def _quality_line(mesh: PolyMesh, N: int) -> str:
     )
 
 
+# --- one refinement level per problem ----------------------------------------
+
+
+@dataclass(frozen=True)
+class _Level:
+    """What one refinement level produced."""
+
+    mesh: PolyMesh
+    n: int  # interior DOFs
+    values: dict  # error norms, or the real parts of the eigenvalues
+    u: Optional[np.ndarray] = None  # load: the nodal solution, boundary included
+    eigs: Optional[EigenResult] = None
+    shift: Optional[float] = None
+
+
+def _load_level(
+    config: ExperimentConfig, coeffs: CoefficientSet, case: Optional[ManufacturedCase], N: int
+) -> _Level:
+    """Solve the load problem on the mesh of resolution N.
+
+    With an exact solution in `case` its boundary values are lifted and the
+    errors measured; without one the lift is 0 and no errors are returned.
+    """
+    mesh = generate_mesh(config.mesh_family, N)
+    system = assemble(mesh, coeffs)
+    u_exact = None if case is None else case.u
+    delta, g_b = apply_dirichlet_lift(system, mesh, 0.0 if u_exact is None else u_exact)
+    u_full = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
+    values = {}
+    if u_exact is not None:
+        values["err_l2"] = error_l2(mesh, u_full, u_exact)
+        if case.grad_u is not None:
+            values["err_h1"] = error_h1_semi(mesh, u_full, case.grad_u)
+    return _Level(mesh, system.n, values, u=u_full)
+
+
+def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _Level:
+    """Solve the eigenproblem (A + B, M) on the mesh of resolution N."""
+    mesh = generate_mesh(config.mesh_family, N)
+    system = assemble(mesh, coeffs)
+    shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
+    result = solve_eigs(
+        (system.A + system.B).tocsc(), system.M, config.eig_count, shift=shift, seed=config.seed
+    )
+    values = {f"lambda_{j + 1}": float(lam.real) for j, lam in enumerate(result.eigenvalues)}
+    return _Level(mesh, system.n, values, eigs=result, shift=shift)
+
+
+def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[np.ndarray]:
+    if case is None or case.exact_eigenvalues is None:
+        return None
+    return np.asarray(case.exact_eigenvalues(k), dtype=float)
+
+
+def _is_complex(lam: complex) -> bool:
+    return abs(lam.imag) > 1e-6 * max(abs(lam.real), 1e-300)
+
+
 # --- studies --------------------------------------------------------------
 
 
@@ -345,17 +381,10 @@ def run_load_study(
     record = ConvergenceRecord()
     quality = []
     for N in config.N_list:
-        mesh = generate_mesh(config.mesh_family, N)
-        quality.append(_quality_line(mesh, N))
-        system = assemble(mesh, coeffs)
-        delta, g_b = apply_dirichlet_lift(system, mesh, case.u)
-        u_int = solve_load(system, system.F + delta)
-        u_full = expand_solution(system.dof, u_int, g_b)
-        values = {"err_l2": error_l2(mesh, u_full, case.u)}
-        if case.grad_u is not None:
-            values["err_h1"] = error_h1_semi(mesh, u_full, case.grad_u)
-        record.add_entry(N, mesh.h, system.n, values)
-        log(f"N={N}: " + " ".join(f"{k}={v:.6e}" for k, v in values.items()))
+        level = _load_level(config, coeffs, case, N)
+        quality.append(_quality_line(level.mesh, N))
+        record.add_entry(N, level.mesh.h, level.n, level.values)
+        log(f"N={N}: " + " ".join(f"{k}={v:.6e}" for k, v in level.values.items()))
     return record, quality
 
 
@@ -364,36 +393,23 @@ def run_eigen_study(
 ) -> tuple[ConvergenceRecord, list[str], Optional[np.ndarray]]:
     """Solve the eigenproblem over N_list; returns record, quality, exact."""
     coeffs, case = build_coefficients(config)
-    k = config.eig_count
-    exact = None
-    if case is not None and case.exact_eigenvalues is not None:
-        exact = np.asarray(case.exact_eigenvalues(k), dtype=float)
+    exact = _exact_eigenvalues(case, config.eig_count)
     record = ConvergenceRecord()
     quality = []
-    names = [f"lambda_{j + 1}" for j in range(k)]
     for N in config.N_list:
-        mesh = generate_mesh(config.mesh_family, N)
-        quality.append(_quality_line(mesh, N))
-        system = assemble(mesh, coeffs)
-        shift = (
-            config.shift
-            if config.shift is not None
-            else suggested_shift(config.domain, coeffs)
-        )
-        pencil_A = (system.A + system.B).tocsc()
-        result = solve_eigs(pencil_A, system.M, k, shift=shift, seed=config.seed)
-        lams = result.eigenvalues
-        if (np.abs(lams.imag) > 1e-6 * np.maximum(np.abs(lams.real), 1e-300)).any():
+        level = _eigen_level(config, coeffs, N)
+        quality.append(_quality_line(level.mesh, N))
+        record.add_entry(N, level.mesh.h, level.n, level.values)
+        lams = level.eigs.eigenvalues
+        if any(_is_complex(lam) for lam in lams):
             log(f"N={N}: warning: complex eigenvalues reported: {lams}")
-        values = {name: float(lam.real) for name, lam in zip(names, lams)}
-        record.add_entry(N, mesh.h, system.n, values)
         log(
             f"N={N}: "
-            + " ".join(f"{name}={values[name]:.6f}" for name in names)
-            + f" (discarded {result.discarded_count} infinite modes)"
+            + " ".join(f"{name}={v:.6f}" for name, v in level.values.items())
+            + f" (discarded {level.eigs.discarded_count} infinite modes)"
         )
     if exact is not None:
-        record.check_monotone_from_above(dict(zip(names, exact)))
+        record.check_monotone_from_above(dict(zip(record.names, exact)))
     return record, quality, exact
 
 
@@ -435,119 +451,86 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, problem: str) -> ExperimentConfig:
+    """The command's study: the --config file, or the flags as a `problem` study.
+
+    A config file fixes every study input, its problem included; --out is
+    the one study flag that overrides it.
+    """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
-    else:
-        if not args.family:
-            raise ConfigError("either --config or --family is required")
-        if args.case is None:
-            raise ConfigError("either --config or --case is required")
-        ns = args.N if args.N else DEFAULT_N[args.family]
-        config = ExperimentConfig(
-            problem=args.problem_kind,
-            mesh_family=args.family,
-            N_list=tuple(ns),
-            coefficients=args.case,
-            eig_count=args.eig_count,
-            shift=args.shift,
-            output_dir=args.out,
-            seed=args.seed,
-        )
-    overrides = {}
-    if args.out != "out":
-        overrides["output_dir"] = args.out
-    if overrides and args.config:
-        data = json.loads(Path(args.config).read_text())
-        data.update(overrides)
-        config = ExperimentConfig(**data)
-    return config
+        # an --out left at its default keeps the file's output_dir
+        return replace(config, output_dir=args.out) if args.out != "out" else config
+    if not args.family:
+        raise ConfigError("either --config or --family is required")
+    if args.case is None:
+        raise ConfigError("either --config or --case is required")
+    return ExperimentConfig(
+        problem=problem,
+        mesh_family=args.family,
+        N_list=tuple(args.N if args.N else DEFAULT_N[args.family]),
+        coefficients=args.case,
+        eig_count=args.eig_count,
+        shift=args.shift,
+        output_dir=args.out,
+        seed=args.seed,
+    )
+
+
+def _write_level_csv(path: Path, config: ExperimentConfig, N: int, level: _Level) -> None:
+    """The one-level CSV of `solve` and `eig`, headed by the config hash and
+    the quality line."""
+    record = ConvergenceRecord()
+    record.add_entry(N, level.mesh.h, level.n, level.values)
+    header = f"config {config.config_hash}\n{_quality_line(level.mesh, N)}"
+    print(f"wrote {record.write_csv(path, header_comment=header)}")
 
 
 def _cmd_solve(args) -> int:
-    args.problem_kind = "load"
-    config = _load_config(args)
+    config = _load_config(args, "load")
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     N = config.N_list[-1] if args.N_single is None else args.N_single
-    mesh = generate_mesh(config.mesh_family, N)
-    system = assemble(mesh, coeffs)
-    if case is not None and case.u is not None:
-        delta, g_b = apply_dirichlet_lift(system, mesh, case.u)
-    else:
-        delta, g_b = apply_dirichlet_lift(system, mesh, 0.0)
-    u_int = solve_load(system, system.F + delta)
-    u_full = expand_solution(system.dof, u_int, g_b)
+    level = _load_level(config, coeffs, case, N)
     stem = f"solution_{config.mesh_family}_N{N}"
     if args.format in ("vtk", "both"):
-        export_vtk(out / f"{stem}.vtk", mesh, field=u_full, field_name="u")
+        export_vtk(out / f"{stem}.vtk", level.mesh, field=level.u)
         print(f"wrote {out / (stem + '.vtk')}")
-    if case is not None and case.u is not None:
-        values = {"err_l2": error_l2(mesh, u_full, case.u)}
-        if case.grad_u is not None:
-            values["err_h1"] = error_h1_semi(mesh, u_full, case.grad_u)
-        if args.format in ("csv", "both"):
-            rec = ConvergenceRecord()
-            rec.add_entry(N, mesh.h, system.n, values)
-            path = rec.write_csv(
-                out / f"{stem}_errors.csv",
-                header_comment=f"config {config.config_hash}\n" + _quality_line(mesh, N),
-            )
-            print(f"wrote {path}")
-        for k, v in values.items():
-            print(f"{k} = {v:.8e}")
-    print(f"solution range [{u_full.min():.6g}, {u_full.max():.6g}] on {system.n} DOFs")
+    # the error CSV needs errors, which need an exact solution
+    if level.values and args.format in ("csv", "both"):
+        _write_level_csv(out / f"{stem}_errors.csv", config, N, level)
+    for k, v in level.values.items():
+        print(f"{k} = {v:.8e}")
+    print(f"solution range [{level.u.min():.6g}, {level.u.max():.6g}] on {level.n} DOFs")
     return EXIT_OK
 
 
 def _cmd_eig(args) -> int:
-    args.problem_kind = "eigen"
-    config = _load_config(args)
+    config = _load_config(args, "eigen")
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     N = config.N_list[-1] if args.N_single is None else args.N_single
-    mesh = generate_mesh(config.mesh_family, N)
-    system = assemble(mesh, coeffs)
-    shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
-    result = solve_eigs(
-        (system.A + system.B).tocsc(), system.M, config.eig_count, shift=shift, seed=config.seed
-    )
-    print(f"shift {shift:.6g}, discarded {result.discarded_count} infinite modes")
-    exact = None
-    if case is not None and case.exact_eigenvalues is not None:
-        exact = np.asarray(case.exact_eigenvalues(config.eig_count), dtype=float)
+    level = _eigen_level(config, coeffs, N)
+    result = level.eigs
+    print(f"shift {level.shift:.6g}, discarded {result.discarded_count} infinite modes")
+    exact = _exact_eigenvalues(case, config.eig_count)
     for j, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals)):
         line = f"lambda_{j + 1} = {lam.real:.8f}"
-        if abs(lam.imag) > 1e-6 * max(abs(lam.real), 1e-300):
+        if _is_complex(lam):
             line += f" + {lam.imag:.3e}i (complex!)"
         line += f"  residual {res:.2e}"
         if exact is not None:
             line += f"  exact {exact[j]:.8f}  rel.err {abs(lam.real - exact[j]) / exact[j]:.3e}"
         print(line)
     if args.format in ("csv", "both"):
-        rec = ConvergenceRecord()
-        rec.add_entry(
-            N,
-            mesh.h,
-            system.n,
-            {
-                f"lambda_{j + 1}": float(lam.real)
-                for j, lam in enumerate(result.eigenvalues)
-            },
-        )
-        path = rec.write_csv(
-            out / f"eig_{config.mesh_family}_N{N}.csv",
-            header_comment=f"config {config.config_hash}\n" + _quality_line(mesh, N),
-        )
-        print(f"wrote {path}")
+        _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, N, level)
     return EXIT_OK
 
 
 def _cmd_convergence(args) -> int:
-    args.problem_kind = args.problem
-    config = _load_config(args)
+    config = _load_config(args, args.problem or "load")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"convergence_{config.problem}_{config.mesh_family}"
@@ -555,27 +538,24 @@ def _cmd_convergence(args) -> int:
     try:
         if config.problem == "load":
             record, quality = run_load_study(config, log=log)
-            exact_footer = None
-            extrap = False
+            exact = None
         else:
             record, quality, exact = run_eigen_study(config, log=log)
-            exact_footer = (
-                dict(zip(record.names, exact.tolist())) if exact is not None else None
-            )
-            extrap = exact_footer is None
     except (SolverError, MeshConformityError) as exc:
         print(f"error: study failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    exact_footer = None if exact is None else dict(zip(record.names, exact.tolist()))
+    extrap = config.problem == "eigen" and exact is None
     header = "\n".join([f"config {config.config_hash}", *quality])
     path = record.write_csv(
         out / f"{stem}.csv", exact=exact_footer, extrap=extrap, header_comment=header
     )
     if len(record.entries) >= 3:
         for name in record.names:
-            if exact_footer and name in exact_footer:
+            if exact_footer:
                 order = record.fitted_order(name, exact_footer[name])
                 print(f"{name}: order {order:.3f} (exact {exact_footer[name]:.6f})")
-            elif config.problem == "eigen":
+            elif extrap:
                 limit, order = record.extrapolated(name)
                 print(f"{name}: order {order:.3f} (extrapolated {limit:.6f})")
             else:
@@ -650,15 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "convergence" and args.problem is None:
-        if args.config:
-            try:
-                args.problem = ExperimentConfig.from_json(args.config).problem
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            args.problem = "load"
     try:
         return args.handler(args)
     except (ConfigError, AssemblyError) as exc:

@@ -588,21 +588,8 @@ def star_metric(poly) -> StarMetric:
         ``is_star`` is False (with center None, rho 0) when the kernel is
         empty.  A degenerate kernel yields is_star True with rho ~ 0.
     """
-    from scipy.optimize import linprog  # imported here: costly, and only validate needs it
-
-    a_ub, b_ub, bounds, diam = _kernel_lp(_as_polygon(poly).vertices)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=bounds,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        return StarMetric(False, None, 0.0)
-    cx, cy, r = res.x
-    return StarMetric(True, Point2(float(cx), float(cy)), float(r) / diam)
+    metrics = star_metrics([_as_polygon(poly).vertices])
+    return metrics[0] if metrics else StarMetric(False, None, 0.0)
 
 
 def star_metrics(polys) -> list[StarMetric] | None:
@@ -618,7 +605,7 @@ def star_metrics(polys) -> list[StarMetric] | None:
         None when the program has no solution, which means some polygon
         has an empty kernel; `star_metric` per polygon then tells which.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog  # imported here: costly, and only validate needs it
     from scipy.sparse import block_diag
 
     if not len(polys):

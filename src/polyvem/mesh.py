@@ -58,6 +58,8 @@ __all__ = [
 
 DOMAIN_TAGS = ("unit_square", "rotated_T", "custom")
 ROTATED_T_FAMILIES = ("th4", "th5", "th6", "th7")
+# height of the line where th1 and th3 glue their lower and upper grids
+_INTERFACE_Y = 0.6
 
 # vertex dedup quantum; distinct coordinates in all shipped families are
 # separated by at least ~1e-5, orders of magnitude above this
@@ -436,7 +438,20 @@ def _check_n(N: int, minimum: int) -> None:
         raise ValueError(f"N must be an integer >= {minimum}, got {N!r}")
 
 
-def gen_square_th1(N: int, interface_y: float = 0.6) -> PolyMesh:
+def _glued_grids(N: int, upper_cells) -> PolyMesh:
+    """A quad grid of N columns below `_INTERFACE_Y`, glued to a grid of
+    N + 1 columns above it made by `upper_cells`."""
+    _check_n(N, 2)
+    ny_low = max(1, round(_INTERFACE_Y * N))
+    ny_high = max(1, round((1.0 - _INTERFACE_Y) * (N + 1)))
+    parts = [
+        _quad_cells(0.0, 1.0, 0.0, _INTERFACE_Y, N, ny_low),
+        upper_cells(0.0, 1.0, _INTERFACE_Y, 1.0, N + 1, ny_high),
+    ]
+    return _build_mesh(parts, "unit_square")
+
+
+def gen_square_th1(N: int) -> PolyMesh:
     """Unit-square mesh of two structured quad grids glued at a horizontal line.
 
     The lower grid has N columns, the upper one N+1 (incommensurate), so the
@@ -448,14 +463,7 @@ def gen_square_th1(N: int, interface_y: float = 0.6) -> PolyMesh:
     N : int
         Subdivisions in the abscissae of the lower grid, N >= 2.
     """
-    _check_n(N, 2)
-    ny_low = max(1, round(interface_y * N))
-    ny_high = max(1, round((1.0 - interface_y) * (N + 1)))
-    parts = [
-        _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low),
-        _quad_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high),
-    ]
-    return _build_mesh(parts, "unit_square")
+    return _glued_grids(N, _quad_cells)
 
 
 def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
@@ -492,20 +500,13 @@ def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
     return _build_mesh([hexagons], "unit_square", insert_hanging=False)
 
 
-def gen_square_th3(N: int, interface_y: float = 0.6) -> PolyMesh:
+def gen_square_th3(N: int) -> PolyMesh:
     """Unit-square mesh gluing a quad grid (below) to a triangle grid (above).
 
     Same incommensurate gluing as :func:`gen_square_th1` (N columns below,
     N+1 above) but the upper grid is made of right triangles.
     """
-    _check_n(N, 2)
-    ny_low = max(1, round(interface_y * N))
-    ny_high = max(1, round((1.0 - interface_y) * (N + 1)))
-    parts = [
-        _quad_cells(0.0, 1.0, 0.0, interface_y, N, ny_low),
-        _tri_cells(0.0, 1.0, interface_y, 1.0, N + 1, ny_high),
-    ]
-    return _build_mesh(parts, "unit_square")
+    return _glued_grids(N, _tri_cells)
 
 
 def _rotated_t_half(kind: str, m: int, side: int):
@@ -661,12 +662,12 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
     )
 
 
-def reentrant_corners(mesh: PolyMesh, tol: float = 1e-9) -> list[Point2]:
+def reentrant_corners(mesh: PolyMesh) -> list[Point2]:
     """Boundary vertices with interior angle > pi.
 
     Walks the directed boundary loops (counter-clockwise around the domain)
-    and flags right turns.  Collinear boundary vertices (hanging nodes) are
-    skipped.  Assumes a domain without holes.
+    and flags right turns, by more than 1e-9 rad.  Collinear boundary
+    vertices (hanging nodes) are skipped.  Assumes a domain without holes.
     """
     topo = mesh.topology
     on_boundary = topo.counts[topo.edge] == 1
@@ -682,7 +683,7 @@ def reentrant_corners(mesh: PolyMesh, tol: float = 1e-9) -> list[Point2]:
     d1 = v[b] - v[a]
     d2 = v[c] - v[b]
     cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    turn = cross < -tol * np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1])
+    turn = cross < -1e-9 * np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1])
     return [Point2(x, y) for x, y in v[b[turn]].tolist()]
 
 
@@ -749,8 +750,8 @@ def io_read(path) -> PolyMesh:
     return PolyMesh(verts, cells, boundary, _max_diameter(verts, flat, sizes), domain)
 
 
-def export_vtk(path, mesh: PolyMesh, field=None, field_name: str = "u") -> None:
-    """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data."""
+def export_vtk(path, mesh: PolyMesh, field=None) -> None:
+    """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data `u`."""
     lines = [
         "# vtk DataFile Version 3.0",
         "polyvem mesh",
@@ -769,7 +770,7 @@ def export_vtk(path, mesh: PolyMesh, field=None, field_name: str = "u") -> None:
                 f"nodal field must have shape ({mesh.n_vertices},), got {field.shape}"
             )
         lines.append(f"POINT_DATA {mesh.n_vertices}")
-        lines.append(f"SCALARS {field_name} double 1")
+        lines.append("SCALARS u double 1")
         lines.append("LOOKUP_TABLE default")
         lines.extend(f"{val!r}" for val in field.tolist())
     with open(path, "w") as fh:

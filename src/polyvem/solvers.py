@@ -150,23 +150,15 @@ def _as_csc(mat) -> sp.csc_matrix:
     return sp.csc_matrix(np.asarray(mat, dtype=float))
 
 
-def _residuals(A, M, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    out = np.empty(len(vals))
-    for j, lam in enumerate(vals):
-        x = vecs[:, j]
-        out[j] = np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x)
-    return out
-
-
-def _sorted_pairs(vals, vecs):
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
-
-
-def _check_residuals(A, M, vals, vecs, residuals, method: str) -> None:
-    nA = spla.norm(A, 1) if sp.issparse(A) else np.linalg.norm(A, 1)
-    nM = spla.norm(M, 1) if sp.issparse(M) else np.linalg.norm(M, 1)
-    bound = RESIDUAL_RTOL * (nA + np.abs(vals) * nM)
+def _eigen_result(A, M, vals, vecs, k: int, discarded: int, method: str) -> EigenResult:
+    """The k finite pairs of smallest real part of the sparse pencil (A, M),
+    accepted only if every residual meets the RESIDUAL_RTOL bound."""
+    order = np.lexsort((vals.imag, vals.real))[:k]
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = np.array(
+        [np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x) for lam, x in zip(vals, vecs.T)]
+    )
+    bound = RESIDUAL_RTOL * (spla.norm(A, 1) + np.abs(vals) * spla.norm(M, 1))
     if (residuals > bound).any():
         worst = float((residuals / bound).max())
         raise SolverError(
@@ -174,6 +166,7 @@ def _check_residuals(A, M, vals, vecs, residuals, method: str) -> None:
             f"acceptance bound by a factor {worst:.2e} "
             f"(residuals: {np.array2string(residuals, precision=3)})"
         )
+    return EigenResult(vals, vecs, residuals, discarded, method)
 
 
 def solve_eigs_dense(A, M, k: int) -> EigenResult:
@@ -192,12 +185,9 @@ def solve_eigs_dense(A, M, k: int) -> EigenResult:
             f"pencil has only {int(finite.sum())} finite eigenvalues, {k} requested"
         )
     vals = alpha[finite] / beta[finite]
-    vecs = vr[:, finite]
-    vals, vecs = _sorted_pairs(vals, vecs)
-    vals, vecs = vals[:k], vecs[:, :k]
-    residuals = _residuals(sp.csr_matrix(Ad), sp.csr_matrix(Md), vals, vecs)
-    _check_residuals(sp.csr_matrix(Ad), sp.csr_matrix(Md), vals, vecs, residuals, "dense")
-    return EigenResult(vals, vecs, residuals, discarded, "dense")
+    return _eigen_result(
+        sp.csr_matrix(Ad), sp.csr_matrix(Md), vals, vr[:, finite], k, discarded, "dense"
+    )
 
 
 def solve_eigs(
@@ -206,7 +196,6 @@ def solve_eigs(
     k: int,
     shift: Optional[float] = None,
     seed: int = 0,
-    arnoldi_pad: Optional[int] = None,
 ) -> EigenResult:
     """k smallest-real-part finite eigenvalues of (A, M) by shift-invert Arnoldi.
 
@@ -223,7 +212,7 @@ def solve_eigs(
     if k < 1:
         raise SolverError("k must be >= 1")
     sigma = 1.0 if shift is None else float(shift)
-    k_arn = k + (max(8, k) if arnoldi_pad is None else arnoldi_pad)
+    k_arn = k + max(8, k)
     if k_arn >= n - 1:
         return solve_eigs_dense(A, M, k)
 
@@ -263,15 +252,9 @@ def solve_eigs(
     if keep.sum() < k:
         raise SolverError(
             f"only {int(keep.sum())} finite Ritz values survived the "
-            f"infinite-mode filter, {k} requested — increase arnoldi_pad"
+            f"infinite-mode filter of {k_arn}, {k} requested"
         )
-    vals = sigma + 1.0 / nu[keep]
-    vecs = W[:, keep]
-    vals, vecs = _sorted_pairs(vals, vecs)
-    vals, vecs = vals[:k], vecs[:, :k]
-    residuals = _residuals(A, M, vals, vecs)
-    _check_residuals(A, M, vals, vecs, residuals, "arnoldi")
-    return EigenResult(vals, vecs, residuals, discarded, "arnoldi")
+    return _eigen_result(A, M, sigma + 1.0 / nu[keep], W[:, keep], k, discarded, "arnoldi")
 
 
 def solve_adjoint_eigs(
@@ -280,18 +263,13 @@ def solve_adjoint_eigs(
     k: int,
     shift: Optional[float] = None,
     seed: int = 0,
-    arnoldi_pad: Optional[int] = None,
 ) -> EigenResult:
     """Eigenpairs of the adjoint problem: the pencil (A^T, M^T).
 
     The adjoint spectrum is the conjugate of the primal one; for real
     matrices the two coincide as multisets.
     """
-    A = _as_csc(A)
-    M = _as_csc(M)
-    return solve_eigs(
-        A.T.tocsc(), M.T.tocsc(), k, shift=shift, seed=seed, arnoldi_pad=arnoldi_pad
-    )
+    return solve_eigs(_as_csc(A).T, _as_csc(M).T, k, shift=shift, seed=seed)
 
 
 def suggested_shift(domain_tag: str, coeffs: CoefficientSet) -> float:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .geometry import CellBatch, Point2, Polygon, fan_quadrature, polygon_quadrature
+from .geometry import CellBatch, Point2, _as_polygon, fan_quadrature, polygon_quadrature
 
 __all__ = [
     "LocalElement",
@@ -78,10 +78,6 @@ class LocalElement:
     h_E: float
     area: float
     centroid: Point2
-
-
-def _as_polygon(E) -> Polygon:
-    return E if isinstance(E, Polygon) else Polygon(E)
 
 
 def pi_nabla(E) -> np.ndarray:
@@ -162,7 +158,7 @@ def _eval_vector(field, x, y) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def local_forms(E, coeffs: CoefficientSet, quad_degree: int = QUAD_DEGREE) -> LocalElement:
+def local_forms(E, coeffs: CoefficientSet) -> LocalElement:
     """All local matrices and the load for one element.
 
     The diffusion matrix is the projected consistency term plus the
@@ -171,16 +167,15 @@ def local_forms(E, coeffs: CoefficientSet, quad_degree: int = QUAD_DEGREE) -> Lo
         Ah = kappa_E a(Pi w, Pi v) + ((I - D Pi) w)^T S ((I - D Pi) v).
 
     Convection, reaction, mass, and load use the L2 projection (equal to Pi
-    on this element space) in both slots and are integrated by quadrature;
-    the mass matrix carries no stabilization and has rank at most 3.
+    on this element space) in both slots and are integrated by quadrature
+    of degree `QUAD_DEGREE`, as in the batched path; the mass matrix
+    carries no stabilization and has rank at most 3.
 
     Parameters
     ----------
     E : Polygon or array_like
     coeffs : CoefficientSet
         kappa is sampled at the centroid (piecewise-constant model).
-    quad_degree : int
-        Quadrature degree for the coefficient integrals (default 4).
 
     Raises
     ------
@@ -206,7 +201,7 @@ def local_forms(E, coeffs: CoefficientSet, quad_degree: int = QUAD_DEGREE) -> Lo
     consistency = (area / (h * h)) * (np.outer(P[1], P[1]) + np.outer(P[2], P[2]))
     Ah = kappa_e * consistency + remainder.T @ S @ remainder
 
-    xq, yq, wq = polygon_quadrature(p, quad_degree)
+    xq, yq, wq = polygon_quadrature(p, QUAD_DEGREE)
     monomials = np.column_stack([np.ones_like(xq), (xq - xc) / h, (yq - yc) / h])
     V = monomials @ P  # values of Pi phi_j at the quadrature points
     gx = P[1] / h

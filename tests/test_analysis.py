@@ -222,6 +222,8 @@ class TestExtrapolate:
             extrapolate([0.4, 0.2], [1.0, 0.5])
         with pytest.raises(ValueError):
             extrapolate([0.4, -0.2, 0.1], [1.0, 0.5, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            extrapolate(1.0 / np.array([16.0, 30.0, 62.0, 130.0]), [1.0, np.nan, 1.0, 1.0])
 
 
 class TestMatchEigs:

@@ -6,7 +6,12 @@ comparison for reproducibility.  Studies here run on coarse meshes; the
 fine-mesh numbers live in the acceptance suite.
 """
 
+import contextlib
+import io
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,3 +513,138 @@ def test_convergence_problem_read_from_config(tmp_path, capsys):
     assert main(["convergence", "--config", str(p), "--quiet"]) == 0
     capsys.readouterr()
     assert (tmp_path / "convergence_eigen_th2.csv").exists()
+
+
+# --- pinned command outputs -------------------------------------------------
+#
+# Each invocation runs in a fresh directory with `--out out`; `--out out`
+# equals the default, so a config's own output_dir still applies.  The expected
+# exit code, stdout/stderr lines, warnings and CSV lines are in
+# cli_pinned.json, written by `_capture` at the commit before the one-driver
+# refactor of cli.py.  Text must match exactly and numbers to rel 1e-9
+# (abs 1e-12, the round-off level of the printed residuals), so another
+# BLAS does not break the test.
+
+_INLINE_LOAD = {
+    "f": "2*(y - y^2) + 2*(x - x^2)",
+    "u": "(x - x^2)*(y - y^2)",
+    "grad_u": ["(1 - 2*x)*(y - y^2)", "(x - x^2)*(1 - 2*y)"],
+}
+
+PINNED_CONFIGS = {
+    "no_u.json": {
+        "problem": "load",
+        "mesh_family": "th1",
+        "N_list": [4, 8],
+        "coefficients": {"f": "1"},
+    },
+    "eig_square.json": {
+        "problem": "eigen",
+        "mesh_family": "th2",
+        "N_list": [4, 8],
+        "coefficients": "eigen_square",
+        "eig_count": 3,
+        "output_dir": "elsewhere",
+    },
+    "conv_square.json": {
+        "problem": "eigen",
+        "mesh_family": "th2",
+        "N_list": [4, 8, 16],
+        "coefficients": "eigen_square",
+        "eig_count": 2,
+    },
+    "conv_T.json": {
+        "problem": "eigen",
+        "mesh_family": "th7",
+        "N_list": [8, 16, 28],
+        "coefficients": "eigen_T",
+        "eig_count": 3,
+        "seed": 1,
+    },
+    "conv_load.json": {
+        "problem": "load",
+        "mesh_family": "th1",
+        "N_list": [4, 8, 16],
+        "coefficients": _INLINE_LOAD,
+    },
+}
+
+PINNED = {
+    "solve_th2_csv": "solve --family th2 --case test1 --format csv --N 8",
+    "solve_th1_both": "solve --family th1 --case test1 --N 4 8 --format both",
+    "solve_th3_vtk": "solve --family th3 --case test2 --N-single 8 --format vtk",
+    "solve_config_no_u": "solve --config no_u.json",
+    "solve_case_without_u": "solve --family th1 --case eigen_square --N 4",
+    "eig_th7_csv": "eig --family th7 --case eigen_T --eig-count 6 --format csv --seed 2 --N 16",
+    "eig_th2_both": "eig --family th2 --case eigen_square --N-single 8 --eig-count 2 --format both",
+    "eig_config": "eig --config eig_square.json --N-single 8",
+    "conv_square_exact": "convergence --config conv_square.json",
+    "conv_T_extrap": "convergence --config conv_T.json",
+    "conv_inline_load": "convergence --config conv_load.json",
+    "conv_flags_load": "convergence --problem load --family th2 --case test1 --N 4 8 16",
+    "conv_quiet": "convergence --config conv_square.json --quiet",
+    "conv_no_u": "convergence --config no_u.json",
+    "unknown_case": "solve --family th1 --case nosuch --N 4",
+    "missing_case": "eig --family th2 --N 4",
+}
+
+
+def _capture(argv: list) -> dict:
+    """Run main in the current directory; what it printed, warned and wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", "out"])
+    files = {}
+    for path in sorted(Path(".").rglob("*")):
+        if path.is_file() and path.name not in PINNED_CONFIGS:
+            # VTK payloads are long; their names are pinned, their values are
+            # checked by the mesh and solve tests
+            files[path.as_posix()] = (
+                path.read_text().splitlines() if path.suffix == ".csv" else None
+            )
+    return {
+        "exit": code,
+        "stdout": out.getvalue().splitlines(),
+        "stderr": err.getvalue().splitlines(),
+        "warnings": [str(w.message) for w in caught],
+        "files": files,
+    }
+
+
+def _write_pinned_configs(directory) -> None:
+    for name, cfg in PINNED_CONFIGS.items():
+        (directory / name).write_text(json.dumps(cfg))
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_lines_match(got: list, want: list, where: str) -> None:
+    assert len(got) == len(want), f"{where}: {len(got)} lines, expected {len(want)}"
+    for g, w in zip(got, want):
+        assert _NUMBER.split(g) == _NUMBER.split(w), f"{where}: {g!r} != {w!r}"
+        for a, b in zip(_NUMBER.findall(g), _NUMBER.findall(w)):
+            assert float(a) == pytest.approx(float(b), rel=1e-9, abs=1e-12), (
+                f"{where}: {g!r} != {w!r}"
+            )
+
+
+_PINNED_FILE = Path(__file__).with_name("cli_pinned.json")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_command_output_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    got = _capture(PINNED[name].split())
+    want = json.loads(_PINNED_FILE.read_text())[name]
+    assert got["exit"] == want["exit"]
+    for stream in ("stdout", "stderr", "warnings"):
+        _assert_lines_match(got[stream], want[stream], f"{name} {stream}")
+    assert sorted(got["files"]) == sorted(want["files"])
+    for path, lines in want["files"].items():
+        if lines is not None:
+            _assert_lines_match(got["files"][path], lines, f"{name} {path}")
