@@ -552,14 +552,19 @@ def _cmd_convergence(args) -> int:
     )
     if len(record.entries) >= 3:
         for name in record.names:
-            if exact_footer:
-                order = record.fitted_order(name, exact_footer[name])
-                print(f"{name}: order {order:.3f} (exact {exact_footer[name]:.6f})")
-            elif extrap:
-                limit, order = record.extrapolated(name)
-                print(f"{name}: order {order:.3f} (extrapolated {limit:.6f})")
-            else:
-                print(f"{name}: order {record.fitted_order(name):.3f}")
+            # a column with a zero or non-finite entry has no fitted order;
+            # write_csv leaves its order cell empty
+            try:
+                if exact_footer:
+                    order = record.fitted_order(name, exact_footer[name])
+                    print(f"{name}: order {order:.3f} (exact {exact_footer[name]:.6f})")
+                elif extrap:
+                    limit, order = record.extrapolated(name)
+                    print(f"{name}: order {order:.3f} (extrapolated {limit:.6f})")
+                else:
+                    print(f"{name}: order {record.fitted_order(name):.3f}")
+            except ValueError as exc:
+                print(f"{name}: order undefined ({exc})")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -33,7 +33,7 @@ __all__ = [
     "fan_quadrature",
 ]
 
-# Relative tolerance for "zero" cross products / areas, scaled by diam^2.
+# Relative tolerance for "zero": areas are scaled by diam^2, distances by diam.
 _AREA_EPS = 1e-14
 
 
@@ -155,26 +155,33 @@ def _nonadjacent_edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], j[keep]
 
 
-def _segments_cross(p1, p2, p3, p4, eps) -> np.ndarray:
+def _segments_cross(p1, p2, p3, p4, tol) -> np.ndarray:
     """True where segments (p1,p2) and (p3,p4) intersect (touching counts).
 
-    Points have shape (..., 2); eps broadcasts against the leading shape.
+    Points have shape (..., 2); the length tol broadcasts against the
+    leading shape.  A point counts as on a segment's line when its distance
+    to that line is at most tol, so the test does not depend on how short
+    the segment is.
     """
-    eps = np.asarray(eps)
-    d1 = _cross(p4 - p3, p1 - p3)
-    d2 = _cross(p4 - p3, p2 - p3)
-    d3 = _cross(p2 - p1, p3 - p1)
-    d4 = _cross(p2 - p1, p4 - p1)
+    tol = np.asarray(tol)
+    e12, e34 = p2 - p1, p4 - p3
+    tiny = np.finfo(float).tiny
+    n12 = np.maximum(np.hypot(e12[..., 0], e12[..., 1]), tiny)
+    n34 = np.maximum(np.hypot(e34[..., 0], e34[..., 1]), tiny)
+    d1 = _cross(e34, p1 - p3) / n34
+    d2 = _cross(e34, p2 - p3) / n34
+    d3 = _cross(e12, p3 - p1) / n12
+    d4 = _cross(e12, p4 - p1) / n12
 
     def straddle(a, b):
-        return ((a > eps) & (b < -eps)) | ((a < -eps) & (b > eps))
+        return ((a > tol) & (b < -tol)) | ((a < -tol) & (b > tol))
 
     hit = straddle(d1, d2) & straddle(d3, d4)
     # collinear / touching configurations: fall back to bounding-box overlap
-    e = eps[..., None]
+    e = tol[..., None]
     for d, a, b, p in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
         in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
-        hit |= (np.abs(d) <= eps) & in_box.all(axis=-1)
+        hit |= (np.abs(d) <= tol) & in_box.all(axis=-1)
     return hit
 
 
@@ -222,7 +229,7 @@ class Polygon:
         eps = _AREA_EPS * diam * diam
         # simplicity: no two non-adjacent edges may intersect
         i, j = _nonadjacent_edge_pairs(n)
-        hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], eps)
+        hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], _AREA_EPS * diam)
         if hit.any():
             p = int(np.argmax(hit))
             raise ValueError(f"polygon is not simple: edges {i[p]} and {j[p]} intersect")
@@ -481,7 +488,7 @@ def _cell_batch(cells: np.ndarray, ids: np.ndarray, v: np.ndarray) -> CellBatch:
     eps = _AREA_EPS * diam * diam
     i, j = _nonadjacent_edge_pairs(k)
     crossed = _segments_cross(
-        v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], eps[:, None]
+        v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], _AREA_EPS * diam[:, None]
     ).any(axis=1)
     finite = np.isfinite(v).all(axis=(1, 2))
     valid = finite & (lengths > 0.0).all(axis=1) & ~crossed & (area > eps)

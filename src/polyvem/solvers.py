@@ -220,7 +220,9 @@ def solve_eigs(
     last_exc: Optional[Exception] = None
     for _ in range(6):
         try:
-            lu = spla.splu((A - sigma * M).tocsc())
+            # each cell couples all its vertices, so the pattern of A - sigma M
+            # is symmetric: order for A + A^T, not for A^T A as COLAMD does
+            lu = spla.splu((A - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A")
             break
         except RuntimeError as exc:
             last_exc = exc

@@ -498,6 +498,24 @@ def test_convergence_load_with_inline_config(tmp_path, capsys):
     assert not any(r.startswith(("exact,", "extrap,")) for r in rows)
 
 
+def test_convergence_with_zero_error_column(tmp_path, capsys):
+    # u = 0 is reproduced exactly, so err_l2 is 0 and has no log-log slope
+    cfg = {
+        "problem": "load",
+        "mesh_family": "th1",
+        "N_list": [4, 8, 16],
+        "coefficients": {"u": "0", "f": "0"},
+        "output_dir": str(tmp_path),
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["convergence", "--config", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "err_l2: order undefined (h and err values must be positive" in out
+    rows = (tmp_path / "convergence_load_th1.csv").read_text().splitlines()
+    assert rows[-1] == "order,,,"
+
+
 def test_convergence_problem_read_from_config(tmp_path, capsys):
     cfg = {
         "problem": "eigen",

@@ -4,7 +4,8 @@
 block-diagonal program, and every edge count comes from one edge-topology
 helper.  The references are `star_metric` on one polygon at a time and a
 dict count over the cell cycles.  Polygons carry edges down to 1e-12 of
-their diameter: the small-edge regime the method is meant for.
+their diameter: the small-edge regime the method is meant for.  They are
+simple by construction, so the validity check must accept every one.
 """
 
 import numpy as np
@@ -12,17 +13,23 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from polyvem.geometry import Polygon, StarMetric, star_metric, star_metrics
+from polyvem.analysis import error_h1_semi, error_l2
+from polyvem.assembly import apply_dirichlet_lift, assemble, expand_solution
+from polyvem.coefficients import CASES
+from polyvem.geometry import Polygon, StarMetric, mesh_geometry, star_metric, star_metrics
 from polyvem.mesh import (
     PolyMesh,
     _build_mesh,
     _quad_cells,
     _star_metrics,
+    _tri_cells,
     gen_rotated_T,
     gen_square_th1,
     gen_square_th2,
     gen_square_th3,
+    validate,
 )
+from polyvem.solvers import solve_load
 
 # kernel-free: the arms x <= 1 and x >= 2 cannot both be seen
 U_SHAPE = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)], dtype=float)
@@ -30,29 +37,32 @@ U_SHAPE = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 
 
 @st.composite
 def small_edge_polygons(draw):
-    """A star-shaped polygon about a random center with some edges split
-    at 1e-12..1e-3 of the diameter from one end point."""
+    """A star-shaped polygon about a random center with edges split at
+    1e-12..1e-3 of the diameter from either end point.  One corner may be
+    cut on both of its edges, so that two tiny edges meet at that vertex."""
     k = draw(st.integers(3, 8))
     jitter = draw(st.lists(st.floats(-0.25, 0.25), min_size=k, max_size=k))
     radii = draw(st.lists(st.floats(0.6, 1.0), min_size=k, max_size=k))
     cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
     t = 2.0 * np.pi * (np.arange(k) + np.array(jitter)) / k
     v = np.column_stack([cx + np.array(radii) * np.cos(t), cy + np.array(radii) * np.sin(t)])
+    # keep every corner's turn away from 0 and pi, so that the polygon is
+    # simple by a margin no split closes: a valid-polygon check must accept it
+    e = np.roll(v, -1, axis=0) - v
+    e /= np.hypot(*e.T)[:, None]
+    e_in = np.roll(e, 1, axis=0)
+    assume(np.abs(e_in[:, 0] * e[:, 1] - e_in[:, 1] * e[:, 0]).min() >= 0.05)
     diam = float(np.max(np.hypot(*(v[:, None] - v[None]).transpose(2, 0, 1))))
+    corner = draw(st.integers(0, k))  # k: no corner cut on both edges
     out = []
     for i in range(k):
         p, q = v[i], v[(i + 1) % k]
         out.append(p)
-        if draw(st.booleans()):
-            ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
-            s = ratio * diam / np.hypot(*(q - p))
-            out.append(q + s * (p - q) if draw(st.booleans()) else p + s * (q - p))
-    poly = np.array(out)
-    try:
-        Polygon(poly)
-    except ValueError:
-        assume(False)
-    return poly
+        for a, b, cut in ((p, q, i == corner), (q, p, (i + 1) % k == corner)):
+            if cut or draw(st.booleans()):
+                ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
+                out.append(a + ratio * diam / np.hypot(*(b - a)) * (b - a))
+    return np.array(out)
 
 
 SETTINGS = settings(
@@ -82,6 +92,48 @@ def test_non_star_polygon_leaves_the_others_alone(polys, at):
     assert [m.is_star for m in others] == [True] * len(polys)
     for m, ref in zip(others, alone):
         assert abs(m.rho - ref.rho) <= 1e-12
+
+
+@SETTINGS
+@given(st.lists(small_edge_polygons(), min_size=1, max_size=6))
+def test_small_edge_polygons_are_valid(polys):
+    for poly in polys:
+        Polygon(poly)
+    sizes = np.cumsum([0] + [len(p) for p in polys])
+    cells = [tuple(range(a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    assert len(mesh_geometry(np.concatenate(polys), cells).invalid) == 0
+
+
+def th2_split_at(N, t):
+    """th2 with each edge's extra vertex at fraction t of the edge from its
+    lexicographically smaller end point, instead of at arc length h_e^2."""
+    p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
+    q = np.roll(p, -1, axis=1)
+    swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))
+    a = np.where(swap[..., None], q, p)
+    c = np.where(swap[..., None], p, q)
+    hexagons = np.stack([p, a + t * (c - a)], axis=2).reshape(-1, 6, 2)
+    return _build_mesh([hexagons], "unit_square", insert_hanging=False)
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-10])
+def test_th2_with_tiny_split_fraction_validates(t):
+    # two edges of length t*h_e meet at one corner of some hexagons
+    report = validate(th2_split_at(16, t))
+    assert report.cell_count == 512
+    assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-3)
+
+
+def test_load_errors_stay_close_at_tiny_split_fraction():
+    case = CASES["test1"]
+    errors = []
+    for mesh in (gen_square_th2(16), th2_split_at(16, 1e-9)):
+        system = assemble(mesh, case.coeffs)
+        delta, g_b = apply_dirichlet_lift(system, mesh, case.u)
+        u = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
+        errors.append((error_l2(mesh, u, case.u), error_h1_semi(mesh, u, case.grad_u)))
+    (l2, h1), (l2_t, h1_t) = errors
+    assert l2_t <= 1.25 * l2 and h1_t <= 1.25 * h1
 
 
 def test_u_shape_has_empty_kernel():

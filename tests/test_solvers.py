@@ -19,7 +19,7 @@ from polyvem.coefficients import (
     constant_vector,
     square_exact_eigenvalues,
 )
-from polyvem.mesh import gen_square_th1, gen_square_th2
+from polyvem.mesh import gen_rotated_T, gen_square_th1, gen_square_th2
 from polyvem import solvers
 from polyvem.solvers import (
     EigenResult,
@@ -242,6 +242,52 @@ class TestEigsVem:
         assert cen_p > 0.5 + 0.01
         assert cen_a < 0.5 - 0.01
         assert cen_p - 0.5 == pytest.approx(0.5 - cen_a, abs=0.01)
+
+
+class TestPencilFactorization:
+    """The LU of the shifted pencil A - sigma M inside solve_eigs."""
+
+    def test_failed_factorization_moves_the_shift(self, monkeypatch):
+        A, M, _ = eigen_pencil(8)
+        shift = suggested_shift("unit_square", CASES["eigen_square"].coeffs)
+        reference = solve_eigs(A, M, k=6, shift=shift)
+        splu = solvers.spla.splu
+        seen = []
+
+        def fail_once(K, **kwargs):
+            seen.append(K)
+            if len(seen) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(K, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "splu", fail_once)
+        res = solve_eigs(A, M, k=6, shift=shift)
+        assert len(seen) == 2
+        assert abs(seen[0] - (A - shift * M)).max() == 0.0
+        assert abs(seen[1] - (A - (1.1 * shift + 1.0) * M)).max() == 0.0
+        ref = reference.eigenvalues
+        assert np.abs(res.eigenvalues - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_fill_below_default_ordering(self, monkeypatch):
+        # the pencil's pattern is symmetric; an ordering for A + A^T must
+        # fill less than SuperLU's default COLAMD, which orders for A^T A
+        mesh = gen_rotated_T("th7", 28)
+        system = assemble(mesh, CASES["eigen_T"].coeffs)
+        splu = solvers.spla.splu
+        factored = []
+
+        def spy(K, **kwargs):
+            lu = splu(K, **kwargs)
+            factored.append((K, lu))
+            return lu
+
+        monkeypatch.setattr(solvers.spla, "splu", spy)
+        solve_eigs((system.A + system.B).tocsc(), system.M, k=6, shift=1.0)
+        assert len(factored) == 1
+        K, lu = factored[0]
+        fill = (lu.L.nnz + lu.U.nnz) / K.nnz
+        default = splu(K)
+        assert fill < (default.L.nnz + default.U.nnz) / K.nnz
 
 
 class TestSuggestedShift:
