@@ -14,7 +14,7 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "EigMatch",
     "MatchReport",
     "ConvergenceEntry",
+    "ColumnFit",
     "ConvergenceRecord",
 ]
 
@@ -59,7 +60,7 @@ def _projected_cells(mesh: PolyMesh, u_h: np.ndarray):
         yield (s, *fan_quadrature(g, ERROR_QUAD_DEGREE), g.centroid, g.diameter)
     for ci in geom.fallback:
         poly = Polygon(mesh.cell_vertices(ci))
-        s = pi_nabla(poly) @ u_h[list(mesh.cells[ci])]
+        s = pi_nabla(poly) @ u_h[mesh.cell(ci)]
         x, y, w = polygon_quadrature(poly, ERROR_QUAD_DEGREE)
         c, h = np.array([poly.centroid]), np.array([poly.diameter])
         yield s[None], x[None], y[None], w[None], c, h
@@ -222,6 +223,14 @@ class ConvergenceEntry:
     values: dict
 
 
+class ColumnFit(NamedTuple):
+    """Footer of one study column: its order, or why it has none, and its limit."""
+
+    order: Optional[float]
+    undefined: str  # why there is no order; "" when there is one
+    limit: Optional[float]  # the exact value or the extrapolated limit
+
+
 @dataclass
 class ConvergenceRecord:
     """Mesh-refinement study: one entry per level, finest last.
@@ -266,6 +275,31 @@ class ConvergenceRecord:
     def extrapolated(self, name: str) -> tuple[float, float]:
         return extrapolate(self.hs, self.column(name))
 
+    def column_fits(self, exact: Optional[dict] = None, extrap: bool = False) -> dict:
+        """Order and limit of each column, fitted once for the footer and the printout.
+
+        The order is the log-log slope of |value - exact| for a column with
+        an exact reference, the fitted power-law exponent when extrapolating,
+        and the raw log-log slope otherwise (error columns).  A column with a
+        zero or non-finite entry has no order.  Empty below 3 levels.
+        """
+        if len(self.entries) < 3:
+            return {}
+        fits = {}
+        for n in self.names:
+            ref = (exact or {}).get(n)
+            try:
+                if ref is not None:
+                    fits[n] = ColumnFit(self.fitted_order(n, ref), "", ref)
+                elif extrap:
+                    limit, order = self.extrapolated(n)
+                    fits[n] = ColumnFit(order, "", limit)
+                else:
+                    fits[n] = ColumnFit(self.fitted_order(n), "", None)
+            except ValueError as exc:
+                fits[n] = ColumnFit(None, str(exc), ref)
+        return fits
+
     def check_monotone_from_above(self, reference: dict) -> list:
         """Columns observed to approach their reference from above.
 
@@ -292,12 +326,13 @@ class ConvergenceRecord:
         exact: Optional[dict] = None,
         extrap: bool = False,
         header_comment: Optional[str] = None,
+        fits: Optional[dict] = None,
     ) -> Path:
         """One row per level plus footer rows: order, then exact or extrap.
 
-        The order row holds the log-log slope of |value - exact| when an
-        exact reference is given, the fitted power-law exponent when
-        extrapolating, and the raw log-log slope otherwise (error columns).
+        The footer comes from `fits`, which is ``column_fits(exact, extrap)``
+        and computed here unless given; an undefined order or limit is an
+        empty cell.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -313,30 +348,16 @@ class ConvergenceRecord:
                     [e.N, f"{e.h:.12g}", e.dof_count]
                     + [f"{e.values[n]:.12g}" for n in names]
                 )
-            enough = len(self.entries) >= 3
-            limits = (
-                {n: self.extrapolated(n) for n in names} if (extrap and enough) else {}
-            )
-            if enough:
-                orders = []
-                for n in names:
-                    try:
-                        if exact and n in exact:
-                            orders.append(f"{self.fitted_order(n, exact[n]):.4f}")
-                        elif extrap:
-                            orders.append(f"{limits[n][1]:.4f}")
-                        else:
-                            orders.append(f"{self.fitted_order(n):.4f}")
-                    except ValueError:
-                        orders.append("")
-                writer.writerow(["order", "", ""] + orders)
+            fits = self.column_fits(exact, extrap) if fits is None else fits
+            footer = []
+            if len(self.entries) >= 3:
+                footer.append(("order", [fits[n].order for n in names], ".4f"))
             if exact:
+                footer.append(("exact", [exact.get(n) for n in names], ".12g"))
+            elif extrap and fits:
+                footer.append(("extrap", [fits[n].limit for n in names], ".12g"))
+            for label, values, fmt in footer:
                 writer.writerow(
-                    ["exact", "", ""]
-                    + [f"{exact[n]:.12g}" if n in exact else "" for n in names]
-                )
-            elif limits:
-                writer.writerow(
-                    ["extrap", "", ""] + [f"{limits[n][0]:.12g}" for n in names]
+                    [label, "", ""] + ["" if v is None else format(v, fmt) for v in values]
                 )
         return path

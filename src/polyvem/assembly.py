@@ -186,7 +186,7 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     # cells the batches left out, in index order so the first failure raises
     for ci in sorted(per_cell):
         le = _cell_element(mesh, ci, coeffs)
-        add(np.asarray(mesh.cells[ci])[None], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh))
+        add(mesh.cell(ci)[None], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh))
 
     rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
     cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])

@@ -454,13 +454,12 @@ def _cmd_mesh(args) -> int:
 def _load_config(args, problem: str) -> ExperimentConfig:
     """The command's study: the --config file, or the flags as a `problem` study.
 
-    A config file fixes every study input, its problem included; --out is
-    the one study flag that overrides it.
+    A config file fixes every study input, its problem included; --out,
+    when given, is the one study flag that overrides it.
     """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
-        # an --out left at its default keeps the file's output_dir
-        return replace(config, output_dir=args.out) if args.out != "out" else config
+        return config if args.out is None else replace(config, output_dir=args.out)
     if not args.family:
         raise ConfigError("either --config or --family is required")
     if args.case is None:
@@ -472,7 +471,7 @@ def _load_config(args, problem: str) -> ExperimentConfig:
         coefficients=args.case,
         eig_count=args.eig_count,
         shift=args.shift,
-        output_dir=args.out,
+        output_dir="out" if args.out is None else args.out,
         seed=args.seed,
     )
 
@@ -547,24 +546,19 @@ def _cmd_convergence(args) -> int:
     exact_footer = None if exact is None else dict(zip(record.names, exact.tolist()))
     extrap = config.problem == "eigen" and exact is None
     header = "\n".join([f"config {config.config_hash}", *quality])
+    fits = record.column_fits(exact_footer, extrap)
     path = record.write_csv(
-        out / f"{stem}.csv", exact=exact_footer, extrap=extrap, header_comment=header
+        out / f"{stem}.csv", exact=exact_footer, extrap=extrap, header_comment=header, fits=fits
     )
-    if len(record.entries) >= 3:
-        for name in record.names:
-            # a column with a zero or non-finite entry has no fitted order;
-            # write_csv leaves its order cell empty
-            try:
-                if exact_footer:
-                    order = record.fitted_order(name, exact_footer[name])
-                    print(f"{name}: order {order:.3f} (exact {exact_footer[name]:.6f})")
-                elif extrap:
-                    limit, order = record.extrapolated(name)
-                    print(f"{name}: order {order:.3f} (extrapolated {limit:.6f})")
-                else:
-                    print(f"{name}: order {record.fitted_order(name):.3f}")
-            except ValueError as exc:
-                print(f"{name}: order undefined ({exc})")
+    for name, fit in fits.items():
+        if fit.order is None:
+            print(f"{name}: order undefined ({fit.undefined})")
+        elif exact_footer:
+            print(f"{name}: order {fit.order:.3f} (exact {fit.limit:.6f})")
+        elif extrap:
+            print(f"{name}: order {fit.order:.3f} (extrapolated {fit.limit:.6f})")
+        else:
+            print(f"{name}: order {fit.order:.3f}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -591,7 +585,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eig-count", type=int, default=6)
     p.add_argument("--shift", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument(
+        "--out", default=None, help="output directory (default: the config's output_dir, else out)"
+    )
     p.add_argument(
         "--format", choices=("csv", "vtk", "both"), default="both", help="output kinds"
     )

@@ -496,20 +496,20 @@ def _cell_batch(cells: np.ndarray, ids: np.ndarray, v: np.ndarray) -> CellBatch:
     return CellBatch(cells, ids, v, area, centroid, diam, lengths, valid, fan)
 
 
-def mesh_geometry(vertices: np.ndarray, cells) -> MeshGeometry:
-    """Group the cells by vertex count and compute their geometry in batches.
+def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> MeshGeometry:
+    """Geometry of the cells (flat ids, per-cell sizes), grouped by vertex count.
 
     Groups are ordered by ascending vertex count and cells by ascending
     index within a group, so the result is a fixed function of the mesh.
     Vertex ids must be in range.
     """
-    counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    valid = np.zeros(len(cells), dtype=bool)
-    batched = np.zeros(len(cells), dtype=bool)
+    starts = np.cumsum(sizes) - sizes
+    valid = np.zeros(len(sizes), dtype=bool)
+    batched = np.zeros(len(sizes), dtype=bool)
     groups = []
-    for k in np.unique(counts[counts >= 3]):
-        idx = np.flatnonzero(counts == k)
-        ids = np.array([cells[c] for c in idx], dtype=np.int64).reshape(len(idx), k)
+    for k in np.unique(sizes[sizes >= 3]):
+        idx = np.flatnonzero(sizes == k)
+        ids = flat[starts[idx][:, None] + np.arange(k)]
         parts = []
         for start in range(0, len(idx), BATCH_CELLS):
             chunk = slice(start, start + BATCH_CELLS)

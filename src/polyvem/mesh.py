@@ -27,11 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
-    BATCH_CELLS,
     MeshGeometry,
     Point2,
     Polygon,
-    _diameter,
     mesh_geometry,
     star_metric,
     star_metrics,
@@ -78,29 +76,37 @@ class MeshIOError(ValueError):
 
 @dataclass(frozen=True)
 class PolyMesh:
-    """Immutable polygonal mesh.
+    """Immutable polygonal mesh, its cells stored once as flat arrays.
 
     Attributes
     ----------
     vertices : ndarray, shape (n, 2)
-    cells : tuple of tuple of int
-        Counter-clockwise vertex-index cycles.
-    boundary_vertex : ndarray of bool, shape (n,)
-    h : float
-        Maximum cell diameter.
+    cell_ids : ndarray of int64
+        The counter-clockwise vertex-index cycles of all cells, concatenated.
+    cell_sizes : ndarray of int64, shape (n_cells,)
+        Vertex count of each cell.
     domain_tag : str
         One of "unit_square", "rotated_T", "custom".
+
+    `h`, `boundary_vertex`, `topology`, `geometry` and the tuple view
+    `cells` are derived from these on first use and cached.
     """
 
     vertices: np.ndarray
-    cells: tuple
-    boundary_vertex: np.ndarray
-    h: float
+    cell_ids: np.ndarray
+    cell_sizes: np.ndarray
     domain_tag: str
 
     def __post_init__(self):
-        self.vertices.flags.writeable = False
-        self.boundary_vertex.flags.writeable = False
+        for a in (self.vertices, self.cell_ids, self.cell_sizes):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_cells(cls, vertices, cells, domain_tag: str) -> "PolyMesh":
+        """Mesh from vertex coordinates and a sequence of vertex-index cycles."""
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+        return cls(np.asarray(vertices, dtype=float), flat, sizes, domain_tag)
 
     @property
     def n_vertices(self) -> int:
@@ -108,10 +114,23 @@ class PolyMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_sizes)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return np.cumsum(self.cell_sizes) - self.cell_sizes
+
+    def cell(self, i: int) -> np.ndarray:
+        """Vertex ids of cell i, counter-clockwise."""
+        return self.cell_ids[self._starts[i] : self._starts[i] + self.cell_sizes[i]]
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The cells as a tuple of vertex-index tuples."""
+        return tuple(map(tuple, _split(self.cell_ids, self.cell_sizes)))
 
     def cell_vertices(self, i: int) -> np.ndarray:
-        return self.vertices[list(self.cells[i])]
+        return self.vertices[self.cell(i)]
 
     def cell_polygon(self, i: int, validate: bool = False) -> Polygon:
         return Polygon(self.cell_vertices(i), validate=validate)
@@ -120,8 +139,7 @@ class PolyMesh:
     def geometry(self) -> MeshGeometry:
         """Cell geometry grouped by vertex count, computed once per mesh.
 
-        Validation, assembly and the error norms all read this.  Safe to
-        cache: the vertex array is read-only and the cells are a tuple.
+        Validation, assembly and the error norms all read this.
 
         Raises
         ------
@@ -129,7 +147,7 @@ class PolyMesh:
             Naming the first cell that is not a valid polygon, with the
             message of ``Polygon(validate=True)``.
         """
-        geom = mesh_geometry(self.vertices, self.cells)
+        geom = mesh_geometry(self.vertices, self.cell_ids, self.cell_sizes)
         if len(geom.invalid):
             ci = int(geom.invalid[0])
             try:
@@ -139,12 +157,25 @@ class PolyMesh:
         return geom
 
     @cached_property
+    def h(self) -> float:
+        """Maximum cell diameter."""
+        return max((float(g.diameter.max()) for g in self.geometry.groups), default=0.0)
+
+    @cached_property
     def topology(self) -> "EdgeTopology":
         """Directed cell edges and undirected incidence counts.
 
         Vertex ids must be non-negative (`validate` checks the range first).
         """
-        return edge_topology(*_flatten(self.cells))
+        return edge_topology(self.cell_ids, self.cell_sizes)
+
+    @cached_property
+    def boundary_vertex(self) -> np.ndarray:
+        """Read-only flags of the vertices on an edge of exactly one cell."""
+        topo = self.topology
+        flags = np.bincount(topo.edges[topo.counts == 1].ravel(), minlength=self.n_vertices) > 0
+        flags.flags.writeable = False
+        return flags
 
     def edge_counts(self) -> dict:
         """Undirected edge -> number of incident cells."""
@@ -162,17 +193,11 @@ class MeshQualityReport:
     vertex_count: int
 
 
-def _flatten(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated vertex ids and per-cell vertex counts of a cell sequence."""
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
-    return flat, sizes
-
-
-def _unflatten(flat: np.ndarray, sizes: np.ndarray) -> tuple:
-    ids = flat.tolist()
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
+    """Per-cell lists of a flat per-vertex array."""
+    items = flat.tolist()
     ends = np.cumsum(sizes).tolist()
-    return tuple(tuple(ids[s:e]) for s, e in zip([0, *ends[:-1]], ends))
+    return [items[s:e] for s, e in zip([0, *ends[:-1]], ends)]
 
 
 def _out_of_range_cells(flat: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
@@ -223,25 +248,6 @@ def edge_topology(flat: np.ndarray, sizes: np.ndarray) -> EdgeTopology:
     n = int(hi.max()) + 1 if len(hi) else 1
     keys, edge, counts = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
     return EdgeTopology(tail, head, np.column_stack([keys // n, keys % n]), counts, edge)
-
-
-def _boundary_flags(topo: EdgeTopology, n_vertices: int) -> np.ndarray:
-    """Vertices on an edge of exactly one cell."""
-    flags = np.zeros(n_vertices, dtype=bool)
-    flags[topo.edges[topo.counts == 1]] = True
-    return flags
-
-
-def _max_diameter(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> float:
-    """Largest cell diameter (the mesh size h); cells grouped by vertex count."""
-    starts = np.cumsum(sizes) - sizes
-    h = 0.0
-    for k in np.unique(sizes):
-        idx = starts[sizes == k][:, None] + np.arange(k)
-        for start in range(0, len(idx), BATCH_CELLS):
-            v = vertices[flat[idx[start : start + BATCH_CELLS]]]
-            h = max(h, float(_diameter(v).max()))
-    return h
 
 
 # neighbor probing order of the +-1-quantum vertex merge
@@ -380,17 +386,13 @@ def _build_mesh(parts, domain_tag: str, insert_hanging: bool = True) -> PolyMesh
     """Mesh from cells given as coordinate arrays, one (G, k, 2) array per part.
 
     Shared vertices are merged (`_dedupe`), hanging vertices inserted into
-    axis-aligned edges, every cell oriented counter-clockwise, and h and
-    the boundary flags derived.
+    axis-aligned edges, and every cell oriented counter-clockwise.
     """
     sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
     coords, flat = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
     if insert_hanging:
         flat, sizes = _insert_hanging_vertices(coords, flat, sizes)
-    flat = _orient_ccw(coords, flat, sizes)
-    boundary = _boundary_flags(edge_topology(flat, sizes), len(coords))
-    h = _max_diameter(coords, flat, sizes)
-    return PolyMesh(coords, _unflatten(flat, sizes), boundary, h, domain_tag)
+    return PolyMesh(coords, _orient_ccw(coords, flat, sizes), sizes, domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -589,21 +591,34 @@ def _star_metrics(shapes) -> list:
     return star_metrics(shapes) or [star_metric(v) for v in shapes]
 
 
+def _edge_fault(topo: EdgeTopology, n: int) -> str | None:
+    """The first edge traversed twice in the same direction, or None.
+
+    This also rejects every edge of three or more cells: their sides run
+    in only two directions.
+    """
+    _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
+    repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+    if len(repeated):
+        a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
+        return f"edge ({a}, {b}) is traversed twice in the same direction"
+    return None
+
+
 def validate(mesh: PolyMesh) -> MeshQualityReport:
     """Check mesh conformity and collect quality metrics.
 
     Raises
     ------
     MeshConformityError
-        On an invalid cell polygon (naming the cell), an edge shared by more
-        than two cells or traversed twice in the same direction (naming the
-        edge), a coverage/overlap area mismatch, or inconsistent boundary
-        flags.  Small star-shapedness radii are reported, not rejected.
-        When several faults exist, the one named is the first in cell order.
+        On an invalid cell polygon (naming the cell), an edge traversed
+        twice in the same direction (naming the edge), or a coverage/overlap
+        area mismatch.  Small star-shapedness radii are reported, not
+        rejected.  When several faults exist, the one named is the first in
+        cell order.
     """
-    v = mesh.vertices
-    n = len(v)
-    flat, sizes = _flatten(mesh.cells)
+    n = mesh.n_vertices
+    flat, sizes = mesh.cell_ids, mesh.cell_sizes
     cell_of = np.repeat(np.arange(len(sizes)), sizes)
     order = np.lexsort((flat, cell_of))
     same = (flat[order][1:] == flat[order][:-1]) & (cell_of[order][1:] == cell_of[order][:-1])
@@ -617,17 +632,9 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         raise MeshConformityError(f"cell {ci} {what}")
     groups = mesh.geometry.groups
 
-    topo = mesh.topology
-    _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
-    repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
-    if len(repeated):
-        a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
-        raise MeshConformityError(f"edge ({a}, {b}) is traversed twice in the same direction")
-    shared = np.flatnonzero(topo.counts[topo.edge] > 2)
-    if len(shared):
-        u = topo.edge[shared[0]]
-        a, b = topo.edges[u].tolist()
-        raise MeshConformityError(f"edge ({a}, {b}) is shared by {topo.counts[u]} cells")
+    fault = _edge_fault(mesh.topology, n)
+    if fault:
+        raise MeshConformityError(fault)
 
     area = sum(float(g.area.sum()) for g in groups)
     ref_area = _domain_area(mesh)
@@ -637,12 +644,6 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
             " (overlapping or missing cells)"
         )
 
-    derived = _boundary_flags(topo, n)
-    if not np.array_equal(derived, mesh.boundary_vertex):
-        bad = int(np.flatnonzero(derived != mesh.boundary_vertex)[0])
-        raise MeshConformityError(f"boundary flag of vertex {bad} is inconsistent")
-
-    h = max(float(g.diameter.max()) for g in groups)
     min_edge = min(float(g.edge_lengths.min()) for g in groups)
     # rho is translation-invariant and structured meshes repeat a handful of
     # cell shapes, so the LP covers one cell per translated-shape signature
@@ -653,9 +654,9 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         shapes.extend(g.vertices[first])
     min_rho = min((m.rho for m in _star_metrics(shapes)), default=np.inf)
     return MeshQualityReport(
-        h=h,
+        h=mesh.h,
         min_edge=min_edge,
-        min_edge_over_h=min_edge / h,
+        min_edge_over_h=min_edge / mesh.h,
         min_rho=min_rho,
         cell_count=mesh.n_cells,
         vertex_count=mesh.n_vertices,
@@ -697,7 +698,7 @@ def io_write(path, mesh: PolyMesh) -> None:
         "version": 1,
         "domain": mesh.domain_tag,
         "vertices": np.asarray(mesh.vertices, dtype=float).tolist(),
-        "cells": [list(map(int, cell)) for cell in mesh.cells],
+        "cells": _split(mesh.cell_ids, mesh.cell_sizes),
         "boundary": np.asarray(mesh.boundary_vertex, dtype=bool).tolist(),
     }
     # json.dumps encodes in C; json.dump streams through the Python encoder
@@ -709,11 +710,17 @@ def io_write(path, mesh: PolyMesh) -> None:
 def io_read(path) -> PolyMesh:
     """Read a mesh written by :func:`io_write`.
 
+    The cheap part of `validate` runs here, because the cells come from
+    outside: vertex ids in range, no edge traversed twice in the same
+    direction, and boundary flags equal to the ones the cells imply.
+    Cell polygons, coverage and rho are left to `validate`.
+
     Raises
     ------
     MeshIOError
         With line/column information on parse errors, or a description of
-        the first schema violation.  Never returns a partial mesh.
+        the first schema or conformity violation.  Never returns a partial
+        mesh.
     """
     with open(path) as fh:
         try:
@@ -731,7 +738,7 @@ def io_read(path) -> PolyMesh:
         raise MeshIOError(f"unknown domain tag {domain!r}; expected one of {DOMAIN_TAGS}")
     try:
         verts = np.asarray(doc["vertices"], dtype=float)
-        cells = tuple(tuple(int(i) for i in cell) for cell in doc["cells"])
+        mesh = PolyMesh.from_cells(verts, [[int(i) for i in c] for c in doc["cells"]], domain)
         boundary = np.asarray(doc["boundary"], dtype=bool)
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshIOError(f"malformed mesh arrays: {exc}") from exc
@@ -739,15 +746,20 @@ def io_read(path) -> PolyMesh:
         raise MeshIOError(f"vertices must be an (n, 2) array, got shape {verts.shape}")
     if len(boundary) != len(verts):
         raise MeshIOError("boundary flag count does not match vertex count")
-    flat, sizes = _flatten(cells)
-    short = sizes < 3
-    out_of_range = _out_of_range_cells(flat, sizes, len(verts))
+    short = mesh.cell_sizes < 3
+    out_of_range = _out_of_range_cells(mesh.cell_ids, mesh.cell_sizes, len(verts))
     bad = np.flatnonzero(short | out_of_range)
     if len(bad):
         ci = int(bad[0])
         what = "has fewer than 3 vertices" if short[ci] else "references a vertex out of range"
         raise MeshIOError(f"cell {ci} {what}")
-    return PolyMesh(verts, cells, boundary, _max_diameter(verts, flat, sizes), domain)
+    fault = _edge_fault(mesh.topology, len(verts))
+    if fault:
+        raise MeshIOError(fault)
+    mismatch = np.flatnonzero(boundary != mesh.boundary_vertex)
+    if len(mismatch):
+        raise MeshIOError(f"boundary flag of vertex {int(mismatch[0])} is inconsistent")
+    return mesh
 
 
 def export_vtk(path, mesh: PolyMesh, field=None) -> None:
@@ -760,9 +772,9 @@ def export_vtk(path, mesh: PolyMesh, field=None) -> None:
         f"POINTS {mesh.n_vertices} double",
     ]
     lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist())
-    size = sum(len(c) + 1 for c in mesh.cells)
-    lines.append(f"POLYGONS {mesh.n_cells} {size}")
-    lines.extend(f"{len(c)} " + " ".join(map(str, c)) for c in mesh.cells)
+    lines.append(f"POLYGONS {mesh.n_cells} {mesh.n_cells + len(mesh.cell_ids)}")
+    rows = np.insert(mesh.cell_ids, mesh._starts, mesh.cell_sizes)  # per cell: k, then k ids
+    lines.extend(" ".join(map(str, row)) for row in _split(rows, mesh.cell_sizes + 1))
     if field is not None:
         field = np.asarray(field, dtype=float)
         if field.shape != (mesh.n_vertices,):

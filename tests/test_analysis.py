@@ -35,13 +35,7 @@ LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0)
 
 def single_square_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return PolyMesh(
-        vertices=verts,
-        cells=((0, 1, 2, 3),),
-        boundary_vertex=np.ones(4, dtype=bool),
-        h=float(np.sqrt(2.0)),
-        domain_tag="unit_square",
-    )
+    return PolyMesh.from_cells(verts, ((0, 1, 2, 3),), "unit_square")
 
 
 class TestErrorNorms:
@@ -286,6 +280,27 @@ class TestConvergenceRecord:
         limit, order = rec.extrapolated("lam")
         assert limit == pytest.approx(5.0, abs=1e-7)
         assert order == pytest.approx(1.5, abs=1e-6)
+
+    def test_column_fits(self, tmp_path, monkeypatch):
+        rec = self.make_record()
+        fits = rec.column_fits(exact={"lam": 5.0})
+        assert fits["err"] == (rec.fitted_order("err"), "", None)
+        assert fits["lam"] == (rec.fitted_order("lam", 5.0), "", 5.0)
+        limit, order = rec.extrapolated("lam")
+        assert rec.column_fits(extrap=True)["lam"] == (order, "", limit)
+        assert ConvergenceRecord().column_fits() == {}
+        zero = ConvergenceRecord()
+        for N in (4, 8, 16):
+            zero.add_entry(N, 1.0 / N, N, {"err": 0.0})
+        assert zero.column_fits()["err"] == (
+            None, "h and err values must be positive for a log-log fit", None
+        )
+        # given its fits, write_csv fits nothing again and writes the same file
+        want = rec.write_csv(tmp_path / "a.csv", extrap=True).read_text()
+        fits = rec.column_fits(extrap=True)
+        monkeypatch.setattr("polyvem.analysis.extrapolate", None)
+        monkeypatch.setattr("polyvem.analysis.fit_rate", None)
+        assert rec.write_csv(tmp_path / "b.csv", extrap=True, fits=fits).read_text() == want
 
     def test_csv_round_trip_with_exact_footer(self, tmp_path):
         rec = self.make_record()

@@ -174,9 +174,7 @@ class TestOperatorStructure:
         mesh = gen_square_th2(2, split_edges=False)
         cells = list(mesh.cells)
         cells[2] = (0, 4, 7, 8)  # corners (0,0), (1,0), (0,1), (1,1): a bow-tie
-        bad = PolyMesh(
-            mesh.vertices, tuple(cells), mesh.boundary_vertex, mesh.h, mesh.domain_tag
-        )
+        bad = PolyMesh.from_cells(mesh.vertices, cells, mesh.domain_tag)
         for build in (assemble, assemble_full):
             with pytest.raises(ValueError, match="cell 2 .*not simple: edges 1 and 3"):
                 build(bad, CASES["test1"].coeffs)

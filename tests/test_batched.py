@@ -152,8 +152,7 @@ def test_random_polygons_match_per_cell():
         polys.append(rng.permutation(polys[-1]))
     vertices = np.concatenate(polys)
     starts = np.cumsum([0] + [len(v) for v in polys])
-    cells = [tuple(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
-    geom = mesh_geometry(vertices, cells)
+    geom = mesh_geometry(vertices, np.arange(len(vertices)), np.diff(starts))
 
     batched = 0
     for g in geom.groups:
@@ -201,7 +200,8 @@ def u_shaped_mesh(tmp_path) -> PolyMesh:
     ]
     boundary = np.ones(len(verts), dtype=bool)
     boundary[[4, 5, 8]] = False
-    mesh = PolyMesh(np.array(verts), tuple(map(tuple, cells)), boundary, 1.0, "custom")
+    mesh = PolyMesh.from_cells(np.array(verts), cells, "custom")
+    assert mesh.boundary_vertex.tolist() == boundary.tolist()
     io_write(tmp_path / "u.json", mesh)
     return io_read(tmp_path / "u.json")
 

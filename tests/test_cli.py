@@ -533,10 +533,34 @@ def test_convergence_problem_read_from_config(tmp_path, capsys):
     assert (tmp_path / "convergence_eigen_th2.csv").exists()
 
 
+def test_out_overrides_config_output_dir(tmp_path, monkeypatch, capsys):
+    # "out" is also the flag's fallback; given explicitly it must still win
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    assert main(["eig", "--config", "eig_square.json", "--N-single", "8", "--out", "out"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "eig_th2_N8.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_convergence_extrapolates_each_column_once(tmp_path, monkeypatch, capsys):
+    # the CSV footer and the printout share one fit per column
+    import polyvem.analysis as analysis
+
+    calls = []
+    fit = analysis.extrapolate
+    monkeypatch.setattr(analysis, "extrapolate", lambda *a: calls.append(a) or fit(*a))
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    assert main(["convergence", "--config", "conv_T.json", "--quiet"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3  # eig_count
+
+
 # --- pinned command outputs -------------------------------------------------
 #
-# Each invocation runs in a fresh directory with `--out out`; `--out out`
-# equals the default, so a config's own output_dir still applies.  The expected
+# Each invocation runs in a fresh directory, so the default `out` and a
+# config's own output_dir land inside it.  The expected
 # exit code, stdout/stderr lines, warnings and CSV lines are in
 # cli_pinned.json, written by `_capture` at the commit before the one-driver
 # refactor of cli.py.  Text must match exactly and numbers to rel 1e-9
@@ -614,7 +638,7 @@ def _capture(argv: list) -> dict:
         out
     ), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(argv + ["--out", "out"])
+        code = main(argv)
     files = {}
     for path in sorted(Path(".").rglob("*")):
         if path.is_file() and path.name not in PINNED_CONFIGS:

@@ -236,13 +236,7 @@ class TestValidateFailures:
         mesh = gen_square_th2(2, split_edges=False)
         cells = list(mesh.cells)
         cells[3] = cells[3][::-1]
-        bad = PolyMesh(
-            mesh.vertices.copy(),
-            tuple(cells),
-            mesh.boundary_vertex.copy(),
-            mesh.h,
-            mesh.domain_tag,
-        )
+        bad = PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
         with pytest.raises(MeshConformityError, match="cell 3"):
             validate(bad)
 
@@ -251,31 +245,33 @@ class TestValidateFailures:
         # duplicated cell overlaps its twin, inflating the covered area
         mesh = gen_square_th2(2, split_edges=False)
         cells = list(mesh.cells) + [mesh.cells[0]]
-        bad = PolyMesh(
-            mesh.vertices.copy(),
-            tuple(cells),
-            mesh.boundary_vertex.copy(),
-            mesh.h,
-            mesh.domain_tag,
-        )
+        bad = PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
         with pytest.raises(MeshConformityError, match="coverage|direction|shared"):
             validate(bad)
 
-    def test_inconsistent_boundary_flag(self):
+    def test_inconsistent_boundary_flag(self, tmp_path):
+        # an in-memory mesh derives its flags; a file brings its own
         mesh = gen_square_th2(2, split_edges=False)
-        flags = mesh.boundary_vertex.copy()
-        flags[int(np.flatnonzero(~flags)[0])] = True
-        bad = PolyMesh(mesh.vertices.copy(), mesh.cells, flags, mesh.h, mesh.domain_tag)
-        with pytest.raises(MeshConformityError, match="boundary flag"):
-            validate(bad)
+        flags = mesh.boundary_vertex.tolist()
+        flags[flags.index(False)] = True
+        with pytest.raises(MeshIOError, match="boundary flag"):
+            io_read(_write_doc(tmp_path, mesh, boundary=flags))
+
+
+def _write_doc(tmp_path, mesh, **changes):
+    """Write mesh as a JSON file with some of its entries replaced."""
+    path = tmp_path / "mesh.json"
+    io_write(path, mesh)
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def _with_cell(mesh, i, cell):
     cells = list(mesh.cells)
     cells[i] = cell
-    return PolyMesh(
-        mesh.vertices.copy(), tuple(cells), mesh.boundary_vertex.copy(), mesh.h, mesh.domain_tag
-    )
+    return PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
 
 
 # cell 2 of gen_square_th2(2, split_edges=False) is (1, 4, 5); vertices 0, 1, 4
@@ -357,6 +353,31 @@ class TestMeshIO:
         with pytest.raises(MeshIOError, match="out of range"):
             io_read(path)
 
+    def test_repeated_cell_rejected(self, tmp_path):
+        mesh = gen_square_th2(2, split_edges=False)
+        path = _write_doc(tmp_path, mesh, cells=[*map(list, mesh.cells), list(mesh.cells[0])])
+        a, b = mesh.cells[0][:2]
+        with pytest.raises(MeshIOError, match=rf"^edge \({a}, {b}\) is traversed twice"):
+            io_read(path)
+        # the message is the one validate gives an in-memory mesh
+        with pytest.raises(MeshConformityError, match=rf"^edge \({a}, {b}\) is traversed twice"):
+            validate(PolyMesh.from_cells(mesh.vertices, [*mesh.cells, mesh.cells[0]], "custom"))
+
+    def test_edge_of_three_cells_rejected(self, tmp_path):
+        # three triangles on the edge (0, 1): two of them must run along it
+        # in the same direction
+        doc = {
+            "version": 1,
+            "domain": "custom",
+            "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]],
+            "cells": [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+            "boundary": [True] * 5,
+        }
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshIOError, match=r"^edge \(0, 1\) is traversed twice"):
+            io_read(path)
+
     def test_vtk_export(self, tmp_path):
         mesh = gen_square_th2(4)
         field = np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0
@@ -390,6 +411,20 @@ class TestPolyMeshModel:
         mesh = gen_square_th2(2)
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 42.0
+
+    @pytest.mark.parametrize("name", ["cell_ids", "cell_sizes", "boundary_vertex"])
+    def test_arrays_read_only(self, name):
+        mesh = gen_square_th2(2)
+        with pytest.raises(ValueError):
+            getattr(mesh, name)[0] = 0
+
+    def test_from_cells_matches_the_arrays(self):
+        mesh = gen_rotated_T("th7", 8)
+        again = PolyMesh.from_cells(mesh.vertices, mesh.cells, mesh.domain_tag)
+        assert np.array_equal(again.cell_ids, mesh.cell_ids)
+        assert np.array_equal(again.cell_sizes, mesh.cell_sizes)
+        assert again.cell_ids.dtype == again.cell_sizes.dtype == np.int64
+        assert [tuple(mesh.cell(i)) for i in range(mesh.n_cells)] == list(mesh.cells)
 
     def test_cell_polygon_matches_area(self):
         mesh = gen_square_th1(4)
@@ -435,3 +470,27 @@ GENERATOR_DIGESTS = [
 )
 def test_generators_bit_identical(make, digest):
     assert mesh_digest(make()) == digest
+
+
+# pinned digests of the writers' bytes: JSON, then VTK with a nodal field.
+# The benchmark only checks that io_write(io_read(x)) reproduces x, which a
+# self-consistent change of format would pass
+WRITER_DIGESTS = [
+    ("th1", 16, lambda: gen_square_th1(16), "dfe52862c9252864", "ba05beff95f4fdeb"),
+    ("th2", 24, lambda: gen_square_th2(24), "3bca66e098b7ab25", "3aea42b1852b7d09"),
+    ("th3", 32, lambda: gen_square_th3(32), "bd4591218a070a97", "9fd9cc9a5cedf3b8"),
+    ("th7", 16, lambda: gen_rotated_T("th7", 16), "b18e091528a3fabd", "7cdf8027a468e6a7"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, json_digest, vtk_digest",
+    [g[2:] for g in WRITER_DIGESTS],
+    ids=[f"{g[0]}-N{g[1]}" for g in WRITER_DIGESTS],
+)
+def test_writers_bit_identical(make, json_digest, vtk_digest, tmp_path):
+    mesh = make()
+    io_write(tmp_path / "m.json", mesh)
+    export_vtk(tmp_path / "m.vtk", mesh, field=np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0)
+    for name, digest in (("m.json", json_digest), ("m.vtk", vtk_digest)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == digest, name

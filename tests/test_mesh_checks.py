@@ -10,12 +10,13 @@ simple by construction, so the validity check must accept every one.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polyvem.analysis import error_h1_semi, error_l2
 from polyvem.assembly import apply_dirichlet_lift, assemble, expand_solution
-from polyvem.coefficients import CASES
+from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
 from polyvem.geometry import Polygon, StarMetric, mesh_geometry, star_metric, star_metrics
 from polyvem.mesh import (
     PolyMesh,
@@ -29,7 +30,8 @@ from polyvem.mesh import (
     gen_square_th3,
     validate,
 )
-from polyvem.solvers import solve_load
+from polyvem.solvers import solve_eigs, solve_load, suggested_shift
+from polyvem.vem_core import local_forms, pi_nabla, stab_matrix
 
 # kernel-free: the arms x <= 1 and x >= 2 cannot both be seen
 U_SHAPE = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)], dtype=float)
@@ -99,9 +101,9 @@ def test_non_star_polygon_leaves_the_others_alone(polys, at):
 def test_small_edge_polygons_are_valid(polys):
     for poly in polys:
         Polygon(poly)
-    sizes = np.cumsum([0] + [len(p) for p in polys])
-    cells = [tuple(range(a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-    assert len(mesh_geometry(np.concatenate(polys), cells).invalid) == 0
+    vertices = np.concatenate(polys)
+    sizes = np.array([len(p) for p in polys])
+    assert len(mesh_geometry(vertices, np.arange(len(vertices)), sizes).invalid) == 0
 
 
 def th2_split_at(N, t):
@@ -116,6 +118,22 @@ def th2_split_at(N, t):
     return _build_mesh([hexagons], "unit_square", insert_hanging=False)
 
 
+@SETTINGS
+@given(small_edge_polygons())
+def test_stability_in_the_discrete_triple_seminorm(v):
+    # Ah is equivalent to T_E = |E| |grad Pi v|^2 + S(v, v) on the
+    # complement of the constants, with bounds free of the edge ratio,
+    # although cond(Ah) there grows like h_E / min |e|
+    poly = Polygon(v)
+    P, S = pi_nabla(poly), stab_matrix(poly)
+    T = poly.area / poly.diameter**2 * (P[1:].T @ P[1:]) + S
+    laplace = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
+    A = local_forms(poly, laplace).Ah
+    Q = sla.null_space(np.ones((1, len(v))))
+    lam = sla.eigh(Q.T @ A @ Q, Q.T @ T @ Q, eigvals_only=True)
+    assert 0.05 <= lam.min() and lam.max() <= 2.0
+
+
 @pytest.mark.parametrize("t", [1e-9, 1e-10])
 def test_th2_with_tiny_split_fraction_validates(t):
     # two edges of length t*h_e meet at one corner of some hexagons
@@ -124,16 +142,30 @@ def test_th2_with_tiny_split_fraction_validates(t):
     assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-3)
 
 
-def test_load_errors_stay_close_at_tiny_split_fraction():
+@pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9])
+def test_load_errors_stay_close_at_tiny_split_fraction(t):
     case = CASES["test1"]
     errors = []
-    for mesh in (gen_square_th2(16), th2_split_at(16, 1e-9)):
+    for mesh in (gen_square_th2(16), th2_split_at(16, t)):
         system = assemble(mesh, case.coeffs)
         delta, g_b = apply_dirichlet_lift(system, mesh, case.u)
         u = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
         errors.append((error_l2(mesh, u, case.u), error_h1_semi(mesh, u, case.grad_u)))
     (l2, h1), (l2_t, h1_t) = errors
     assert l2_t <= 1.25 * l2 and h1_t <= 1.25 * h1
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9])
+def test_first_eigenvalue_stays_close_at_tiny_split_fraction(t):
+    case = CASES["eigen_square"]
+    exact = case.exact_eigenvalues(1)[0]
+    shift = suggested_shift("unit_square", case.coeffs)
+    errors = []
+    for mesh in (gen_square_th2(16), th2_split_at(16, t)):
+        system = assemble(mesh, case.coeffs)
+        lam = solve_eigs(system.A + system.B, system.M, 1, shift=shift).eigenvalues[0]
+        errors.append(abs(lam.real - exact) / exact)
+    assert errors[1] <= 1.25 * errors[0]
 
 
 def test_u_shape_has_empty_kernel():
@@ -171,9 +203,7 @@ def test_edge_topology_matches_dict_count(family, data):
     mesh = MESHES[family]
     picked = data.draw(st.lists(st.integers(0, mesh.n_cells - 1), min_size=1, unique=True))
     cells = tuple(mesh.cells[i] for i in picked)
-    sub = PolyMesh(
-        mesh.vertices.copy(), cells, mesh.boundary_vertex.copy(), mesh.h, mesh.domain_tag
-    )
+    sub = PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
     topo = sub.topology
     directed, counts = reference_edges(cells)
     assert list(zip(topo.tail.tolist(), topo.head.tolist())) == directed
