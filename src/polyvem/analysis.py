@@ -20,9 +20,10 @@ import numpy as np
 
 from .assembly import assemble_full
 from .coefficients import CoefficientSet
-from .geometry import Polygon, fan_quadrature, polygon_quadrature
+from .geometry import cell_quadrature
+from .geometry import polygon_quadrature  # noqa: F401  perfbench/spans.py wraps this name
 from .mesh import PolyMesh
-from .vem_core import pi_nabla, pi_nabla_batch
+from .vem_core import pi_nabla_batch
 
 __all__ = [
     "error_l2",
@@ -46,24 +47,16 @@ def _projected_cells(mesh: PolyMesh, u_h: np.ndarray):
 
     Yields (s, x, y, w, centroid, h): coefficients s (G, 3) of Pi u_h in the
     scaled monomial basis, quadrature nodes and weights (G, m), centroids
-    (G, 2) and diameters (G,).  Cells outside the batches go one by one
-    through `pi_nabla` and `polygon_quadrature`.
+    (G, 2) and diameters (G,).
     """
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (len(mesh.vertices),):
         raise ValueError(
             f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)"
         )
-    geom = mesh.geometry
-    for g in geom.batches():
+    for g in mesh.geometry.batches():
         s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]
-        yield (s, *fan_quadrature(g, ERROR_QUAD_DEGREE), g.centroid, g.diameter)
-    for ci in geom.fallback:
-        poly = Polygon(mesh.cell_vertices(ci))
-        s = pi_nabla(poly) @ u_h[mesh.cell(ci)]
-        x, y, w = polygon_quadrature(poly, ERROR_QUAD_DEGREE)
-        c, h = np.array([poly.centroid]), np.array([poly.diameter])
-        yield s[None], x[None], y[None], w[None], c, h
+        yield (s, *cell_quadrature(g, ERROR_QUAD_DEGREE), g.centroid, g.diameter)
 
 
 def error_l2(mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable) -> float:

@@ -21,9 +21,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
-from .geometry import Polygon
 from .mesh import PolyMesh
-from .vem_core import LocalElement, local_forms, local_forms_batch
+from .vem_core import local_forms, local_forms_batch
 
 __all__ = [
     "AssemblyError",
@@ -144,18 +143,6 @@ def _check_domain(mesh: PolyMesh, coeffs: CoefficientSet) -> None:
         )
 
 
-def _cell_element(mesh: PolyMesh, ci: int, coeffs: CoefficientSet) -> LocalElement:
-    """Per-cell reference forms of one cell, with finiteness checks."""
-    poly = Polygon(mesh.cell_vertices(ci))
-    try:
-        le = local_forms(poly, coeffs)
-    except ValueError as exc:
-        raise AssemblyError(f"cell {ci}: {exc}") from exc
-    if not all(np.isfinite(m).all() for m in (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
-        raise AssemblyError(f"cell {ci}: coefficient evaluation produced non-finite values")
-    return le
-
-
 def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     """Coordinate triplets of A, B, C, M over all vertices, and the full load.
 
@@ -165,28 +152,22 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     operator is held twice.
     """
     _check_domain(mesh, coeffs)
-    geom = mesh.geometry
     index = np.int32 if len(mesh.vertices) <= np.iinfo(np.int32).max else np.int64
-    ids, local = [], {name: [] for name in "ABCMF"}
-
-    def add(cell_ids, forms):
-        ids.append(cell_ids.astype(index))
+    ids, local, failed = [], {name: [] for name in "ABCMF"}, []
+    for batch in mesh.geometry.batches():
+        forms = local_forms_batch(batch, coeffs)
+        failed.extend(batch.cells[~forms.ok])
+        ids.append(batch.ids.astype(index))
         for name, m in zip("ABCMF", forms):
             local[name].append(m.reshape(-1))
-
-    per_cell = list(geom.fallback)
-    for batch in geom.batches():
-        forms = local_forms_batch(batch, coeffs)
-        ok = forms.ok
-        if ok.all():
-            add(batch.ids, forms[:5])
-        else:
-            per_cell.extend(batch.cells[~ok])
-            add(batch.ids[ok], [m[ok] for m in forms[:5]])
-    # cells the batches left out, in index order so the first failure raises
-    for ci in sorted(per_cell):
-        le = _cell_element(mesh, ci, coeffs)
-        add(mesh.cell(ci)[None], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh))
+    if failed:
+        # the lowest failed cell is reported, worded by the per-cell forms
+        ci = int(min(failed))
+        try:
+            local_forms(mesh.cell_polygon(ci), coeffs)
+        except ValueError as exc:
+            raise AssemblyError(f"cell {ci}: {exc}") from exc
+        raise AssemblyError(f"cell {ci}: coefficient evaluation produced non-finite values")
 
     rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
     cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])

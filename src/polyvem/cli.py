@@ -14,6 +14,7 @@ import ast
 import hashlib
 import json
 import sys
+from numbers import Integral, Real
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -163,6 +164,11 @@ _DOMAIN_OF_FAMILY = {f: "unit_square" for f in SQUARE_FAMILIES}
 _DOMAIN_OF_FAMILY.update({f: "rotated_T" for f in T_FAMILIES})
 
 
+def _is_a(value, kind) -> bool:
+    """value is a `kind` number and not a bool (JSON's true would read as 1)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reproducible experiment: problem, domain, meshes, coefficients."""
@@ -192,12 +198,19 @@ class ExperimentConfig:
                 f"family {self.mesh_family} lives on {expected_domain}, "
                 f"config says {self.domain!r}"
             )
+        if not all(_is_a(n, Integral) for n in self.N_list):
+            raise ConfigError(f"N_list must hold integers, got {self.N_list!r}")
         ns = tuple(int(n) for n in self.N_list)
         if not ns:
             raise ConfigError("N_list must not be empty")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError(f"N_list must be strictly ascending, got {list(ns)}")
         object.__setattr__(self, "N_list", ns)
+        for name in ("eig_count", "seed"):
+            if not _is_a(getattr(self, name), Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.shift is not None and not _is_a(self.shift, Real):
+            raise ConfigError(f"shift must be a number, got {self.shift!r}")
         if self.problem == "eigen" and self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1 for eigenvalue problems")
         if isinstance(self.coefficients, str):
@@ -287,14 +300,24 @@ def build_coefficients(
 
 
 def generate_mesh(family: str, N: int) -> PolyMesh:
-    if family == "th1":
-        return gen_square_th1(N)
-    if family == "th2":
-        return gen_square_th2(N)
-    if family == "th3":
-        return gen_square_th3(N)
-    if family in T_FAMILIES:
-        return gen_rotated_T(family, N)
+    """The mesh of `family` at resolution N.
+
+    Raises
+    ------
+    ConfigError
+        On an unknown family, or an N the family's generator rejects.
+    """
+    try:
+        if family == "th1":
+            return gen_square_th1(N)
+        if family == "th2":
+            return gen_square_th2(N)
+        if family == "th3":
+            return gen_square_th3(N)
+        if family in T_FAMILIES:
+            return gen_rotated_T(family, N)
+    except ValueError as exc:
+        raise ConfigError(f"mesh family {family}: {exc}") from exc
     raise ConfigError(f"unknown mesh family {family!r}")
 
 

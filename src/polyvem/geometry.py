@@ -30,7 +30,7 @@ __all__ = [
     "CellBatch",
     "MeshGeometry",
     "mesh_geometry",
-    "fan_quadrature",
+    "cell_quadrature",
 ]
 
 # Relative tolerance for "zero": areas are scaled by diam^2, distances by diam.
@@ -434,7 +434,9 @@ class CellBatch(NamedTuple):
         The cell passes the checks of ``Polygon(validate=True)``.
     fan : ndarray of bool, shape (G,)
         The cell is star-shaped with respect to its centroid, so the
-        centroid fan triangulates it (what `triangulate` would do).
+        centroid fan triangulates it (what `triangulate` would do) and
+        `cell_quadrature` integrates it as array operations; the other
+        valid cells are ear-clipped there one by one.
     """
 
     cells: np.ndarray
@@ -462,20 +464,15 @@ class MeshGeometry(NamedTuple):
     invalid : ndarray
         Ascending indices of the cells that are not valid polygons (this
         includes cells with fewer than 3 vertices, which have no group).
-    fallback : ndarray
-        Ascending indices of the cells `batches` leaves out: invalid cells
-        and cells that are not star-shaped with respect to their centroid.
-        These take the per-cell path (`Polygon`, `triangulate`).
     """
 
     groups: tuple
     invalid: np.ndarray
-    fallback: np.ndarray
 
     def batches(self):
-        """Valid, fan-triangulable cells in batches of at most BATCH_CELLS."""
+        """Valid cells in batches of at most BATCH_CELLS."""
         for g in self.groups:
-            g = g.take(g.valid & g.fan)
+            g = g.take(g.valid)
             for start in range(0, len(g.cells), BATCH_CELLS):
                 yield g.take(slice(start, start + BATCH_CELLS))
 
@@ -505,7 +502,6 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
     """
     starts = np.cumsum(sizes) - sizes
     valid = np.zeros(len(sizes), dtype=bool)
-    batched = np.zeros(len(sizes), dtype=bool)
     groups = []
     for k in np.unique(sizes[sizes >= 3]):
         idx = np.flatnonzero(sizes == k)
@@ -517,15 +513,17 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
         g = CellBatch._make(np.concatenate(a) for a in zip(*parts))
         groups.append(g)
         valid[g.cells] = g.valid
-        batched[g.cells] = g.valid & g.fan
-    return MeshGeometry(tuple(groups), np.flatnonzero(~valid), np.flatnonzero(~batched))
+    return MeshGeometry(tuple(groups), np.flatnonzero(~valid))
 
 
-def fan_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centroid-fan quadrature of a batch of cells.
+def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`polygon_quadrature` of every cell of a batch of valid cells, row per cell.
 
-    The batched counterpart of `polygon_quadrature` for cells with
-    ``g.fan``: the same triangles, nodes and weights, row per cell.
+    Cells with ``g.fan`` are integrated over the centroid fan as array
+    operations.  The others take `polygon_quadrature`'s ear clipping one by
+    one; it yields at most k - 2 triangles, so each such row is padded to
+    k * npts nodes with zero-weight copies of its last node, a point inside
+    the cell where the integrands are already evaluated.
 
     Returns
     -------
@@ -539,7 +537,13 @@ def fan_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, n
     a2 = _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
     w = rule.weights * (0.5 * a2)[..., None]
     G = len(v)
-    return pts[..., 0].reshape(G, -1), pts[..., 1].reshape(G, -1), w.reshape(G, -1)
+    x, y, w = pts[..., 0].reshape(G, -1), pts[..., 1].reshape(G, -1), w.reshape(G, -1)
+    for r in np.flatnonzero(~g.fan):
+        xr, yr, wr = polygon_quadrature(v[r], degree)
+        pad = (0, w.shape[1] - len(wr))
+        x[r], y[r] = np.pad(xr, pad, mode="edge"), np.pad(yr, pad, mode="edge")
+        w[r] = np.pad(wr, pad)
+    return x, y, w
 
 
 class StarMetric(NamedTuple):

@@ -74,7 +74,7 @@ class MeshIOError(ValueError):
     """A mesh file cannot be parsed or fails schema validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMesh:
     """Immutable polygonal mesh, its cells stored once as flat arrays.
 
@@ -738,10 +738,16 @@ def io_read(path) -> PolyMesh:
         raise MeshIOError(f"unknown domain tag {domain!r}; expected one of {DOMAIN_TAGS}")
     try:
         verts = np.asarray(doc["vertices"], dtype=float)
-        mesh = PolyMesh.from_cells(verts, [[int(i) for i in c] for c in doc["cells"]], domain)
+        cells = doc["cells"]
+        # a JSON id must be an integer literal: int() would truncate 0.7 and read true as 1
+        bad = next(((ci, i) for ci, c in enumerate(cells) for i in c if type(i) is not int), None)
+        if bad is None:
+            mesh = PolyMesh.from_cells(verts, cells, domain)
         boundary = np.asarray(doc["boundary"], dtype=bool)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshIOError(f"malformed mesh arrays: {exc}") from exc
+    if bad is not None:
+        raise MeshIOError(f"cell {bad[0]} has a vertex id that is not an integer: {bad[1]!r}")
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshIOError(f"vertices must be an (n, 2) array, got shape {verts.shape}")
     if len(boundary) != len(verts):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .geometry import CellBatch, Point2, _as_polygon, fan_quadrature, polygon_quadrature
+from .geometry import CellBatch, Point2, _as_polygon, cell_quadrature, polygon_quadrature
 
 __all__ = [
     "LocalElement",
@@ -254,8 +254,8 @@ class FormBatch(NamedTuple):
     Fh : ndarray, shape (G, k)
     ok : ndarray of bool, shape (G,)
         kappa at the centroid is positive and every entry is finite.
-        Cells without it must go through `local_forms`, which raises the
-        reference error.
+        Assembly rejects a cell without it, with the error `local_forms`
+        raises on that cell.
     """
 
     Ah: np.ndarray
@@ -306,9 +306,9 @@ def _stab_batch(g: CellBatch) -> np.ndarray:
 def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
     """`local_forms` (default quadrature degree) for every cell of a batch.
 
-    The cells must have ``g.valid`` and ``g.fan``: the quadrature is the
-    centroid fan.  Coefficients are called once per batch, on arrays of
-    shape (G,) for kappa and (G, m) at the quadrature nodes.
+    The cells must have ``g.valid``; the quadrature is `cell_quadrature`.
+    Coefficients are called once per batch, on arrays of shape (G,) for
+    kappa and (G, m) at the quadrature nodes.
     """
     h, area = g.diameter, g.area
     kappa = _eval_scalar(coeffs.kappa, g.centroid[:, 0], g.centroid[:, 1])
@@ -321,7 +321,7 @@ def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
     stabilization = remainder.transpose(0, 2, 1) @ _stab_batch(g) @ remainder
     Ah = kappa[:, None, None] * consistency + stabilization
 
-    xq, yq, wq = fan_quadrature(g, QUAD_DEGREE)
+    xq, yq, wq = cell_quadrature(g, QUAD_DEGREE)
     mono = _scaled_monomials(xq, yq, g)
     mono_w = (mono * wq[..., None]).transpose(0, 2, 1)  # (G, 3, m)
 

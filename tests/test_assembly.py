@@ -170,6 +170,25 @@ class TestOperatorStructure:
         with pytest.raises(AssemblyError, match="domain"):
             assemble_full(mesh, CASES["eigen_square"].coeffs)
 
+    @pytest.mark.parametrize(
+        "kappa, gamma, message",
+        [
+            (lambda x, y: np.where(np.asarray(x) > 0.5, -1.0, 1.0), constant(0.0),
+             "kappa must be strictly positive"),
+            (constant(1.0), lambda x, y: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
+             "coefficient evaluation produced non-finite values"),
+        ],
+        ids=["kappa", "non_finite"],
+    )
+    def test_lowest_failed_cell_named(self, kappa, gamma, message):
+        # th3 batches its cells by vertex count, so the first failed cell in
+        # batch order (13 or 15) is not the lowest one (2)
+        mesh = gen_square_th3(4)
+        coeffs = CoefficientSet(kappa, constant_vector(0.0, 0.0), gamma)
+        for build in (assemble, assemble_full):
+            with pytest.raises(AssemblyError, match=rf"^cell 2: {message}"):
+                build(mesh, coeffs)
+
     def test_non_simple_cell_rejected(self):
         mesh = gen_square_th2(2, split_edges=False)
         cells = list(mesh.cells)

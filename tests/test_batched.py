@@ -1,7 +1,7 @@
 """Batched cell computations against the per-cell reference.
 
 Assembly and the error norms run on stacked arrays of cells that share a
-vertex count (`PolyMesh.geometry`, `local_forms_batch`, `fan_quadrature`).
+vertex count (`PolyMesh.geometry`, `local_forms_batch`, `cell_quadrature`).
 The oracle is the per-cell path they replace: `local_forms`, `pi_nabla`
 and `polygon_quadrature` on one `Polygon` at a time.  The two sum in a
 different order, so agreement is to a relative 1e-12, not bitwise.
@@ -13,7 +13,7 @@ import pytest
 from polyvem.analysis import error_h1_semi, error_l2, triple_seminorm_interp
 from polyvem.assembly import apply_dirichlet_lift, assemble, assemble_full, expand_solution
 from polyvem.coefficients import CoefficientSet, constant, constant_vector
-from polyvem.geometry import Polygon, fan_quadrature, mesh_geometry, polygon_quadrature
+from polyvem.geometry import Polygon, cell_quadrature, mesh_geometry, polygon_quadrature
 from polyvem.mesh import (
     PolyMesh,
     gen_rotated_T,
@@ -131,8 +131,8 @@ def check_against_reference(mesh):
 def test_batched_matches_per_cell(name, gen):
     mesh = gen()
     geom = mesh.geometry
-    # every cell of the shipped families takes the batched path
-    assert len(geom.fallback) == 0
+    # the centroid fan triangulates every cell of the shipped families
+    assert all(g.fan.all() for g in geom.groups)
     assert sum(len(g.cells) for g in geom.groups) == mesh.n_cells
     check_against_reference(mesh)
 
@@ -154,7 +154,7 @@ def test_random_polygons_match_per_cell():
     starts = np.cumsum([0] + [len(v) for v in polys])
     geom = mesh_geometry(vertices, np.arange(len(vertices)), np.diff(starts))
 
-    batched = 0
+    fan = []
     for g in geom.groups:
         for row, ci in enumerate(g.cells):
             try:
@@ -167,26 +167,30 @@ def test_random_polygons_match_per_cell():
     for b in geom.batches():
         forms = local_forms_batch(b, COEFFS)
         P = pi_nabla_batch(b)
-        x, y, w = fan_quadrature(b, 6)
+        x, y, w = cell_quadrature(b, 6)
         for row, ci in enumerate(b.cells):
             poly = Polygon(polys[ci])
             le = local_forms(poly, COEFFS)
             for got, ref in zip(forms[:5], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
                 assert_close(got[row], ref)
             assert_close(P[row], pi_nabla(poly))
-            for got, ref in zip((x, y, w), polygon_quadrature(poly, 6)):
-                assert_close(got[row], ref)
-            batched += 1
-    # both paths are exercised: batched cells, and valid cells left out
-    assert batched > 0
-    assert set(geom.fallback) - set(geom.invalid)
+            ref = polygon_quadrature(poly, 6)
+            m = len(ref[2])
+            for got, r in zip((x, y, w), ref):
+                assert_close(got[row, :m], r)
+            # ear-clipped rows are padded with zero-weight nodes
+            assert (w[row, m:] == 0.0).all()
+            fan.append(b.fan[row])
+    # every valid cell is batched, and both quadratures are exercised:
+    # centroid fans and ear-clipped cells
+    assert len(fan) == len(polys) - len(geom.invalid) and 0 < sum(fan) < len(fan)
 
 
 def u_shaped_mesh(tmp_path) -> PolyMesh:
     """Unit square: a U-shaped cell around a notch filled by two quads.
 
     The U's centroid (0.5, 0.41) lies in the notch, outside the U, so the
-    centroid fan does not triangulate it and it takes the per-cell path.
+    centroid fan does not triangulate it and it is ear-clipped.
     The mesh goes through a file, as a user-supplied mesh would.
     """
     verts = [
@@ -206,16 +210,17 @@ def u_shaped_mesh(tmp_path) -> PolyMesh:
     return io_read(tmp_path / "u.json")
 
 
-def test_non_star_cell_takes_per_cell_fallback(tmp_path):
+def test_non_star_cell_is_ear_clipped(tmp_path):
     mesh = u_shaped_mesh(tmp_path)
     report = validate(mesh)
     assert report.min_rho == 0.0  # the U has an empty kernel: reported, not rejected
     geom = mesh.geometry
-    assert geom.fallback.tolist() == [0]
     assert [len(g.cells) for g in geom.groups] == [2, 1]
+    (u_cell,) = [b for b in geom.batches() if 0 in b.cells]
+    assert u_cell.cells.tolist() == [0] and not u_cell.fan[0]
     check_against_reference(mesh)
 
-    # the patch test holds across the fallback cell
+    # the patch test holds across the ear-clipped cell
     u = lambda x, y: 1.0 + 2.0 * np.asarray(x) + 3.0 * np.asarray(y)
     laplace = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0), f=constant(0.0))
     system = assemble(mesh, laplace)

@@ -375,6 +375,38 @@ def test_assembly_error_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: cell 0: kappa must be strictly positive")
 
 
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(N_list="16"), "N_list must hold integers"),  # was read as N = 1, 6
+        (dict(N_list=[4.7]), "N_list must hold integers"),  # was truncated to 4
+        (dict(N_list=[True, 4]), "N_list must hold integers"),  # was read as 1
+        (dict(N_list=[1]), "N must be an integer >= 2"),
+        (dict(mesh_family="th7", coefficients="eigen_T", N_list=[5]), "N must be even"),
+        (dict(eig_count=2.5), "eig_count must be an integer"),
+        (dict(seed="x"), "seed must be an integer"),
+        (dict(shift="x"), "shift must be a number"),
+    ],
+    ids=["N_str", "N_float", "N_bool", "N_small", "N_odd_T", "eig_count", "seed", "shift"],
+)
+def test_bad_study_input_exits_2(tmp_path, capsys, overrides, fragment):
+    # each of these ran a wrong study or ended in a traceback
+    raw = dict(
+        problem="eigen",
+        mesh_family="th2",
+        N_list=[4],
+        coefficients="eigen_square",
+        eig_count=2,
+        output_dir=str(tmp_path / "out"),
+    )
+    raw.update(overrides)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert main(["eig", "--config", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_main_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -363,6 +363,23 @@ class TestMeshIO:
         with pytest.raises(MeshConformityError, match=rf"^edge \({a}, {b}\) is traversed twice"):
             validate(PolyMesh.from_cells(mesh.vertices, [*mesh.cells, mesh.cells[0]], "custom"))
 
+    @pytest.mark.parametrize("bad_id", [0.7, 1.0, True, "1"])
+    def test_non_integer_vertex_id_rejected(self, tmp_path, bad_id):
+        # int() would read 0.7 as 0 and true as 1 without an error
+        mesh = gen_square_th2(2, split_edges=False)
+        cells = [*map(list, mesh.cells)]
+        cells[1] = [bad_id, *cells[1][1:]]
+        path = _write_doc(tmp_path, mesh, cells=cells)
+        with pytest.raises(MeshIOError, match=r"^cell 1 has a vertex id that is not an integer"):
+            io_read(path)
+
+    def test_vertex_id_beyond_int64_rejected(self, tmp_path):
+        mesh = gen_square_th2(2, split_edges=False)
+        cells = [*map(list, mesh.cells)]
+        cells[1] = [2**70, *cells[1][1:]]
+        with pytest.raises(MeshIOError, match="malformed mesh arrays"):
+            io_read(_write_doc(tmp_path, mesh, cells=cells))
+
     def test_edge_of_three_cells_rejected(self, tmp_path):
         # three triangles on the edge (0, 1): two of them must run along it
         # in the same direction
@@ -425,6 +442,15 @@ class TestPolyMeshModel:
         assert np.array_equal(again.cell_sizes, mesh.cell_sizes)
         assert again.cell_ids.dtype == again.cell_sizes.dtype == np.int64
         assert [tuple(mesh.cell(i)) for i in range(mesh.n_cells)] == list(mesh.cells)
+
+    def test_identity_equality(self):
+        # the generated __eq__ compared the arrays and raised; meshes are
+        # immutable, so identity is equality and they are hashable
+        mesh = gen_square_th2(2, split_edges=False)
+        other = gen_square_th2(2, split_edges=False)
+        assert mesh == mesh
+        assert mesh != other
+        assert {mesh, mesh, other} == {mesh, other}
 
     def test_cell_polygon_matches_area(self):
         mesh = gen_square_th1(4)
