@@ -206,11 +206,15 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError(f"N_list must be strictly ascending, got {list(ns)}")
         object.__setattr__(self, "N_list", ns)
+        # stored as Python numbers, so numpy scalars serialize in config_hash
         for name in ("eig_count", "seed"):
             if not _is_a(getattr(self, name), Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.shift is not None and not _is_a(self.shift, Real):
-            raise ConfigError(f"shift must be a number, got {self.shift!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.shift is not None:
+            if not _is_a(self.shift, Real):
+                raise ConfigError(f"shift must be a number, got {self.shift!r}")
+            object.__setattr__(self, "shift", float(self.shift))
         if self.problem == "eigen" and self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1 for eigenvalue problems")
         if isinstance(self.coefficients, str):

@@ -7,13 +7,14 @@ edge carries an extra vertex at squared-length distance from one endpoint,
 and offset brick meshes.  All of them keep every cell star-shaped with
 respect to a ball, which is the one shape assumption the solver relies on.
 
-Generators emit cells as stacked coordinate arrays; the builder dedupes
-vertices on a 1e-12 quantization grid (with neighbor probing, so values
-produced by different but equivalent arithmetic merge) and then inserts
-every mesh vertex that lies strictly inside an axis-aligned cell edge into
-that edge, all as array operations.  All hanging-vertex situations in the
-shipped families occur on axis-aligned lines, so non-axis-aligned edges are
-never split.
+Generators emit cells as stacked coordinate arrays.  The builder clusters
+the x and the y coordinates separately, a gap wider than 1e-12 starting a
+new cluster, so each point gets an integer (column, row) label; points
+with equal labels are one vertex.  It then inserts every vertex whose
+column (row) label matches both end points of a vertical (horizontal) cell
+edge and lies strictly between them into that edge, all as array
+operations.  All hanging-vertex situations in the shipped families occur
+on axis-aligned lines, so non-axis-aligned edges are never split.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ ROTATED_T_FAMILIES = ("th4", "th5", "th6", "th7")
 # height of the line where th1 and th3 glue their lower and upper grids
 _INTERFACE_Y = 0.6
 
-# vertex dedup quantum; distinct coordinates in all shipped families are
-# separated by at least ~1e-5, orders of magnitude above this
+# the one tolerance of mesh construction: coordinates closer than this
+# (chained) are one column or row.  It is absolute, so it is also the floor
+# on edge length; distinct coordinates in all shipped families are
+# separated by at least ~1e-5, orders of magnitude above it
 _SNAP = 1e-12
-# clustering tolerance when grouping vertices into grid columns/rows
-_LINE_TOL = 1e-9
 
 
 class MeshConformityError(ValueError):
@@ -250,83 +251,51 @@ def edge_topology(flat: np.ndarray, sizes: np.ndarray) -> EdgeTopology:
     return EdgeTopology(tail, head, np.column_stack([keys // n, keys % n]), counts, edge)
 
 
-# neighbor probing order of the +-1-quantum vertex merge
-_PROBES = [(dx, dy) for dx in (0, -1, 1) for dy in (0, -1, 1)]
+def _cluster_ids(vals: np.ndarray) -> np.ndarray:
+    """Cluster label of each scalar, clusters numbered in increasing order.
+
+    A gap wider than _SNAP between neighbours in sorted order starts a new
+    cluster, so the labels do not depend on the order of the values.
+    """
+    order = np.argsort(vals)
+    sv = vals[order]
+    ids = np.empty(len(vals), dtype=np.int64)
+    ids[order] = np.cumsum(np.diff(sv, prepend=sv[:1]) > _SNAP)
+    return ids
 
 
-def _dedupe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge points (P, 2) that share a _SNAP grid key into one vertex.
+def _dedupe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge points (P, 2) whose x and whose y share a `_cluster_ids` label.
 
     Vertices are numbered in order of first appearance and keep the
-    coordinates they first appeared with.  A key one quantum away from an
-    earlier key (in either coordinate) merges into it, so one-ulp
-    differences across equivalent arithmetic cannot split a shared vertex
-    over a quantization boundary.
+    coordinates they first appeared with.  Which points merge does not
+    depend on their order.
 
     Returns
     -------
     coords : ndarray, shape (n, 2)
     ids : ndarray, shape (P,)
         Vertex id of each point.
+    grid : ndarray of int64, shape (n, 2)
+        The x (column) and y (row) cluster label of each vertex.
     """
-    q = np.rint(pts / _SNAP).astype(np.int64)
-    order = np.lexsort((q[:, 1], q[:, 0]))
-    sq = q[order]
-    new = np.ones(len(sq), dtype=bool)
-    new[1:] = (sq[1:] != sq[:-1]).any(axis=1)
-    key = np.empty(len(pts), dtype=np.int64)
-    key[order] = np.cumsum(new) - 1
-    first = order[new]  # first appearance of each key: lexsort is stable
-    keys = sq[new]
-    target = np.arange(len(keys))
-    # only keys whose x or y quantum is one away from another key's can
-    # have a neighbor; resolve those in order of first appearance
-    near = np.zeros(len(keys), dtype=bool)
-    for axis in (0, 1):
-        vals, inv = np.unique(keys[:, axis], return_inverse=True)
-        step = np.diff(vals) == 1
-        adjacent = np.zeros(len(vals), dtype=bool)
-        adjacent[1:] |= step
-        adjacent[:-1] |= step
-        near |= adjacent[inv]
-    registered: dict[tuple[int, int], int] = {}
-    for k in sorted(np.flatnonzero(near).tolist(), key=first.__getitem__):
-        qx, qy = keys[k].tolist()
-        for dx, dy in _PROBES:
-            hit = registered.get((qx + dx, qy + dy))
-            if hit is not None:
-                target[k] = hit
-                break
-        else:
-            registered[(qx, qy)] = k
-    own = np.flatnonzero(target == np.arange(len(keys)))
-    own = own[np.argsort(first[own])]
-    vid = np.empty(len(keys), dtype=np.int64)
-    vid[own] = np.arange(len(own))
-    return pts[first[own]], vid[target][key]
-
-
-def _cluster_ids(vals: np.ndarray) -> np.ndarray:
-    """Group scalars into clusters of width _LINE_TOL; return cluster ids."""
-    order = np.argsort(vals)
-    sv = vals[order]
-    breaks = np.empty(len(sv), dtype=np.int64)
-    breaks[0] = 0
-    if len(sv) > 1:
-        breaks[1:] = (np.diff(sv) > _LINE_TOL).cumsum()
-    ids = np.empty_like(breaks)
-    ids[order] = breaks
-    return ids
+    label = np.column_stack([_cluster_ids(pts[:, 0]), _cluster_ids(pts[:, 1])])
+    key = label[:, 0] * (int(label[:, 1].max()) + 1) + label[:, 1]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vid = np.empty(len(order), dtype=np.int64)
+    vid[order] = np.arange(len(order))
+    return pts[first[order]], vid[inv], label[first[order]]
 
 
 def _insert_hanging_vertices(
-    coords: np.ndarray, flat: np.ndarray, sizes: np.ndarray
+    grid: np.ndarray, flat: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Insert every vertex lying strictly inside an axis-aligned cell edge.
 
-    An edge whose end points share a column cluster (else a row cluster)
-    receives the other vertices of that cluster between its end points,
-    in the direction of travel.  Returns the new (flat, sizes).
+    An edge whose end points share a column label of `grid` (else a row
+    label) receives the other vertices of that column (row) between its
+    end points, in the direction of travel.  Returns the new (flat, sizes).
     """
     tail, head = flat, flat[_successor(sizes)]
     count = np.zeros(len(flat), dtype=np.int64)
@@ -335,14 +304,12 @@ def _insert_hanging_vertices(
     on_line = []
     taken = np.zeros(len(flat), dtype=bool)
     offset = 0
-    for axis in (0, 1):  # columns (x clusters, parameter y), then rows
-        line = _cluster_ids(coords[:, axis])
-        # exact rank of the parameter, so bisecting the ranks compares
-        # the coordinates themselves
-        uniq, rank = np.unique(coords[:, 1 - axis], return_inverse=True)
-        stride = len(uniq) + 1
-        order = np.argsort(line * stride + rank, kind="stable")
-        sorted_key = (line * stride + rank)[order]
+    for axis in (0, 1):  # columns (parameter: row label), then rows
+        line, rank = grid[:, axis], grid[:, 1 - axis]
+        stride = int(rank.max()) + 1
+        key = line * stride + rank  # one vertex per key
+        order = np.argsort(key)
+        sorted_key = key[order]
         sel = ~taken & (line[tail] == line[head])
         taken |= sel
         a, b = tail[sel], head[sel]
@@ -350,7 +317,7 @@ def _insert_hanging_vertices(
         i1 = np.searchsorted(sorted_key, line[a] * stride + np.maximum(rank[a], rank[b]), "left")
         count[sel] = np.maximum(i1 - i0, 0)
         begin[sel] = offset + i0
-        forward[sel] = coords[a, 1 - axis] < coords[b, 1 - axis]
+        forward[sel] = rank[a] < rank[b]
         on_line.append(order)
         offset += len(order)
     line_vids = np.concatenate(on_line)
@@ -389,9 +356,9 @@ def _build_mesh(parts, domain_tag: str, insert_hanging: bool = True) -> PolyMesh
     axis-aligned edges, and every cell oriented counter-clockwise.
     """
     sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
-    coords, flat = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
+    coords, flat, grid = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
     if insert_hanging:
-        flat, sizes = _insert_hanging_vertices(coords, flat, sizes)
+        flat, sizes = _insert_hanging_vertices(grid, flat, sizes)
     return PolyMesh(coords, _orient_ccw(coords, flat, sizes), sizes, domain_tag)
 
 

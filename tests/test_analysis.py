@@ -305,7 +305,7 @@ class TestConvergenceRecord:
     def test_csv_round_trip_with_exact_footer(self, tmp_path):
         rec = self.make_record()
         path = rec.write_csv(tmp_path / "study.csv", exact={"lam": 5.0})
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["N", "h", "dof_count", "err", "lam"]
         assert len(rows) == 1 + 4 + 2  # header + levels + order + exact
         assert rows[-2][0] == "order"
@@ -316,7 +316,7 @@ class TestConvergenceRecord:
     def test_csv_extrap_footer(self, tmp_path):
         rec = self.make_record()
         path = rec.write_csv(tmp_path / "study.csv", extrap=True)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[-1][0] == "extrap"
         assert float(rows[-1][4]) == pytest.approx(5.0, abs=1e-6)
 

@@ -209,6 +209,13 @@ def test_config_hash_ignores_output_dir():
     assert c.config_hash != a.config_hash
 
 
+def test_numpy_scalars_stored_as_python_numbers():
+    cfg = make_config(eig_count=np.int64(4), seed=np.int64(3), shift=np.float32(1.5))
+    assert (cfg.eig_count, cfg.seed, cfg.shift) == (4, 3, 1.5)
+    assert [type(v) for v in (cfg.eig_count, cfg.seed, cfg.shift)] == [int, int, float]
+    assert cfg.config_hash == make_config(eig_count=4, seed=3, shift=1.5).config_hash
+
+
 # --- coefficient resolution ----------------------------------------------
 
 

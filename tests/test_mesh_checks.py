@@ -19,8 +19,11 @@ from polyvem.assembly import apply_dirichlet_lift, assemble, expand_solution
 from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
 from polyvem.geometry import Polygon, StarMetric, mesh_geometry, star_metric, star_metrics
 from polyvem.mesh import (
+    _SNAP,
+    MeshConformityError,
     PolyMesh,
     _build_mesh,
+    _dedupe,
     _quad_cells,
     _star_metrics,
     _tri_cells,
@@ -142,6 +145,16 @@ def test_th2_with_tiny_split_fraction_validates(t):
     assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("N", [16, 32])
+def test_split_below_the_snap_floor_merges_into_the_end_point(N):
+    # every edge is shorter than 0.09 at N >= 16, so at t = 1e-11 the extra
+    # vertex lies within the absolute _SNAP = 1e-12 of its end point and
+    # merges into it
+    with pytest.raises(MeshConformityError, match="cell 0 repeats a vertex index"):
+        validate(th2_split_at(N, 1e-11))
+    assert validate(th2_split_at(N, 1e-10)).cell_count == 2 * N * N
+
+
 @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9])
 def test_load_errors_stay_close_at_tiny_split_fraction(t):
     case = CASES["test1"]
@@ -242,3 +255,58 @@ def test_one_quantum_apart_merges_into_the_first_vertex():
     assert mesh.cells == ((0, 1, 2, 3), (1, 4, 5, 2))
     assert mesh.vertices[1].tolist() == [1.0, 0.0]
     assert mesh.boundary_vertex.tolist() == [True] * 6
+
+
+@st.composite
+def points_with_near_copies(draw):
+    """Distinct points on a scaled integer lattice (so at least 1e-6 apart,
+    with shared columns and rows), copies of some of them moved by less
+    than _SNAP/2 in each coordinate, all shuffled.
+
+    Returns the points and the index of each one's original in the lattice.
+    """
+    sites = draw(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=20, unique=True)
+    )
+    step = draw(st.floats(1e-6, 0.1))
+    origin = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    lattice = origin + step * np.array(sites, dtype=float)
+    copies = draw(st.lists(st.integers(0, len(sites) - 1), max_size=20))
+    moves = draw(
+        st.lists(
+            st.tuples(*2 * [st.floats(-0.49 * _SNAP, 0.49 * _SNAP)]),
+            min_size=len(copies),
+            max_size=len(copies),
+        )
+    )
+    source = np.concatenate([np.arange(len(sites)), np.array(copies, dtype=np.int64)])
+    pts = np.concatenate([lattice, lattice[copies] + np.array(moves).reshape(-1, 2)])
+    perm = draw(st.permutations(range(len(pts))))
+    return pts[perm], source[perm]
+
+
+@settings(max_examples=60, deadline=None)
+@given(points_with_near_copies(), st.randoms(use_true_random=False))
+def test_lattice_merge(case, rnd):
+    pts, source = case
+    coords, ids, grid = _dedupe(pts)
+    # each copy joins its original's vertex, and distinct originals stay apart
+    assert len(coords) == source.max() + 1
+    assert len(set(zip(source.tolist(), ids.tolist()))) == len(coords)
+    # vertices are numbered in order of first appearance and keep their
+    # first coordinates
+    assert list(dict.fromkeys(ids.tolist())) == list(range(len(coords)))
+    first = np.unique(ids, return_index=True)[1]
+    assert np.array_equal(coords, pts[first])
+    # the labels are the ranks of the x and y columns and rows
+    for axis in (0, 1):
+        order = np.argsort(coords[:, axis])
+        assert np.all(np.diff(grid[order, axis]) >= 0)
+    assert len(np.unique(grid, axis=0)) == len(coords)
+    # the grouping into vertices does not depend on the input order
+    perm = list(range(len(pts)))
+    rnd.shuffle(perm)
+    _, ids_perm, _ = _dedupe(pts[perm])
+    back = np.empty_like(ids_perm)
+    back[perm] = ids_perm
+    assert len(set(zip(ids.tolist(), back.tolist()))) == len(coords)

@@ -94,6 +94,20 @@ class TestSolveLinear:
         with pytest.raises(SolverError, match="condition estimate"):
             solve_linear(K, np.array([1.0, 2.0]))
 
+    def test_failed_factorization_is_not_repeated(self, monkeypatch):
+        # a matrix splu cannot factor has no factors to estimate from
+        calls, splu = [], spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "splu", counting_splu)
+        K = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SolverError, match="condition estimate inf — "):
+            solve_linear(K, np.array([1.0, 2.0]))
+        assert len(calls) == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(SolverError, match="incompatible"):
             solve_linear(sp.eye(3, format="csr"), np.ones(2))
