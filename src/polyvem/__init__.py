@@ -19,6 +19,7 @@ from .analysis import (
     ConvergenceRecord,
     error_h1_semi,
     error_l2,
+    error_norms,
     extrapolate,
     fit_rate,
     match_eigs,
@@ -78,6 +79,7 @@ __all__ = [
     "dof_map",
     "error_h1_semi",
     "error_l2",
+    "error_norms",
     "expand_solution",
     "export_system",
     "export_vtk",

@@ -26,6 +26,7 @@ from .mesh import PolyMesh
 from .vem_core import pi_nabla_batch
 
 __all__ = [
+    "error_norms",
     "error_l2",
     "error_h1_semi",
     "triple_seminorm_interp",
@@ -42,43 +43,42 @@ __all__ = [
 ERROR_QUAD_DEGREE = 6
 
 
-def _projected_cells(mesh: PolyMesh, u_h: np.ndarray):
-    """Pi u_h and the error quadrature, batch by batch of cells.
+def error_norms(
+    mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable, grad_u_exact: Optional[Callable] = None
+) -> tuple[float, Optional[float]]:
+    """(|| u - Pi u_h ||_{L2}, | u - Pi u_h |_{H1}) from one pass over the cells.
 
-    Yields (s, x, y, w, centroid, h): coefficients s (G, 3) of Pi u_h in the
-    scaled monomial basis, quadrature nodes and weights (G, m), centroids
-    (G, 2) and diameters (G,).
+    Both norms share each batch's Pi u_h and quadrature.  u_h is given at
+    all vertices; the projected gradient is constant per cell.  The H1
+    seminorm is None when no exact gradient is given.
     """
     u_h = np.asarray(u_h, dtype=float)
     if u_h.shape != (len(mesh.vertices),):
-        raise ValueError(
-            f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)"
-        )
+        raise ValueError(f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)")
+    l2 = h1 = 0.0
     for g in mesh.geometry.batches():
-        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]
-        yield (s, *cell_quadrature(g, ERROR_QUAD_DEGREE), g.centroid, g.diameter)
+        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]  # Pi u_h, scaled monomials
+        x, y, w = cell_quadrature(g, ERROR_QUAD_DEGREE)
+        c, h = g.centroid, g.diameter[:, None]
+        proj = s[:, :1] + s[:, 1:2] * (x - c[:, :1]) / h + s[:, 2:] * (y - c[:, 1:]) / h
+        l2 += float((w * (np.asarray(u_exact(x, y), dtype=float) - proj) ** 2).sum())
+        if grad_u_exact is not None:
+            gx, gy = grad_u_exact(x, y)
+            dx = np.asarray(gx, dtype=float) - s[:, 1:2] / h
+            dy = np.asarray(gy, dtype=float) - s[:, 2:] / h
+            h1 += float((w * (dx**2 + dy**2)).sum())
+    l2, h1 = np.sqrt(np.maximum([l2, h1], 0.0)).tolist()
+    return l2, None if grad_u_exact is None else h1
 
 
 def error_l2(mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable) -> float:
     """|| u - Pi u_h ||_{L2} with u_h given at all vertices."""
-    total = 0.0
-    for s, x, y, w, c, h in _projected_cells(mesh, u_h):
-        h = h[:, None]
-        proj = s[:, :1] + s[:, 1:2] * (x - c[:, :1]) / h + s[:, 2:] * (y - c[:, 1:]) / h
-        diff = np.asarray(u_exact(x, y), dtype=float) - proj
-        total += float((w * diff**2).sum())
-    return float(np.sqrt(max(total, 0.0)))
+    return error_norms(mesh, u_h, u_exact)[0]
 
 
 def error_h1_semi(mesh: PolyMesh, u_h: np.ndarray, grad_u_exact: Callable) -> float:
     """| u - Pi u_h |_{H1}; the projected gradient is constant per cell."""
-    total = 0.0
-    for s, x, y, w, _, h in _projected_cells(mesh, u_h):
-        gx, gy = grad_u_exact(x, y)
-        dx = np.asarray(gx, dtype=float) - (s[:, 1] / h)[:, None]
-        dy = np.asarray(gy, dtype=float) - (s[:, 2] / h)[:, None]
-        total += float((w * (dx**2 + dy**2)).sum())
-    return float(np.sqrt(max(total, 0.0)))
+    return error_norms(mesh, u_h, lambda x, y: 0.0, grad_u_exact)[1]
 
 
 def triple_seminorm_interp(

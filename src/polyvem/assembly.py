@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
@@ -279,19 +278,23 @@ def expand_solution(
 
 def write_matrix_market(obj, path: Union[str, Path]) -> Path:
     """Write a sparse matrix or vector in MatrixMarket coordinate format."""
+    from scipy.io import mmwrite  # imported here: only the matrix-market helpers need it
+
     path = Path(path)
     if path.suffix != ".mtx":
         path = path.with_suffix(path.suffix + ".mtx")
     arr = obj
     if isinstance(arr, np.ndarray) and arr.ndim == 1:
         arr = sp.csr_matrix(arr.reshape(-1, 1))
-    scipy.io.mmwrite(str(path), arr)
+    mmwrite(str(path), arr)
     return path
 
 
 def read_matrix_market(path: Union[str, Path]):
     """Read a MatrixMarket file; vectors come back as (n,) arrays."""
-    mat = scipy.io.mmread(str(path))
+    from scipy.io import mmread  # imported here: only the matrix-market helpers need it
+
+    mat = mmread(str(path))
     if sp.issparse(mat):
         mat = mat.tocsr()
         if mat.shape[1] == 1:

@@ -87,8 +87,8 @@ def _test1() -> ManufacturedCase:
         )
 
     def f(x, y):
-        ux, uy = grad_u(x, y)
-        return 2.0 * np.pi**2 * u(x, y) + x * ux + y * uy + u(x, y)
+        (ux, uy), uxy = grad_u(x, y), u(x, y)
+        return 2.0 * np.pi**2 * uxy + x * ux + y * uy + uxy
 
     coeffs = CoefficientSet(
         kappa=constant(1.0),

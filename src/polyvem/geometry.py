@@ -380,16 +380,10 @@ def polygon_quadrature(poly, degree: int) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValueError(
             f"unsupported quadrature degree {degree}; available: {sorted(QUAD_RULES)}"
         ) from None
-    xs, ys, ws = [], [], []
-    for tri in triangulate(poly):
-        pts = rule.bary @ tri
-        a2 = (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) - (
-            tri[1, 1] - tri[0, 1]
-        ) * (tri[2, 0] - tri[0, 0])
-        xs.append(pts[:, 0])
-        ys.append(pts[:, 1])
-        ws.append(rule.weights * (0.5 * a2))
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+    tri = np.array(triangulate(poly))  # (T, 3, 2)
+    pts = rule.bary @ tri
+    w = rule.weights * (0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))[:, None]
+    return pts[..., 0].ravel(), pts[..., 1].ravel(), w.ravel()
 
 
 def integrate(poly, g: Callable, degree: int) -> float:
@@ -530,14 +524,14 @@ def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, 
     x, y, w : ndarray, shape (G, k * npts)
     """
     rule = QUAD_RULES[degree]
-    v = g.vertices
-    c = np.broadcast_to(g.centroid[:, None, :], v.shape)
-    tri = np.stack([v, np.roll(v, -1, axis=1), c], axis=2)  # (G, k, 3, 2)
-    pts = np.einsum("qj,gtjd->gtqd", rule.bary, tri)
-    a2 = _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
-    w = rule.weights * (0.5 * a2)[..., None]
-    G = len(v)
-    x, y, w = pts[..., 0].reshape(G, -1), pts[..., 1].reshape(G, -1), w.reshape(G, -1)
+    b0, b1, b2 = rule.bary.T
+    v, vn, c = g.vertices, np.roll(g.vertices, -1, axis=1), g.centroid[:, None, :]
+    # node q of fan triangle t = (v_t, v_t+1, c) goes to column t * npts + q
+    x, y = (
+        (b0 * v[..., d, None] + b1 * vn[..., d, None] + b2 * c[..., d, None]).reshape(len(v), -1)
+        for d in (0, 1)
+    )
+    w = (rule.weights * (0.5 * _cross(vn - v, c - v))[..., None]).reshape(len(v), -1)
     for r in np.flatnonzero(~g.fan):
         xr, yr, wr = polygon_quadrature(v[r], degree)
         pad = (0, w.shape[1] - len(wr))

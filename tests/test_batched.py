@@ -10,10 +10,16 @@ different order, so agreement is to a relative 1e-12, not bitwise.
 import numpy as np
 import pytest
 
-from polyvem.analysis import error_h1_semi, error_l2, triple_seminorm_interp
+from polyvem.analysis import error_h1_semi, error_l2, error_norms, triple_seminorm_interp
 from polyvem.assembly import apply_dirichlet_lift, assemble, assemble_full, expand_solution
 from polyvem.coefficients import CoefficientSet, constant, constant_vector
-from polyvem.geometry import Polygon, cell_quadrature, mesh_geometry, polygon_quadrature
+from polyvem.geometry import (
+    QUAD_RULES,
+    Polygon,
+    cell_quadrature,
+    mesh_geometry,
+    polygon_quadrature,
+)
 from polyvem.mesh import (
     PolyMesh,
     gen_rotated_T,
@@ -167,19 +173,25 @@ def test_random_polygons_match_per_cell():
     for b in geom.batches():
         forms = local_forms_batch(b, COEFFS)
         P = pi_nabla_batch(b)
-        x, y, w = cell_quadrature(b, 6)
+        quads = {degree: cell_quadrature(b, degree) for degree in (2, 4, 6)}
+        for degree, quad in quads.items():
+            # one row per cell, fan and ear-clipped alike, k * npts columns
+            shape = (len(b.cells), b.ids.shape[1] * len(QUAD_RULES[degree].weights))
+            for a in quad:
+                assert a.shape == shape and a.flags.c_contiguous
         for row, ci in enumerate(b.cells):
             poly = Polygon(polys[ci])
             le = local_forms(poly, COEFFS)
             for got, ref in zip(forms[:5], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
                 assert_close(got[row], ref)
             assert_close(P[row], pi_nabla(poly))
-            ref = polygon_quadrature(poly, 6)
-            m = len(ref[2])
-            for got, r in zip((x, y, w), ref):
-                assert_close(got[row, :m], r)
-            # ear-clipped rows are padded with zero-weight nodes
-            assert (w[row, m:] == 0.0).all()
+            for degree, (x, y, w) in quads.items():
+                ref = polygon_quadrature(poly, degree)
+                m = len(ref[2])
+                for got, r in zip((x, y, w), ref):
+                    assert_close(got[row, :m], r)
+                # ear-clipped rows are padded with zero-weight nodes
+                assert (w[row, m:] == 0.0).all()
             fan.append(b.fan[row])
     # every valid cell is batched, and both quadratures are exercised:
     # centroid fans and ear-clipped cells
@@ -227,3 +239,16 @@ def test_non_star_cell_is_ear_clipped(tmp_path):
     delta, g_b = apply_dirichlet_lift(system, mesh, u)
     u_full = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
     assert np.abs(u_full - u(mesh.vertices[:, 0], mesh.vertices[:, 1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["th2", "u_shaped"])
+def test_error_norms_is_both_errors_in_one_pass(name, tmp_path):
+    mesh = gen_square_th2(8) if name == "th2" else u_shaped_mesh(tmp_path)
+    rng = np.random.default_rng(11)
+    xy = mesh.vertices
+    u_h = u_smooth(xy[:, 0], xy[:, 1]) + 0.1 * rng.standard_normal(len(xy))
+    l2, h1 = error_norms(mesh, u_h, u_smooth, grad_u_smooth)
+    assert l2 == error_l2(mesh, u_h, u_smooth)
+    assert h1 == error_h1_semi(mesh, u_h, grad_u_smooth)
+    assert (l2, h1) == pytest.approx(reference_errors(mesh, u_h, u_smooth, grad_u_smooth), rel=RTOL)
+    assert error_norms(mesh, u_h, u_smooth) == (l2, None)
