@@ -552,81 +552,84 @@ class StarMetric(NamedTuple):
     rho: float
 
 
-# HiGHS tolerances of the kernel LPs, at their floor.  With the 1e-7
-# defaults the solver may return a center that overshoots the half-plane
-# of a 1e-8 edge by ~1e-9, overstating rho by as much
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# (polygon, triple, edge) entries per chunk of the kernel-centre search:
+# each float temporary stays at 8 MiB, whatever the vertex count
+_CENTRE_CHUNK = 1 << 20
 
 
-def _kernel_lp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Chebyshev-center LP of the kernel of a counter-clockwise polygon v.
+def _chebyshev_centres(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre (S, 2) and radius over diameter (S,) of the largest ball in each kernel.
 
-    Variables (cx, cy, r); returns the rows and right-hand side of
-    ``a_ub @ (cx, cy, r) <= b_ub``, the variable bounds and the diameter.
+    v has shape (S, k, 2), counter-clockwise.  The ball (c, r) lies in the
+    kernel iff n_i.c - r >= b_i for the inward unit normal n_i of each edge
+    and b_i = n_i.v_i: a linear program in three unknowns, so an optimum is
+    a point equidistant from three edge lines.  Every triple's point is
+    scored by its true radius min_i (n_i.c - b_i), which never exceeds the
+    optimum, and the best score is the optimum; it is negative when the
+    kernel is empty.  The search runs with the polygons moved to the origin
+    and scaled to unit diameter, so no step depends on their size.
     """
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    # inward unit normal of edge i is (-e_y, e_x)/|e|; the ball (c, r) fits
-    # iff m.c - r >= m.v_i for each edge, i.e. -m.c + r <= -m.v_i
-    m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
-    a_ub = np.column_stack([-m, np.ones(len(v))])
-    b_ub = -(m * v).sum(axis=1)
-    diam = float(_diameter(v))
-    lo = v.min(axis=0)
-    hi = v.max(axis=0)
-    bounds = np.array([(lo[0], hi[0]), (lo[1], hi[1]), (0.0, diam)])
-    return a_ub, b_ub, bounds, diam
+    # normals from the given coordinates: translating first would round
+    # the end points of an edge of 1e-12 diam, and turn its normal by 1e-4
+    e = np.roll(v, -1, axis=1) - v
+    n = np.stack([-e[..., 1], e[..., 0]], axis=-1) / np.hypot(e[..., 0], e[..., 1])[..., None]
+    origin, diam = v.mean(axis=1), _diameter(v)
+    b = (n * (v - origin[:, None])).sum(axis=-1) / diam[:, None]
+    a = np.arange(v.shape[1])
+    triples = np.nonzero((a[:, None, None] < a[:, None]) & (a[:, None] < a))  # p < q < s
+    best_c, best_r = np.zeros((len(v), 2)), np.full(len(v), -np.inf)
+    step = max(1, _CENTRE_CHUNK // v[..., 0].size)
+    for start in range(0, len(triples[0]), step):
+        p, q, s = (t[start : start + step] for t in triples)
+        # subtracting row p leaves (n_q - n_p).c = b_q - b_p and the same
+        # for s, solved by Cramer's rule; the system is singular when two of
+        # the edges are parallel with the same orientation, and c then holds
+        # inf or nan, so its score is -inf or nan
+        u, w = n[:, q] - n[:, p], n[:, s] - n[:, p]
+        beta, gamma = b[:, q] - b[:, p], b[:, s] - b[:, p]
+        det = _cross(u, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx = (beta * w[..., 1] - gamma * u[..., 1]) / det
+            cy = (gamma * u[..., 0] - beta * w[..., 0]) / det
+            c = np.stack([cx, cy], axis=-1)
+            r = (c @ n.transpose(0, 2, 1) - b[:, None, :]).min(axis=-1)
+        r = np.where(np.isnan(r), -np.inf, r)
+        t = r.argmax(axis=1)
+        better = r[np.arange(len(v)), t] > best_r
+        best_r[better], best_c[better] = r[better, t[better]], c[better, t[better]]
+    return origin + best_c * diam[:, None], best_r
 
 
 def star_metric(poly) -> StarMetric:
-    """Kernel-based star-shapedness metric.
+    """Kernel-based star-shapedness metric of one polygon: ``star_metrics([poly])[0]``."""
+    return star_metrics([_as_polygon(poly).vertices])[0]
+
+
+def star_metrics(polys) -> list[StarMetric]:
+    """Star-shapedness metric of each polygon, from its kernel's Chebyshev centre.
 
     The kernel is the intersection of the half-planes to the left of each
-    (counter-clockwise) edge.  Its Chebyshev center, the center of the
-    largest inscribed ball, is found by linear programming over exactly
-    those half-plane constraints; an infeasible program means an empty
-    kernel.
+    (counter-clockwise) edge.  Its Chebyshev centre, the centre of the
+    largest inscribed ball, is the best of the points equidistant from
+    three edge lines over all C(k, 3) edge triples of a k-gon
+    (`_chebyshev_centres`): exact up to rounding, at a cost of order
+    C(k, 3)·k.  The answer does not depend on a polygon's size or
+    position.  The polygons are taken as given: (k, 2) counter-clockwise
+    vertex arrays of simple polygons, not re-validated.
 
     Returns
     -------
-    StarMetric
-        ``is_star`` is False (with center None, rho 0) when the kernel is
-        empty.  A degenerate kernel yields is_star True with rho ~ 0.
+    list of StarMetric
+        One per polygon.  ``is_star`` is False (with center None, rho 0)
+        when the best radius is below -_AREA_EPS·diam, i.e. the kernel is
+        empty; a degenerate kernel yields is_star True with rho ~ 0.
     """
-    metrics = star_metrics([_as_polygon(poly).vertices])
-    return metrics[0] if metrics else StarMetric(False, None, 0.0)
-
-
-def star_metrics(polys) -> list[StarMetric] | None:
-    """`star_metric` of many polygons from one block-diagonal linear program.
-
-    The polygons' programs share no variable, so maximizing the sum of the
-    radii maximizes each radius.  The polygons are taken as given: (k, 2)
-    counter-clockwise vertex arrays of simple polygons, not re-validated.
-
-    Returns
-    -------
-    list of StarMetric, or None
-        None when the program has no solution, which means some polygon
-        has an empty kernel; `star_metric` per polygon then tells which.
-    """
-    from scipy.optimize import linprog  # imported here: costly, and only validate needs it
-    from scipy.sparse import block_diag
-
-    if not len(polys):
-        return []
-    a_ub, b_ub, bounds, diam = zip(*(_kernel_lp(np.asarray(v, dtype=float)) for v in polys))
-    res = linprog(
-        c=np.tile([0.0, 0.0, -1.0], len(polys)),
-        A_ub=block_diag(a_ub, format="csc"),
-        b_ub=np.concatenate(b_ub),
-        bounds=np.concatenate(bounds),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        return None
-    return [
-        StarMetric(True, Point2(float(cx), float(cy)), float(r) / d)
-        for (cx, cy, r), d in zip(res.x.reshape(-1, 3), diam)
-    ]
+    vs = [np.asarray(p, dtype=float) for p in polys]
+    out = [StarMetric(False, None, 0.0)] * len(vs)
+    for k in {len(v) for v in vs}:
+        idx = [i for i, v in enumerate(vs) if len(v) == k]
+        c, r = _chebyshev_centres(np.stack([vs[i] for i in idx]))
+        for i, (cx, cy), ri in zip(idx, c, r):
+            if ri >= -_AREA_EPS:
+                out[i] = StarMetric(True, Point2(float(cx), float(cy)), max(float(ri), 0.0))
+    return out

@@ -9,7 +9,10 @@ fine-mesh numbers live in the acceptance suite.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -428,6 +431,23 @@ def test_mesh_command(tmp_path, capsys):
     report = (tmp_path / "th2_N4_report.txt").read_text()
     assert "min_edge/h" in report
     assert "reentrant corners: 0" in report
+
+
+def test_mesh_command_does_not_import_scipy_optimize(tmp_path):
+    # validate's rho needs no linear program; the import alone costs about
+    # 0.3 s, most of a small mesh command.  A fresh interpreter, because
+    # other tests import scipy.optimize into this one
+    code = (
+        "import sys; from polyvem.cli import main; "
+        f"main(['mesh', '--family', 'th3', '--N', '8', '--out', {str(tmp_path)!r}]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_mesh_command_flags_reentrant_corners(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -292,6 +294,22 @@ class TestStarMetric:
         hung = star_metric(Polygon([(0, 0), (0.25, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)]))
         assert hung.is_star
         assert hung.rho == pytest.approx(plain.rho, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [4, 8, 96])
+    def test_regular_polygon(self, k):
+        # inradius cos(pi/k) over diameter 2, about the origin.  At k = 96
+        # the C(k, 3)·k triple-by-edge radii would take 110 MB at once
+        t = 2.0 * np.pi * np.arange(k) / k
+        tracemalloc.start()
+        try:
+            m = star_metric(np.column_stack([np.cos(t), np.sin(t)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.is_star
+        assert abs(m.rho - np.cos(np.pi / k) / 2.0) <= 1e-12
+        assert np.hypot(*m.center) <= 1e-12
+        assert peak < 64 * 2**20
 
     def test_point2_fields(self):
         p = Point2(1.5, -2.0)

@@ -1,11 +1,13 @@
 """Array-level mesh checks against their per-polygon and per-edge references.
 
-`validate` solves the star-metric LP of all distinct cell shapes as one
-block-diagonal program, and every edge count comes from one edge-topology
-helper.  The references are `star_metric` on one polygon at a time and a
-dict count over the cell cycles.  Polygons carry edges down to 1e-12 of
-their diameter: the small-edge regime the method is meant for.  They are
-simple by construction, so the validity check must accept every one.
+`validate` takes ρ of all distinct cell shapes from `star_metrics`, which
+enumerates the points equidistant from three edge lines, and every edge
+count comes from one edge-topology helper.  The references are the
+Chebyshev-centre linear program solved by HiGHS, one polygon at a time
+(only the tests import `linprog`), and a dict count over the cell cycles.
+Polygons carry edges down to 1e-12 of their diameter: the small-edge
+regime the method is meant for.  They are simple by construction, so the
+validity check must accept every one.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from polyvem.analysis import error_h1_semi, error_l2
 from polyvem.assembly import apply_dirichlet_lift, assemble, expand_solution
@@ -25,7 +28,6 @@ from polyvem.mesh import (
     _build_mesh,
     _dedupe,
     _quad_cells,
-    _star_metrics,
     _tri_cells,
     gen_rotated_T,
     gen_square_th1,
@@ -75,24 +77,44 @@ SETTINGS = settings(
 )
 
 
+def highs_star_metric(v) -> StarMetric:
+    """Reference ρ: max r s.t. n_i.c - r >= n_i.v_i over the inward unit
+    edge normals n_i, solved by HiGHS; infeasible means an empty kernel."""
+    v = np.asarray(v, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    n = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(*e.T)[:, None]
+    diam = float(np.max(np.hypot(*(v[:, None] - v[None]).transpose(2, 0, 1))))
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.column_stack([-n, np.ones(len(v))]),
+        b_ub=-(n * v).sum(axis=1),
+        bounds=[(None, None), (None, None), (0.0, diam)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if not res.success:
+        return StarMetric(False, None, 0.0)
+    return StarMetric(True, (float(res.x[0]), float(res.x[1])), float(res.x[2]) / diam)
+
+
 @SETTINGS
-@given(st.lists(small_edge_polygons(), min_size=1, max_size=6))
-def test_block_lp_matches_per_polygon_rho(polys):
-    batched = star_metrics(polys)
-    assert batched is not None
-    for poly, m in zip(polys, batched):
-        ref = star_metric(poly)
-        assert m.is_star and ref.is_star
-        assert abs(m.rho - ref.rho) <= 1e-12
+@given(st.lists(small_edge_polygons(), min_size=1, max_size=6), st.integers(0, 6))
+def test_rho_matches_the_highs_oracle(polys, at):
+    polys = polys[:at] + [U_SHAPE] + polys[at:]
+    for poly, m in zip(polys, star_metrics(polys)):
+        ref = highs_star_metric(poly)
+        assert m.is_star == ref.is_star
+        # HiGHS meets each constraint to its 1e-10 feasibility tolerance
+        assert abs(m.rho - ref.rho) <= 1e-10
 
 
 @SETTINGS
 @given(st.lists(small_edge_polygons(), min_size=1, max_size=5), st.integers(0, 5))
 def test_non_star_polygon_leaves_the_others_alone(polys, at):
     at = min(at, len(polys))
-    alone = _star_metrics(polys)
-    mixed = _star_metrics(polys[:at] + [U_SHAPE] + polys[at:])
-    assert mixed[at].is_star is False and mixed[at].rho == 0.0
+    alone = star_metrics(polys)
+    mixed = star_metrics(polys[:at] + [U_SHAPE] + polys[at:])
+    assert mixed[at] == StarMetric(False, None, 0.0)
     others = mixed[:at] + mixed[at + 1 :]
     assert [m.is_star for m in others] == [True] * len(polys)
     for m, ref in zip(others, alone):
@@ -182,10 +204,35 @@ def test_first_eigenvalue_stays_close_at_tiny_split_fraction(t):
 
 
 def test_u_shape_has_empty_kernel():
-    # the LP has no solution; star_metric reports that as its fallback
+    # every point equidistant from three edge lines is outside some edge's
+    # half-plane, and the Chebyshev-centre program is infeasible
     assert star_metric(U_SHAPE) == StarMetric(False, None, 0.0)
     assert star_metric(Polygon(U_SHAPE)) == StarMetric(False, None, 0.0)
-    assert star_metrics([U_SHAPE]) is None
+    assert star_metrics([U_SHAPE]) == [StarMetric(False, None, 0.0)]
+    assert highs_star_metric(U_SHAPE) == StarMetric(False, None, 0.0)
+
+
+def test_min_rho_of_a_tiny_mesh_is_the_per_cell_minimum():
+    # the two cells differ, but relative to their first vertex both round
+    # to zero at 10 absolute digits; they must not share one rho
+    v = np.array([(0, 0), (0.5, 0), (1, 0), (1, 1), (0.4, 1), (0, 1)], dtype=float)
+    cells = [(1, 2, 3, 4), (0, 1, 4, 5)]
+    per_cell = min(highs_star_metric(v[list(c)]).rho for c in cells)
+    report = validate(PolyMesh.from_cells(v * 1e-10, cells, "custom"))
+    assert report.min_rho == pytest.approx(0.2124542698, abs=1e-10)
+    assert report.min_rho == pytest.approx(per_cell, abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-10])
+@pytest.mark.parametrize(
+    "make",
+    [gen_square_th1, gen_square_th3, lambda N: gen_rotated_T("th7", N)],
+    ids=["th1", "th3", "th7"],
+)
+def test_min_rho_does_not_depend_on_the_mesh_scale(make, scale):
+    mesh = make(16)
+    small = PolyMesh(mesh.vertices * scale, mesh.cell_ids, mesh.cell_sizes, "custom")
+    assert abs(validate(small).min_rho - validate(mesh).min_rho) <= 1e-12
 
 
 MESHES = {
