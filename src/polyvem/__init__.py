@@ -7,7 +7,7 @@ cell diameters.  Subpackages:
 
 - geometry: polygon primitives, scaled monomials, quadrature
 - mesh: structured polygonal mesh families, validation, I/O
-- vem_core: per-cell projectors, stabilization, local matrices
+- vem_core: batched projectors, stabilization, local matrices; one-cell views
 - coefficients: named benchmark problems
 - assembly: global sparse systems and Dirichlet handling
 - solvers: direct load solves and shift-invert eigensolves

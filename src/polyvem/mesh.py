@@ -145,9 +145,13 @@ class PolyMesh:
         Raises
         ------
         MeshConformityError
-            Naming the first cell that is not a valid polygon, with the
-            message of ``Polygon(validate=True)``.
+            Naming the first cell that references a vertex out of range, or
+            else the first that is not a valid polygon, with the message of
+            ``Polygon(validate=True)``.
         """
+        bad = np.flatnonzero(_out_of_range_cells(self.cell_ids, self.cell_sizes, self.n_vertices))
+        if len(bad):
+            raise MeshConformityError(f"cell {int(bad[0])} references a vertex out of range")
         geom = mesh_geometry(self.vertices, self.cell_ids, self.cell_sizes)
         if len(geom.invalid):
             ci = int(geom.invalid[0])

@@ -27,7 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .geometry import CellBatch, Point2, _as_polygon, cell_quadrature, polygon_quadrature
+from .geometry import (
+    CellBatch,
+    Point2,
+    cell_quadrature,
+    polygon_batch,
+    polygon_quadrature,  # noqa: F401  perfbench/spans.py wraps this name
+)
 
 __all__ = [
     "LocalElement",
@@ -62,8 +68,6 @@ class LocalElement:
         entry [i, j] is the form evaluated on (trial phi_j, test phi_i).
     Fh : ndarray, shape (n,)
         Local load vector.
-    h_E, area : float
-    centroid : Point2
     """
 
     n_dof: int
@@ -75,74 +79,46 @@ class LocalElement:
     Ch: np.ndarray
     Mh: np.ndarray
     Fh: np.ndarray
-    h_E: float
-    area: float
-    centroid: Point2
 
 
 def pi_nabla(E) -> np.ndarray:
-    """Elliptic projector onto P1 in the scaled monomial basis.
+    """`pi_nabla_batch` of the polygon E alone, shape (3, n).
 
-    Returns the 3 x n matrix mapping vertex values to the coefficients
-    (c0, c1, c2) of the projection in {1, (x-x_E)/h_E, (y-y_E)/h_E}.
+    Raises ValueError, with the message of `Polygon`, if E is not valid.
+    """
+    return pi_nabla_batch(polygon_batch(E))[0]
 
-    The gradient rows come from integrating the projector's defining
-    equations by parts: the normal flux of each basis monomial is constant
-    per edge and the trace is linear, so the trapezoid rule on each edge is
-    exact.  The constant row matches the boundary averages.
+
+def stab_matrix(E) -> np.ndarray:
+    """`_stab_batch` of the polygon E alone, shape (n, n).
+
+    Raises ValueError, with the message of `Polygon`, if E is not valid.
+    """
+    return _stab_batch(polygon_batch(E))[0]
+
+
+def local_forms(E, coeffs: CoefficientSet) -> LocalElement:
+    """`local_forms_batch` of the polygon E alone, with its Pi and S.
 
     Raises
     ------
     ValueError
-        On a degenerate (zero-area) element.
+        If E is not a valid polygon (with the message of `Polygon`), if
+        kappa at its centroid is not strictly positive, or if an entry of
+        the forms is not finite.
     """
-    p = _as_polygon(E)
-    v = p.vertices
-    x, y = v[:, 0], v[:, 1]
-    area = p.area
-    h = p.diameter
-    if area <= 1e-14 * h * h:
-        raise ValueError("degenerate element: area is zero within tolerance")
-    xc, yc = p.centroid
-
-    # gradient rows: c_alpha = (h/|E|) * sum_e (n_e,alpha |e|) (v_i+v_j)/2,
-    # which telescopes to centered differences of the neighbor coordinates
-    c1 = 0.5 * (np.roll(y, -1) - np.roll(y, 1)) * (h / area)
-    c2 = -0.5 * (np.roll(x, -1) - np.roll(x, 1)) * (h / area)
-
-    # constant row: boundary average of the projection matches that of v
-    lengths = p.edge_lengths
-    t = 0.5 * (lengths + np.roll(lengths, 1))  # trapezoid weight per vertex
-    per = p.perimeter
-    m1 = (x - xc) / h
-    m2 = (y - yc) / h
-    a1 = (t @ m1) / per
-    a2 = (t @ m2) / per
-    c0 = t / per - a1 * c1 - a2 * c2
-    return np.vstack([c0, c1, c2])
-
-
-def stab_matrix(E) -> np.ndarray:
-    """Tangential-derivative boundary stabilization matrix.
-
-    S = h_E * L with L the cycle-graph Laplacian weighted by 1/|e|:
-    S_ii = h_E (1/|e_{i-1}| + 1/|e_i|), S_{i,i+1} = S_{i+1,i} = -h_E/|e_i|.
-    Symmetric positive semidefinite with constants in the kernel.
-    """
-    p = _as_polygon(E)
-    lengths = p.edge_lengths
-    if np.any(lengths == 0.0):
-        raise ValueError("zero-length edge")
-    n = p.n_vertices
-    w = p.diameter / lengths
-    S = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = np.roll(idx, -1)
-    np.add.at(S, (idx, idx), w)
-    np.add.at(S, (nxt, nxt), w)
-    np.add.at(S, (idx, nxt), -w)
-    np.add.at(S, (nxt, idx), -w)
-    return S
+    g = polygon_batch(E)
+    forms = local_forms_batch(g, coeffs)
+    if not forms.ok[0]:
+        kappa = float(_eval_scalar(coeffs.kappa, g.centroid[:, 0], g.centroid[:, 1])[0])
+        if not kappa > 0.0:
+            centroid = Point2(*map(float, g.centroid[0]))
+            raise ValueError(f"kappa must be strictly positive, got {kappa} at {centroid}")
+        raise ValueError("coefficient evaluation produced non-finite values")
+    P = pi_nabla_batch(g)
+    D = _scaled_monomials(g.vertices[..., 0], g.vertices[..., 1], g)
+    local = (P, D @ P, _stab_batch(g), *forms[:5])
+    return LocalElement(P.shape[2], *(m[0] for m in local))
 
 
 def _eval_scalar(field, x, y) -> np.ndarray:
@@ -158,91 +134,12 @@ def _eval_vector(field, x, y) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def local_forms(E, coeffs: CoefficientSet) -> LocalElement:
-    """All local matrices and the load for one element.
-
-    The diffusion matrix is the projected consistency term plus the
-    stabilization acting on the projection remainder:
-
-        Ah = kappa_E a(Pi w, Pi v) + ((I - D Pi) w)^T S ((I - D Pi) v).
-
-    Convection, reaction, mass, and load use the L2 projection (equal to Pi
-    on this element space) in both slots and are integrated by quadrature
-    of degree `QUAD_DEGREE`, as in the batched path; the mass matrix
-    carries no stabilization and has rank at most 3.
-
-    Parameters
-    ----------
-    E : Polygon or array_like
-    coeffs : CoefficientSet
-        kappa is sampled at the centroid (piecewise-constant model).
-
-    Raises
-    ------
-    ValueError
-        If kappa at the centroid is not strictly positive.
-    """
-    p = _as_polygon(E)
-    n = p.n_vertices
-    h = p.diameter
-    area = p.area
-    xc, yc = p.centroid
-
-    kappa_e = float(np.asarray(coeffs.kappa(np.asarray(xc), np.asarray(yc))))
-    if not kappa_e > 0.0:
-        raise ValueError(f"kappa must be strictly positive, got {kappa_e} at {p.centroid}")
-
-    P = pi_nabla(p)
-    v = p.vertices
-    D = np.column_stack([np.ones(n), (v[:, 0] - xc) / h, (v[:, 1] - yc) / h])
-    pi_dof = D @ P
-    S = stab_matrix(p)
-    remainder = np.eye(n) - pi_dof
-    consistency = (area / (h * h)) * (np.outer(P[1], P[1]) + np.outer(P[2], P[2]))
-    Ah = kappa_e * consistency + remainder.T @ S @ remainder
-
-    xq, yq, wq = polygon_quadrature(p, QUAD_DEGREE)
-    monomials = np.column_stack([np.ones_like(xq), (xq - xc) / h, (yq - yc) / h])
-    V = monomials @ P  # values of Pi phi_j at the quadrature points
-    gx = P[1] / h
-    gy = P[2] / h
-
-    tx, ty = _eval_vector(coeffs.theta, xq, yq)
-    Bh = V.T @ ((wq * tx)[:, None] * gx[None, :] + (wq * ty)[:, None] * gy[None, :])
-
-    gq = _eval_scalar(coeffs.gamma, xq, yq)
-    Ch = V.T @ ((wq * gq)[:, None] * V)
-    Mh = V.T @ (wq[:, None] * V)
-
-    if coeffs.f is not None:
-        fq = _eval_scalar(coeffs.f, xq, yq)
-        Fh = V.T @ (wq * fq)
-    else:
-        Fh = np.zeros(n)
-
-    return LocalElement(
-        n_dof=n,
-        PiNabla=P,
-        PiNablaDof=pi_dof,
-        S=S,
-        Ah=Ah,
-        Bh=Bh,
-        Ch=Ch,
-        Mh=Mh,
-        Fh=Fh,
-        h_E=h,
-        area=area,
-        centroid=p.centroid,
-    )
-
-
 # --- batched forms ---------------------------------------------------------
 #
-# The functions below compute the same quantities as `pi_nabla`,
-# `stab_matrix` and `local_forms` for a whole CellBatch at once; the
-# per-cell functions above stay the reference they are tested against.
-# Every projected form is P^T Q P with a 3 x 3 moment matrix Q of the
-# scaled monomials, so the quadrature enters only through those moments.
+# The local forms of a whole CellBatch at once; the tests compare them with
+# an independent per-cell reference.  Every projected form is P^T Q P with a
+# 3 x 3 moment matrix Q of the scaled monomials, so the quadrature enters
+# only through those moments.
 
 
 class FormBatch(NamedTuple):
@@ -254,8 +151,8 @@ class FormBatch(NamedTuple):
     Fh : ndarray, shape (G, k)
     ok : ndarray of bool, shape (G,)
         kappa at the centroid is positive and every entry is finite.
-        Assembly rejects a cell without it, with the error `local_forms`
-        raises on that cell.
+        Assembly rejects a cell without it; `local_forms`, the same forms
+        on a batch of that one cell, words the error.
     """
 
     Ah: np.ndarray
@@ -267,7 +164,10 @@ class FormBatch(NamedTuple):
 
 
 def pi_nabla_batch(g: CellBatch) -> np.ndarray:
-    """`pi_nabla` of every cell of a batch, shape (G, 3, k)."""
+    """Elliptic projector onto P1 of every cell of a batch, shape (G, 3, k).
+
+    Maps vertex values to the coefficients in {1, (x-x_E)/h_E, (y-y_E)/h_E}.
+    """
     x, y = g.vertices[..., 0], g.vertices[..., 1]
     h = g.diameter[:, None]
     scale = h / g.area[:, None]
@@ -291,7 +191,7 @@ def _scaled_monomials(x, y, g: CellBatch) -> np.ndarray:
 
 
 def _stab_batch(g: CellBatch) -> np.ndarray:
-    """`stab_matrix` of every cell of a batch, shape (G, k, k)."""
+    """Boundary stabilization S of every cell of a batch, shape (G, k, k)."""
     w = g.diameter[:, None] / g.edge_lengths
     G, k = w.shape
     i = np.arange(k)
@@ -304,11 +204,15 @@ def _stab_batch(g: CellBatch) -> np.ndarray:
 
 
 def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
-    """`local_forms` (default quadrature degree) for every cell of a batch.
+    """All local matrices and the load of every cell of a batch.
 
-    The cells must have ``g.valid``; the quadrature is `cell_quadrature`.
-    Coefficients are called once per batch, on arrays of shape (G,) for
-    kappa and (G, m) at the quadrature nodes.
+    Ah = kappa_E a(Pi w, Pi v) + ((I - D Pi) w)^T S ((I - D Pi) v), with
+    kappa sampled at the centroid.  Convection, reaction, mass and load put
+    Pi (the L2 projection on this element space) in both slots and are
+    integrated by `cell_quadrature` of degree `QUAD_DEGREE`; Mh carries no
+    stabilization.  The cells must have ``g.valid``.  Coefficients are
+    called once per batch, on arrays of shape (G,) for kappa and (G, m) at
+    the quadrature nodes.
     """
     h, area = g.diameter, g.area
     kappa = _eval_scalar(coeffs.kappa, g.centroid[:, 0], g.centroid[:, 1])

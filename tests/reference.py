@@ -1,0 +1,122 @@
+"""Per-cell reference for the local VEM forms, independent of the batched kernels.
+
+One polygon at a time: Pi from edge sums, S scattered entry by entry with
+`np.add.at`, and the forms integrated by `polygon_quadrature` over the
+polygon's own triangulation.  `polyvem.vem_core` computes the same
+quantities for stacked batches of cells, in a different summation order;
+the tests compare the two to a relative 1e-12.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from polyvem.geometry import _as_polygon, polygon_quadrature
+from polyvem.vem_core import QUAD_DEGREE
+
+
+class LocalForms(NamedTuple):
+    """Local matrices of one polygon; field meanings as in `vem_core.LocalElement`."""
+
+    PiNabla: np.ndarray
+    S: np.ndarray
+    Ah: np.ndarray
+    Bh: np.ndarray
+    Ch: np.ndarray
+    Mh: np.ndarray
+    Fh: np.ndarray
+
+
+def pi_nabla(E) -> np.ndarray:
+    """Elliptic projector onto P1 in the scaled monomial basis, shape (3, n)."""
+    p = _as_polygon(E)
+    v = p.vertices
+    x, y = v[:, 0], v[:, 1]
+    area = p.area
+    h = p.diameter
+    if area <= 1e-14 * h * h:
+        raise ValueError("degenerate element: area is zero within tolerance")
+    xc, yc = p.centroid
+
+    # gradient rows: c_alpha = (h/|E|) * sum_e (n_e,alpha |e|) (v_i+v_j)/2,
+    # which telescopes to centered differences of the neighbor coordinates
+    c1 = 0.5 * (np.roll(y, -1) - np.roll(y, 1)) * (h / area)
+    c2 = -0.5 * (np.roll(x, -1) - np.roll(x, 1)) * (h / area)
+
+    # constant row: boundary average of the projection matches that of v
+    lengths = p.edge_lengths
+    t = 0.5 * (lengths + np.roll(lengths, 1))  # trapezoid weight per vertex
+    per = p.perimeter
+    m1 = (x - xc) / h
+    m2 = (y - yc) / h
+    a1 = (t @ m1) / per
+    a2 = (t @ m2) / per
+    c0 = t / per - a1 * c1 - a2 * c2
+    return np.vstack([c0, c1, c2])
+
+
+def stab_matrix(E) -> np.ndarray:
+    """S = h_E times the cycle-graph Laplacian with edge weights 1/|e|."""
+    p = _as_polygon(E)
+    lengths = p.edge_lengths
+    if np.any(lengths == 0.0):
+        raise ValueError("zero-length edge")
+    n = p.n_vertices
+    w = p.diameter / lengths
+    S = np.zeros((n, n))
+    idx = np.arange(n)
+    nxt = np.roll(idx, -1)
+    np.add.at(S, (idx, idx), w)
+    np.add.at(S, (nxt, nxt), w)
+    np.add.at(S, (idx, nxt), -w)
+    np.add.at(S, (nxt, idx), -w)
+    return S
+
+
+def _eval_scalar(field, x, y) -> np.ndarray:
+    return np.broadcast_to(np.asarray(field(x, y), dtype=float), np.shape(x))
+
+
+def local_forms(E, coeffs) -> LocalForms:
+    """All local matrices and the load of one polygon.
+
+    Ah = kappa_E a(Pi w, Pi v) + ((I - D Pi) w)^T S ((I - D Pi) v), with
+    kappa sampled at the centroid; Bh, Ch, Mh and Fh put Pi in both slots
+    and are integrated by `polygon_quadrature` of degree `QUAD_DEGREE`.
+    """
+    p = _as_polygon(E)
+    n = p.n_vertices
+    h = p.diameter
+    area = p.area
+    xc, yc = p.centroid
+
+    kappa_e = float(np.asarray(coeffs.kappa(np.asarray(xc), np.asarray(yc))))
+    if not kappa_e > 0.0:
+        raise ValueError(f"kappa must be strictly positive, got {kappa_e} at {p.centroid}")
+
+    P = pi_nabla(p)
+    v = p.vertices
+    D = np.column_stack([np.ones(n), (v[:, 0] - xc) / h, (v[:, 1] - yc) / h])
+    S = stab_matrix(p)
+    remainder = np.eye(n) - D @ P
+    consistency = (area / (h * h)) * (np.outer(P[1], P[1]) + np.outer(P[2], P[2]))
+    Ah = kappa_e * consistency + remainder.T @ S @ remainder
+
+    xq, yq, wq = polygon_quadrature(p, QUAD_DEGREE)
+    monomials = np.column_stack([np.ones_like(xq), (xq - xc) / h, (yq - yc) / h])
+    V = monomials @ P  # values of Pi phi_j at the quadrature points
+    gx = P[1] / h
+    gy = P[2] / h
+
+    tx, ty = (np.broadcast_to(np.asarray(t, dtype=float), xq.shape) for t in coeffs.theta(xq, yq))
+    Bh = V.T @ ((wq * tx)[:, None] * gx[None, :] + (wq * ty)[:, None] * gy[None, :])
+
+    gq = _eval_scalar(coeffs.gamma, xq, yq)
+    Ch = V.T @ ((wq * gq)[:, None] * V)
+    Mh = V.T @ (wq[:, None] * V)
+
+    if coeffs.f is not None:
+        Fh = V.T @ (wq * _eval_scalar(coeffs.f, xq, yq))
+    else:
+        Fh = np.zeros(n)
+    return LocalForms(P, S, Ah, Bh, Ch, Mh, Fh)

@@ -1,7 +1,7 @@
 """Global assembly tests.
 
-Oracles: the scatter identity (global quadratic form = sum of local
-quadratic forms, checked with random vectors), a Cholesky factorization
+Oracles: the scatter identity (global quadratic form = sum of the local
+quadratic forms of `tests/reference.py`, checked with random vectors), a Cholesky factorization
 for positive definiteness, and direct substitution of global linear
 fields, which the method reproduces exactly.
 """
@@ -24,8 +24,16 @@ from polyvem.assembly import (
 )
 from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
 from polyvem.geometry import Polygon
-from polyvem.mesh import PolyMesh, gen_rotated_T, gen_square_th1, gen_square_th2, gen_square_th3
-from polyvem.vem_core import local_forms
+from polyvem.mesh import (
+    MeshConformityError,
+    PolyMesh,
+    gen_rotated_T,
+    gen_square_th1,
+    gen_square_th2,
+    gen_square_th3,
+)
+
+import reference
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
 
@@ -94,7 +102,7 @@ class TestScatter:
         acc = {"A": 0.0, "B": 0.0, "C": 0.0, "M": 0.0}
         for cell in mesh.cells:
             ids = list(cell)
-            le = local_forms(Polygon(mesh.vertices[ids]), coeffs)
+            le = reference.local_forms(Polygon(mesh.vertices[ids]), coeffs)
             vl, wl = v[ids], w[ids]
             acc["A"] += vl @ le.Ah @ wl
             acc["B"] += vl @ le.Bh @ wl
@@ -126,7 +134,7 @@ class TestScatter:
         F_ref = np.zeros(len(mesh.vertices))
         for cell in mesh.cells:
             ids = list(cell)
-            le = local_forms(Polygon(mesh.vertices[ids]), coeffs)
+            le = reference.local_forms(Polygon(mesh.vertices[ids]), coeffs)
             F_ref[ids] += le.Fh
         assert system.F == pytest.approx(F_ref[system.dof.interior_vertices], rel=1e-13)
 
@@ -188,6 +196,16 @@ class TestOperatorStructure:
         for build in (assemble, assemble_full):
             with pytest.raises(AssemblyError, match=rf"^cell 2: {message}"):
                 build(mesh, coeffs)
+
+    @pytest.mark.parametrize("bad_id", [7, -5])
+    def test_vertex_id_out_of_range_rejected(self, bad_id):
+        # numpy would raise IndexError on 7, and read -5 as vertex 0
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+        cells = [(0, 1, 4), (1, 2, 4), (2, 3, bad_id), (3, 0, 4)]
+        mesh = PolyMesh.from_cells(verts, cells, "unit_square")
+        for build in (assemble, assemble_full):
+            with pytest.raises(MeshConformityError, match="^cell 2 references a vertex out of range$"):
+                build(mesh, LAPLACE)
 
     def test_non_simple_cell_rejected(self):
         mesh = gen_square_th2(2, split_edges=False)

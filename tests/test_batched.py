@@ -2,9 +2,11 @@
 
 Assembly and the error norms run on stacked arrays of cells that share a
 vertex count (`PolyMesh.geometry`, `local_forms_batch`, `cell_quadrature`).
-The oracle is the per-cell path they replace: `local_forms`, `pi_nabla`
-and `polygon_quadrature` on one `Polygon` at a time.  The two sum in a
-different order, so agreement is to a relative 1e-12, not bitwise.
+The oracle works on one `Polygon` at a time: the forms and Pi of
+`tests/reference.py`, and `polygon_quadrature`.  The two sum in a
+different order, so agreement is to a relative 1e-12, not bitwise.  The
+public per-cell `local_forms` and `pi_nabla` are the batched kernels on a
+batch of one cell, so they equal the batch rows bitwise.
 """
 
 import numpy as np
@@ -32,6 +34,8 @@ from polyvem.mesh import (
 )
 from polyvem.solvers import solve_load
 from polyvem.vem_core import local_forms, local_forms_batch, pi_nabla, pi_nabla_batch
+
+import reference
 
 RTOL = 1e-12
 
@@ -70,7 +74,7 @@ def reference_forms(mesh, coeffs):
     F = np.zeros(nv)
     for ci, cell in enumerate(mesh.cells):
         ids = list(cell)
-        le = local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
+        le = reference.local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
         for name, local in (("A", le.Ah), ("B", le.Bh), ("C", le.Ch), ("M", le.Mh)):
             ops[name][np.ix_(ids, ids)] += local
         F[ids] += le.Fh
@@ -82,7 +86,7 @@ def reference_errors(mesh, u_h, u, grad_u):
     l2 = h1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         poly = Polygon(mesh.cell_vertices(ci))
-        s = pi_nabla(poly) @ u_h[list(cell)]
+        s = reference.pi_nabla(poly) @ u_h[list(cell)]
         (xc, yc), h = poly.centroid, poly.diameter
         x, y, w = polygon_quadrature(poly, 6)
         proj = s[0] + s[1] * (x - xc) / h + s[2] * (y - yc) / h
@@ -95,7 +99,7 @@ def reference_errors(mesh, u_h, u, grad_u):
 def reference_triple(mesh, d, coeffs):
     total = 0.0
     for ci, cell in enumerate(mesh.cells):
-        le = local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
+        le = reference.local_forms(Polygon(mesh.cell_vertices(ci)), coeffs)
         total += d[list(cell)] @ le.Ah @ d[list(cell)]
     return np.sqrt(total)
 
@@ -181,10 +185,10 @@ def test_random_polygons_match_per_cell():
                 assert a.shape == shape and a.flags.c_contiguous
         for row, ci in enumerate(b.cells):
             poly = Polygon(polys[ci])
-            le = local_forms(poly, COEFFS)
+            le = reference.local_forms(poly, COEFFS)
             for got, ref in zip(forms[:5], (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh)):
                 assert_close(got[row], ref)
-            assert_close(P[row], pi_nabla(poly))
+            assert_close(P[row], reference.pi_nabla(poly))
             for degree, (x, y, w) in quads.items():
                 ref = polygon_quadrature(poly, degree)
                 m = len(ref[2])
@@ -239,6 +243,26 @@ def test_non_star_cell_is_ear_clipped(tmp_path):
     delta, g_b = apply_dirichlet_lift(system, mesh, u)
     u_full = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
     assert np.abs(u_full - u(mesh.vertices[:, 0], mesh.vertices[:, 1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["th1", "th2", "th3", "th4", "th5", "th6", "th7", "u_shaped"])
+def test_per_cell_functions_are_one_cell_batches(name, tmp_path):
+    # local_forms and pi_nabla run the batched kernels on a batch of one
+    # cell, so they return exactly what assembly uses
+    if name == "u_shaped":
+        mesh = u_shaped_mesh(tmp_path)
+    elif name in ("th1", "th2", "th3"):
+        mesh = {"th1": gen_square_th1, "th2": gen_square_th2, "th3": gen_square_th3}[name](8)
+    else:
+        mesh = gen_rotated_T(name, 8)
+    for b in mesh.geometry.batches():
+        forms, P = local_forms_batch(b, COEFFS), pi_nabla_batch(b)
+        for row, ci in enumerate(b.cells):
+            le = local_forms(mesh.cell_polygon(ci), COEFFS)
+            per_cell = (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh, le.PiNabla)
+            for got, batched in zip(per_cell, (*forms[:5], P)):
+                assert np.array_equal(got, batched[row])
+            assert np.array_equal(pi_nabla(mesh.cell_polygon(ci)), P[row])
 
 
 @pytest.mark.parametrize("name", ["th2", "u_shaped"])
