@@ -99,6 +99,12 @@ class GlobalSystem:
     the eigenproblem.  K_coupling is the interior-by-boundary block of
     A + B + C, kept for the Dirichlet lift.  F only contains the volume
     load; boundary data contributions are added by `apply_dirichlet_lift`.
+
+    field_bound is c = max over cells of max |theta| at the cell's
+    quadrature nodes / sqrt(kappa_E), so |x^H B x| <= c (x^H A x x^H M x)^1/2
+    for every complex x: A's stabilization is positive semidefinite and
+    the quadrature weights are positive.  `solve_eigs` turns it into a
+    region that holds every eigenvalue of (A + B, M).
     """
 
     A: sp.csr_matrix
@@ -108,6 +114,7 @@ class GlobalSystem:
     K_coupling: sp.csr_matrix
     F: np.ndarray
     dof: DofMap
+    field_bound: float
 
     @property
     def K_load(self) -> sp.csr_matrix:
@@ -145,18 +152,23 @@ def _check_domain(mesh: PolyMesh, coeffs: CoefficientSet) -> None:
 def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     """Coordinate triplets of A, B, C, M over all vertices, and the full load.
 
-    Returns (rows, cols, ops, F): one (rows, cols) pattern shared by the
-    four operators, whose data arrays ``ops`` holds by name.  The batch
-    results are concatenated one operator at a time, so at most one
-    operator is held twice.
+    Returns (rows, cols, ops, F, field_bound): one (rows, cols) pattern
+    shared by the four operators, whose data arrays ``ops`` holds by name,
+    and the largest `FormBatch.field_ratio`.  The batch results are
+    concatenated one operator at a time, so at most one operator is held
+    twice.
     """
     _check_domain(mesh, coeffs)
+    if mesh.n_cells == 0:
+        raise AssemblyError("mesh has no cells")
     index = np.int32 if len(mesh.vertices) <= np.iinfo(np.int32).max else np.int64
     ids, local, failed = [], {name: [] for name in "ABCMF"}, []
+    field_bound = 0.0
     for batch in mesh.geometry.batches():
         forms = local_forms_batch(batch, coeffs)
         failed.extend(batch.cells[~forms.ok])
         ids.append(batch.ids.astype(index))
+        field_bound = max(field_bound, float(forms.field_ratio.max()))
         for name, m in zip("ABCMF", forms):
             local[name].append(m.reshape(-1))
     if failed:
@@ -176,7 +188,7 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
         minlength=len(mesh.vertices),
     )
     ops = {name: np.concatenate(local.pop(name)) for name in "ABCM"}
-    return rows, cols, ops, F
+    return rows, cols, ops, F, field_bound
 
 
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
@@ -192,7 +204,7 @@ def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
     The operators are the interior and interior-boundary blocks of the
     triplets `assemble_full` sums.
     """
-    rows, cols, ops, F = _triplets(mesh, coeffs)
+    rows, cols, ops, F, field_bound = _triplets(mesh, coeffs)
     dof = dof_map(mesh)
     n = dof.n_interior
     interior = dof.interior_index.astype(rows.dtype)
@@ -207,12 +219,18 @@ def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
     ii = (r >= 0) & (c >= 0)
     r, c = r[ii], c[ii]
     blocks = {name: _csr(ops.pop(name)[ii], r, c, (n, n)) for name in "ABCM"}
-    return GlobalSystem(**blocks, K_coupling=K_coupling, F=F[dof.interior_vertices], dof=dof)
+    return GlobalSystem(
+        **blocks,
+        K_coupling=K_coupling,
+        F=F[dof.interior_vertices],
+        dof=dof,
+        field_bound=field_bound,
+    )
 
 
 def assemble_full(mesh: PolyMesh, coeffs: CoefficientSet) -> FullSystem:
     """Assemble over all vertex DOFs with boundary rows retained."""
-    rows, cols, ops, F = _triplets(mesh, coeffs)
+    rows, cols, ops, F, _ = _triplets(mesh, coeffs)
     shape = (len(mesh.vertices),) * 2
     return FullSystem(**{name: _csr(ops.pop(name), rows, cols, shape) for name in "ABCM"}, F=F)
 

@@ -377,7 +377,12 @@ def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _L
     system = assemble(mesh, coeffs)
     shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
     result = solve_eigs(
-        (system.A + system.B).tocsc(), system.M, config.eig_count, shift=shift, seed=config.seed
+        (system.A + system.B).tocsc(),
+        system.M,
+        config.eig_count,
+        shift=shift,
+        seed=config.seed,
+        field_bound=system.field_bound,
     )
     values = {f"lambda_{j + 1}": float(lam.real) for j, lam in enumerate(result.eigenvalues)}
     return _Level(mesh, system.n, values, eigs=result, shift=shift)

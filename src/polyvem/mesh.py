@@ -577,12 +577,14 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
     Raises
     ------
     MeshConformityError
-        On an invalid cell polygon (naming the cell), an edge traversed
-        twice in the same direction (naming the edge), or a coverage/overlap
-        area mismatch.  Small star-shapedness radii are reported, not
-        rejected.  When several faults exist, the one named is the first in
-        cell order.
+        On a mesh without cells, an invalid cell polygon (naming the cell),
+        an edge traversed twice in the same direction (naming the edge), or
+        a coverage/overlap area mismatch.  Small star-shapedness radii are
+        reported, not rejected.  When several faults exist, the one named
+        is the first in cell order.
     """
+    if mesh.n_cells == 0:
+        raise MeshConformityError("mesh has no cells")
     n = mesh.n_vertices
     flat, sizes = mesh.cell_ids, mesh.cell_sizes
     cell_of = np.repeat(np.arange(len(sizes)), sizes)

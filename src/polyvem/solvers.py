@@ -8,8 +8,10 @@ nullspace whose directions correspond to "infinite" eigenvalues of the
 pencil.  Shift and invert maps the finite eigenvalues near the shift to
 large Ritz values and the infinite ones to zero, so the Arnoldi iteration
 naturally targets the former; anything that still converges near zero is
-filtered out.  A dense QZ path handles small pencils and doubles as a
-cross-check oracle.
+filtered out.  The values of smallest real part need not be the ones
+nearest the shift; a field-of-values bound on the convection form proves
+when they are (see `solve_eigs`).  A dense QZ path handles small pencils
+and doubles as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class EigenResult:
         shift-invert coordinates, or QZ beta values near zero).
     method : str
         "arnoldi" or "dense".
+    requested : int
+        Ritz values ARPACK was asked for in the run whose values were
+        accepted; 0 on the dense path.
     """
 
     eigenvalues: np.ndarray
@@ -75,6 +80,7 @@ class EigenResult:
     residuals: np.ndarray
     discarded_count: int
     method: str
+    requested: int
 
 
 def _condition_estimate(K: sp.spmatrix, lu) -> float:
@@ -148,7 +154,9 @@ def _as_csc(mat) -> sp.csc_matrix:
     return sp.csc_matrix(np.asarray(mat, dtype=float))
 
 
-def _eigen_result(A, M, vals, vecs, k: int, discarded: int, method: str) -> EigenResult:
+def _eigen_result(
+    A, M, vals, vecs, k: int, discarded: int, method: str, requested: int
+) -> EigenResult:
     """The k finite pairs of smallest real part of the sparse pencil (A, M),
     accepted only if every residual meets the RESIDUAL_RTOL bound."""
     order = np.lexsort((vals.imag, vals.real))[:k]
@@ -164,7 +172,7 @@ def _eigen_result(A, M, vals, vecs, k: int, discarded: int, method: str) -> Eige
             f"acceptance bound by a factor {worst:.2e} "
             f"(residuals: {np.array2string(residuals, precision=3)})"
         )
-    return EigenResult(vals, vecs, residuals, discarded, method)
+    return EigenResult(vals, vecs, residuals, discarded, method, requested)
 
 
 def solve_eigs_dense(A, M, k: int) -> EigenResult:
@@ -184,8 +192,42 @@ def solve_eigs_dense(A, M, k: int) -> EigenResult:
         )
     vals = alpha[finite] / beta[finite]
     return _eigen_result(
-        sp.csr_matrix(Ad), sp.csr_matrix(Md), vals, vr[:, finite], k, discarded, "dense"
+        sp.csr_matrix(Ad), sp.csr_matrix(Md), vals, vr[:, finite], k, discarded, "dense", 0
     )
+
+
+def _arnoldi(op: spla.LinearOperator, m: int, v0: np.ndarray):
+    """The m Ritz pairs of op of largest modulus; one retry with a larger
+    subspace and iteration budget before giving up."""
+    n = op.shape[0]
+    try:
+        return spla.eigs(op, k=m, which="LM", v0=v0)
+    except spla.ArpackNoConvergence:
+        try:
+            ncv = min(n, max(4 * m + 1, 64))
+            return spla.eigs(op, k=m, which="LM", v0=v0, ncv=ncv, maxiter=50 * n)
+        except spla.ArpackNoConvergence as exc:
+            got = np.asarray(exc.eigenvalues)
+            raise SolverError(
+                f"Arnoldi did not converge ({len(got)} of {m} Ritz values); "
+                f"converged shift-invert values: {np.array2string(got, precision=5)}"
+            ) from exc
+
+
+def _nothing_missed(nu, keep, k: int, sigma: float, c: float) -> bool:
+    """True when no eigenvalue outside sigma + 1/nu can have a real part at
+    or below the k-th smallest among the finite ones (``keep``).
+
+    Every eigenvalue lies in Re >= -c^2/4, |Im| <= g(Re) with
+    g(r) = c (c + sqrt(c^2 + 4 r)) / 2, and every one not returned lies at
+    distance >= 1/min|nu| from sigma.
+    """
+    if keep.sum() < k:
+        return False
+    r = np.sort((sigma + 1.0 / nu[keep]).real)[k - 1]
+    g = 0.5 * c * (c + np.sqrt(max(c * c + 4.0 * r, 0.0)))
+    reach = np.hypot(max(r - sigma, sigma + 0.25 * c * c), g)
+    return bool(reach < (1.0 - 1e-6) / np.abs(nu).min())
 
 
 def solve_eigs(
@@ -194,6 +236,7 @@ def solve_eigs(
     k: int,
     shift: Optional[float] = None,
     seed: int = 0,
+    field_bound: Optional[float] = None,
 ) -> EigenResult:
     """k smallest-real-part finite eigenvalues of (A, M) by shift-invert Arnoldi.
 
@@ -201,6 +244,20 @@ def solve_eigs(
     M is the projected mass matrix, typically singular.  The shift should
     sit below the first eigenvalue; see `suggested_shift`.  Small pencils
     fall through to the dense QZ path.
+
+    field_bound is a c with |x^H B x| <= c (x^H D x x^H M x)^1/2 for all
+    x, where A = D + B and D is symmetric positive semidefinite.
+    `GlobalSystem.field_bound` is one for the pencil (A + B, M), where D is
+    the diffusion part A, and for (A + B + C, M) when gamma >= 0, where D
+    is A + C.  Then s = x^H D x / x^H M x of an eigenpair gives
+    Re lambda >= s - c sqrt(s) and |Im lambda| <= c sqrt(s), so every
+    eigenvalue has Re lambda >= -c^2/4 and |Im lambda| <= g(Re lambda),
+    g(r) = c (c + sqrt(c^2 + 4 r)) / 2.
+    ARPACK is then asked for k + 1 Ritz values, which are accepted when
+    this region, cut at the k-th smallest real part, lies strictly nearer
+    the shift than every value not returned.  Otherwise, and always when
+    field_bound is None, ARPACK is asked for k + max(8, k) values, with the
+    same factors and start vector.
     """
     A = _as_csc(A)
     M = _as_csc(M)
@@ -210,8 +267,8 @@ def solve_eigs(
     if k < 1:
         raise SolverError("k must be >= 1")
     sigma = 1.0 if shift is None else float(shift)
-    k_arn = k + max(8, k)
-    if k_arn >= n - 1:
+    k_pad = k + max(8, k)
+    if k_pad >= n - 1:
         return solve_eigs_dense(A, M, k)
 
     lu = None
@@ -234,27 +291,19 @@ def solve_eigs(
     op = spla.LinearOperator((n, n), matvec=lambda v: lu.solve(M @ v))
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    try:
-        nu, W = spla.eigs(op, k=k_arn, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        try:
-            ncv = min(n, max(4 * k_arn + 1, 64))
-            nu, W = spla.eigs(op, k=k_arn, which="LM", v0=v0, ncv=ncv, maxiter=50 * n)
-        except spla.ArpackNoConvergence as exc2:
-            got = np.asarray(exc2.eigenvalues)
-            raise SolverError(
-                f"Arnoldi did not converge ({len(got)} of {k_arn} Ritz values); "
-                f"converged shift-invert values: {np.array2string(got, precision=5)}"
-            ) from exc2
-
-    keep = np.abs(nu) >= INFINITE_MODE_RTOL * np.abs(nu).max()
-    discarded = int((~keep).sum())
+    for m in (k_pad,) if field_bound is None else (k + 1, k_pad):
+        nu, W = _arnoldi(op, m, v0)
+        keep = np.abs(nu) >= INFINITE_MODE_RTOL * np.abs(nu).max()
+        if m == k_pad or _nothing_missed(nu, keep, k, sigma, field_bound):
+            break
     if keep.sum() < k:
         raise SolverError(
             f"only {int(keep.sum())} finite Ritz values survived the "
-            f"infinite-mode filter of {k_arn}, {k} requested"
+            f"infinite-mode filter of {m}, {k} requested"
         )
-    return _eigen_result(A, M, sigma + 1.0 / nu[keep], W[:, keep], k, discarded, "arnoldi")
+    return _eigen_result(
+        A, M, sigma + 1.0 / nu[keep], W[:, keep], k, int((~keep).sum()), "arnoldi", m
+    )
 
 
 def solve_adjoint_eigs(
@@ -263,13 +312,17 @@ def solve_adjoint_eigs(
     k: int,
     shift: Optional[float] = None,
     seed: int = 0,
+    field_bound: Optional[float] = None,
 ) -> EigenResult:
     """Eigenpairs of the adjoint problem: the pencil (A^T, M^T).
 
     The adjoint spectrum is the conjugate of the primal one; for real
-    matrices the two coincide as multisets.
+    matrices the two coincide as multisets, so the primal field_bound
+    serves here too.
     """
-    return solve_eigs(_as_csc(A).T, _as_csc(M).T, k, shift=shift, seed=seed)
+    return solve_eigs(
+        _as_csc(A).T, _as_csc(M).T, k, shift=shift, seed=seed, field_bound=field_bound
+    )
 
 
 def suggested_shift(domain_tag: str, coeffs: CoefficientSet) -> float:

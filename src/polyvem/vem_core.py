@@ -153,6 +153,11 @@ class FormBatch(NamedTuple):
         kappa at the centroid is positive and every entry is finite.
         Assembly rejects a cell without it; `local_forms`, the same forms
         on a batch of that one cell, words the error.
+    field_ratio : ndarray, shape (G,)
+        max |theta| over the cell's quadrature nodes / sqrt(kappa_E); 0
+        where kappa_E is not positive.  With positive weights it bounds
+        the convection form by the diffusion and mass forms:
+        |Bh(w, v)| <= field_ratio (kappa_E |E| |grad Pi w|^2)^1/2 Mh(v, v)^1/2.
     """
 
     Ah: np.ndarray
@@ -161,6 +166,7 @@ class FormBatch(NamedTuple):
     Mh: np.ndarray
     Fh: np.ndarray
     ok: np.ndarray
+    field_ratio: np.ndarray
 
 
 def pi_nabla_batch(g: CellBatch) -> np.ndarray:
@@ -249,4 +255,6 @@ def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
     for m in (Ah, Bh, Ch, Mh):
         ok &= np.isfinite(m).all(axis=(1, 2))
     ok &= np.isfinite(Fh).all(axis=1)
-    return FormBatch(Ah, Bh, Ch, Mh, Fh, ok)
+    theta_sq = (tx * tx + ty * ty).max(axis=1)
+    field_ratio = np.sqrt(theta_sq / np.where(kappa > 0.0, kappa, np.inf))
+    return FormBatch(Ah, Bh, Ch, Mh, Fh, ok, field_ratio)

@@ -178,6 +178,12 @@ class TestOperatorStructure:
         with pytest.raises(AssemblyError, match="domain"):
             assemble_full(mesh, CASES["eigen_square"].coeffs)
 
+    def test_mesh_without_cells_rejected(self):
+        mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [], "custom")
+        for build in (assemble, assemble_full):
+            with pytest.raises(AssemblyError, match="^mesh has no cells$"):
+                build(mesh, LAPLACE)
+
     @pytest.mark.parametrize(
         "kappa, gamma, message",
         [

@@ -232,6 +232,11 @@ class TestAllGenerators:
 
 
 class TestValidateFailures:
+    def test_mesh_without_cells(self):
+        mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [], "custom")
+        with pytest.raises(MeshConformityError, match="^mesh has no cells$"):
+            validate(mesh)
+
     def test_reversed_cell_named(self):
         mesh = gen_square_th2(2, split_edges=False)
         cells = list(mesh.cells)

@@ -2,8 +2,9 @@
 
 Oracles: hand-solvable pencils, the dense QZ path against the Arnoldi
 path, conjugate gradients against the LU path on symmetric systems, the
-transpose-spectrum identity for the adjoint problem, and the known closed
-form for the unit-square convection-diffusion spectrum.
+transpose-spectrum identity for the adjoint problem, the known closed
+form for the unit-square convection-diffusion spectrum, and the quadratic
+forms themselves for the field-of-values bound behind the Arnoldi request.
 """
 
 import numpy as np
@@ -32,6 +33,8 @@ from polyvem.solvers import (
     solve_load,
     suggested_shift,
 )
+
+from test_mesh_checks import th2_split_at
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
 
@@ -152,6 +155,7 @@ class TestEigsSmallPencils:
         M = sp.eye(3, format="csc")
         res = solve_eigs(A, M, k=2, shift=0.0)
         assert res.method == "dense"  # too small for Arnoldi, falls through
+        assert res.requested == 0
         assert np.allclose(res.eigenvalues, [1.0, 2.0], atol=1e-12)
         assert res.discarded_count == 0
 
@@ -302,6 +306,166 @@ class TestPencilFactorization:
         fill = (lu.L.nnz + lu.U.nnz) / K.nnz
         default = splu(K)
         assert fill < (default.L.nnz + default.U.nnz) / K.nnz
+
+
+def rotating(a):
+    """theta = a (-(y - 1/2), x - 1/2): divergence free, |theta| up to a / sqrt(2)."""
+    return CoefficientSet(
+        constant(1.0),
+        lambda x, y: (-a * (np.asarray(y) - 0.5), a * (np.asarray(x) - 0.5)),
+        constant(0.0),
+        domain="unit_square",
+    )
+
+
+# kappa varies: the bound takes |theta| / sqrt(kappa) cell by cell
+VARIABLE_KAPPA = CoefficientSet(
+    lambda x, y: 0.25 + 3.0 * np.asarray(x), constant_vector(2.0, 1.0), constant(0.0)
+)
+
+
+def sorted_spectrum(vals):
+    """By real part, then |Im|: the two members of a conjugate pair compare
+    equal whichever order a solver returns them in."""
+    vals = np.asarray(vals)
+    vals = vals[np.lexsort((np.abs(vals.imag), vals.real))]
+    return vals.real, np.abs(vals.imag)
+
+
+class TestFieldOfValuesGuard:
+    """solve_eigs asks ARPACK for k + 1 values and keeps them only when the
+    bound |x^H B x| <= c (x^H A x x^H M x)^1/2, c = `GlobalSystem.field_bound`,
+    proves that no eigenvalue of smaller real part was left out."""
+
+    @pytest.mark.parametrize(
+        "mesh, coeffs",
+        [
+            (lambda: gen_square_th1(16), CASES["test1"].coeffs),
+            (lambda: gen_square_th2(16), CASES["eigen_square"].coeffs),
+            (lambda: gen_rotated_T("th7", 28), CASES["eigen_T"].coeffs),
+            (lambda: th2_split_at(16, 1e-9), CASES["eigen_square"].coeffs),
+            (lambda: gen_square_th2(12), rotating(40.0)),
+            (lambda: gen_square_th2(12), VARIABLE_KAPPA),
+        ],
+        ids=["th1", "th2", "th7", "th2_split", "rotating", "variable_kappa"],
+    )
+    def test_convection_bounded_by_diffusion_and_mass(self, mesh, coeffs):
+        mesh = mesh()
+        system = assemble(mesh, coeffs)
+        c = system.field_bound
+        rng = np.random.default_rng(1)
+        xs = list(rng.standard_normal((8, system.n)) + 1j * rng.standard_normal((8, system.n)))
+        # waves e^{iwx} reach 0.27-0.70 of the bound on th1, th2 and th7 at
+        # w = 20, the random vectors 0.015 at most
+        xy = mesh.vertices[system.dof.interior_vertices]
+        xs += [np.exp(1j * w * xy[:, 0]) for w in (5.0, 20.0)]
+        for x in xs:
+            b = abs(np.vdot(x, system.B @ x))
+            a = np.vdot(x, system.A @ x).real
+            m = np.vdot(x, system.M @ x).real
+            # slack: a fan triangle of a valid cell may have signed area down
+            # to -1e-14 diam^2 / 2 (geometry._AREA_EPS), so its quadrature
+            # weights may be that negative, 1e-13 of these cells' areas at
+            # most; round-off in the three forms adds a few n eps
+            assert b <= c * np.sqrt(a * m) * (1.0 + 1e-10)
+
+    def test_field_bound_divides_by_root_kappa(self):
+        # |theta| = sqrt(5) everywhere; kappa is sampled at the centroids,
+        # and is smallest at the cell whose centroid is leftmost
+        mesh = gen_square_th2(12)
+        xc = min(g.centroid[:, 0].min() for g in mesh.geometry.groups)
+        c = assemble(mesh, VARIABLE_KAPPA).field_bound
+        assert c == pytest.approx(np.sqrt(5.0 / (0.25 + 3.0 * xc)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mesh, case, rtol",
+        [
+            # pairs 2-3 and 5-6 are double in the continuous problem
+            (lambda: gen_square_th2(8), "eigen_square", 1e-9),
+            (lambda: gen_rotated_T("th7", 16), "eigen_T", 1e-9),
+            # edges of 1e-9 h put weights near 1e9 into A, and QZ's answers
+            # move by about 2e-6 relative (residuals 10x Arnoldi's); the
+            # eigenvalues lie 1e-2 relative or more apart, so a missed one
+            # still shows
+            (lambda: th2_split_at(8, 1e-9), "eigen_square", 1e-5),
+        ],
+        ids=["th2_double", "th7", "th2_split"],
+    )
+    def test_guarded_values_equal_dense_qz(self, mesh, case, rtol):
+        mesh = mesh()
+        coeffs = CASES[case].coeffs
+        system = assemble(mesh, coeffs)
+        A = (system.A + system.B).tocsc()
+        shift = suggested_shift(mesh.domain_tag, coeffs)
+        res = solve_eigs(A, system.M, k=6, shift=shift, field_bound=system.field_bound)
+        assert res.requested == 7
+        ref = solve_eigs_dense(A, system.M, k=6).eigenvalues
+        got_re, got_im = sorted_spectrum(res.eigenvalues)
+        ref_re, ref_im = sorted_spectrum(ref)
+        scale = np.abs(ref).max()
+        assert np.abs(got_re - ref_re).max() <= rtol * scale
+        assert np.abs(got_im - ref_im).max() <= rtol * scale
+
+    @pytest.mark.parametrize("N", [16, 28, 60])
+    def test_eigen_T_asks_for_k_plus_one(self, N):
+        system = assemble(gen_rotated_T("th7", N), CASES["eigen_T"].coeffs)
+        A = (system.A + system.B).tocsc()
+        guarded = solve_eigs(A, system.M, k=6, shift=1.0, seed=5, field_bound=system.field_bound)
+        padded = solve_eigs(A, system.M, k=6, shift=1.0, seed=5)
+        assert (guarded.requested, padded.requested) == (7, 14)
+        ref = padded.eigenvalues
+        assert np.abs(guarded.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_strong_rotation_falls_back_to_padded_request(self):
+        # pairs with |Im| near 40 and 78 among the first 6 values; with
+        # c = 28.1 the region cut at the 6th real part, 110.6, reaches 915
+        # from the shift, past the 178 of the 7th value returned, so the
+        # guard cannot decide and the padded run, with the same factors and
+        # start vector, answers
+        coeffs = rotating(40.0)
+        system = assemble(gen_square_th2(12), coeffs)
+        assert system.field_bound == pytest.approx(28.1, abs=0.05)
+        A = (system.A + system.B).tocsc()
+        shift = suggested_shift("unit_square", coeffs)
+        splu = solvers.spla.splu
+        factored = []
+
+        def spy(K, **kwargs):
+            factored.append(K)
+            return splu(K, **kwargs)
+
+        padded = solve_eigs(A, system.M, k=6, shift=shift)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers.spla, "splu", spy)
+            res = solve_eigs(A, system.M, k=6, shift=shift, field_bound=system.field_bound)
+        assert len(factored) == 1
+        assert res.requested == 14
+        assert np.array_equal(res.eigenvalues, padded.eigenvalues)
+        assert np.abs(res.eigenvalues.imag).max() > 70.0
+
+    def test_adjoint_takes_the_primal_bound(self):
+        system = assemble(gen_rotated_T("th7", 16), CASES["eigen_T"].coeffs)
+        A = (system.A + system.B).tocsc()
+        primal = solve_eigs(A, system.M, k=6, field_bound=system.field_bound)
+        adjoint = solve_adjoint_eigs(A, system.M, k=6, field_bound=system.field_bound)
+        assert adjoint.requested == 7
+        p = np.sort_complex(primal.eigenvalues)
+        a = np.sort_complex(np.conj(adjoint.eigenvalues))
+        assert np.abs(p - a).max() <= 1e-8 * np.abs(p).max()
+
+    def test_messages_name_the_request(self, monkeypatch):
+        system = assemble(gen_rotated_T("th7", 16), CASES["eigen_T"].coeffs)
+        A = (system.A + system.B).tocsc()
+
+        def no_convergence(op, k, **kwargs):
+            n = op.shape[0]
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((n, 1)))
+
+        monkeypatch.setattr(solvers.spla, "eigs", no_convergence)
+        with pytest.raises(SolverError, match=r"\(1 of 7 Ritz values\)"):
+            solve_eigs(A, system.M, k=6, field_bound=system.field_bound)
+        with pytest.raises(SolverError, match=r"\(1 of 14 Ritz values\)"):
+            solve_eigs(A, system.M, k=6)
 
 
 class TestSuggestedShift:
