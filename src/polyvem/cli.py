@@ -244,6 +244,8 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"config is not valid JSON ({path}, line {exc.lineno}, "
@@ -672,6 +674,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SolverError, MeshConformityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # an --out that is a file, or an output path taken by a directory
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

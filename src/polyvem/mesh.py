@@ -182,6 +182,19 @@ class PolyMesh:
         flags.flags.writeable = False
         return flags
 
+    @cached_property
+    def _coordinate_tokens(self) -> tuple[list, list]:
+        """Every coordinate x0, y0, x1, ... formatted once: as JSON and as `repr`.
+
+        `json.dumps` spells a float as `repr` does, except nan and ±inf,
+        so the two are one list unless a coordinate is not finite.
+        """
+        flat = self.vertices.ravel().tolist()
+        as_json = json.dumps(flat)[1:-1].split(", ") if flat else []
+        if np.isfinite(self.vertices).all():
+            return as_json, as_json
+        return as_json, list(map(repr, flat))
+
     def edge_counts(self) -> dict:
         """Undirected edge -> number of incident cells."""
         topo = self.topology
@@ -661,19 +674,57 @@ def reentrant_corners(mesh: PolyMesh) -> list[Point2]:
 # file IO
 
 
+def _join_rows(tokens, sizes: np.ndarray, sep: str, row_end: str) -> str:
+    """`tokens` joined by `sep` inside a row and ended by `row_end` after each
+    row, where row i holds the next `sizes[i]` >= 1 tokens."""
+    out = [sep] * (2 * len(tokens))
+    out[::2] = tokens
+    for end in (2 * np.cumsum(sizes) - 1).tolist():
+        out[end] = row_end
+    return "".join(out)
+
+
+def _json_rows(tokens, sizes: np.ndarray) -> str:
+    """The list of lists `json.dumps` writes for rows of `sizes` tokens."""
+    if len(sizes) == 0:
+        return "[]"
+    empty = sizes == 0
+    if empty.any():  # a row holding one blank token is written []
+        tokens = np.insert(np.asarray(tokens, dtype=object), (np.cumsum(sizes) - sizes)[empty], "")
+        sizes = np.maximum(sizes, 1)
+    return "[[" + _join_rows(tokens, sizes, ", ", "], [")[: -len("], [")] + "]]"
+
+
+def _int_tokens(ints: np.ndarray, n: int) -> np.ndarray:
+    """`str` of each entry, looked up in a table of 0 .. n - 1; entries
+    outside that range, which no valid mesh has, are formatted one by one."""
+    table = np.array(list(map(str, range(max(n, 1)))), dtype=object)
+    inside = (ints >= 0) & (ints < n)
+    tokens = table[np.where(inside, ints, 0)]
+    tokens[~inside] = list(map(str, ints[~inside].tolist()))
+    return tokens
+
+
 def io_write(path, mesh: PolyMesh) -> None:
-    """Write a mesh as JSON (schema version 1)."""
-    doc = {
-        "version": 1,
-        "domain": mesh.domain_tag,
-        "vertices": np.asarray(mesh.vertices, dtype=float).tolist(),
-        "cells": _split(mesh.cell_ids, mesh.cell_sizes),
-        "boundary": np.asarray(mesh.boundary_vertex, dtype=bool).tolist(),
-    }
-    # json.dumps encodes in C; json.dump streams through the Python encoder
+    """Write a mesh as JSON (schema version 1).
+
+    The bytes are those of one `json.dumps` of the document: key order
+    version, domain, vertices, cells, boundary, and ", " and ": " as
+    separators.  The coordinates are the mesh's cached tokens, shared with
+    `export_vtk`, and the ids come from a table of `str(i)`.
+    """
+    n = mesh.n_vertices
+    parts = [
+        f'{{"version": 1, "domain": {json.dumps(mesh.domain_tag)}, "vertices": ',
+        _json_rows(mesh._coordinate_tokens[0], np.full(n, 2)),
+        ', "cells": ',
+        _json_rows(_int_tokens(mesh.cell_ids, n), mesh.cell_sizes),
+        ', "boundary": ',
+        json.dumps(mesh.boundary_vertex.tolist()),
+        "}\n",
+    ]
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        fh.writelines(parts)
 
 
 def io_read(path) -> PolyMesh:
@@ -712,14 +763,17 @@ def io_read(path) -> PolyMesh:
         bad = next(((ci, i) for ci, c in enumerate(cells) for i in c if type(i) is not int), None)
         if bad is None:
             mesh = PolyMesh.from_cells(verts, cells, domain)
-        boundary = np.asarray(doc["boundary"], dtype=bool)
+        flags = doc["boundary"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshIOError(f"malformed mesh arrays: {exc}") from exc
     if bad is not None:
         raise MeshIOError(f"cell {bad[0]} has a vertex id that is not an integer: {bad[1]!r}")
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshIOError(f"vertices must be an (n, 2) array, got shape {verts.shape}")
-    if len(boundary) != len(verts):
+    # like the ids: bool() would read 1 and [true] as true
+    if type(flags) is not list or any(type(f) is not bool for f in flags):
+        raise MeshIOError(f"boundary must be a list of {len(verts)} JSON booleans")
+    if len(flags) != len(verts):
         raise MeshIOError("boundary flag count does not match vertex count")
     short = mesh.cell_sizes < 3
     out_of_range = _out_of_range_cells(mesh.cell_ids, mesh.cell_sizes, len(verts))
@@ -731,35 +785,31 @@ def io_read(path) -> PolyMesh:
     fault = _edge_fault(mesh.topology, len(verts))
     if fault:
         raise MeshIOError(fault)
-    mismatch = np.flatnonzero(boundary != mesh.boundary_vertex)
+    mismatch = np.flatnonzero(np.array(flags) != mesh.boundary_vertex)
     if len(mismatch):
         raise MeshIOError(f"boundary flag of vertex {int(mismatch[0])} is inconsistent")
     return mesh
 
 
 def export_vtk(path, mesh: PolyMesh, field=None) -> None:
-    """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data `u`."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "polyvem mesh",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist())
-    lines.append(f"POLYGONS {mesh.n_cells} {mesh.n_cells + len(mesh.cell_ids)}")
+    """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data `u`.
+
+    Numbers are spelled by `repr` and `str`; the POINTS block, the POLYGONS
+    block and the field are each one join.
+    """
+    n = mesh.n_vertices
     rows = np.insert(mesh.cell_ids, mesh._starts, mesh.cell_sizes)  # per cell: k, then k ids
-    lines.extend(" ".join(map(str, row)) for row in _split(rows, mesh.cell_sizes + 1))
+    parts = [
+        f"# vtk DataFile Version 3.0\npolyvem mesh\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n",
+        _join_rows(mesh._coordinate_tokens[1], np.full(n, 2), " ", " 0.0\n"),
+        f"POLYGONS {mesh.n_cells} {len(rows)}\n",
+        _join_rows(_int_tokens(rows, n), mesh.cell_sizes + 1, " ", "\n"),
+    ]
     if field is not None:
         field = np.asarray(field, dtype=float)
-        if field.shape != (mesh.n_vertices,):
-            raise ValueError(
-                f"nodal field must have shape ({mesh.n_vertices},), got {field.shape}"
-            )
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
-        lines.append("SCALARS u double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{val!r}" for val in field.tolist())
+        if field.shape != (n,):
+            raise ValueError(f"nodal field must have shape ({n},), got {field.shape}")
+        parts.append(f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n")
+        parts.append("".join(map("{!r}\n".format, field.tolist())))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.writelines(parts)

@@ -1,12 +1,18 @@
-"""Per-cell reference for the local VEM forms, independent of the batched kernels.
+"""Straightforward references for code that polyvem computes in bulk.
 
-One polygon at a time: Pi from edge sums, S scattered entry by entry with
-`np.add.at`, and the forms integrated by `polygon_quadrature` over the
-polygon's own triangulation.  `polyvem.vem_core` computes the same
-quantities for stacked batches of cells, in a different summation order;
-the tests compare the two to a relative 1e-12.
+The local VEM forms, one polygon at a time: Pi from edge sums, S scattered
+entry by entry with `np.add.at`, and the forms integrated by
+`polygon_quadrature` over the polygon's own triangulation.
+`polyvem.vem_core` computes the same quantities for stacked batches of
+cells, in a different summation order; the tests compare the two to a
+relative 1e-12.
+
+The mesh writers, one document built by `json.dumps` and one line per
+vertex and per cell: `polyvem.mesh.io_write` and `export_vtk` must write
+the same bytes.
 """
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -120,3 +126,52 @@ def local_forms(E, coeffs) -> LocalForms:
     else:
         Fh = np.zeros(n)
     return LocalForms(P, S, Ah, Bh, Ch, Mh, Fh)
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
+    """Per-cell lists of a flat per-vertex array."""
+    items = flat.tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [items[s:e] for s, e in zip([0, *ends[:-1]], ends)]
+
+
+def io_write(path, mesh) -> None:
+    """The JSON mesh file (schema version 1), as one `json.dumps`."""
+    doc = {
+        "version": 1,
+        "domain": mesh.domain_tag,
+        "vertices": np.asarray(mesh.vertices, dtype=float).tolist(),
+        "cells": _split(mesh.cell_ids, mesh.cell_sizes),
+        "boundary": np.asarray(mesh.boundary_vertex, dtype=bool).tolist(),
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
+        fh.write("\n")
+
+
+def export_vtk(path, mesh, field=None) -> None:
+    """The legacy ASCII VTK POLYDATA file, one f-string per line."""
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "polyvem mesh",
+        "ASCII",
+        "DATASET POLYDATA",
+        f"POINTS {mesh.n_vertices} double",
+    ]
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist())
+    lines.append(f"POLYGONS {mesh.n_cells} {mesh.n_cells + len(mesh.cell_ids)}")
+    rows = np.insert(mesh.cell_ids, mesh._starts, mesh.cell_sizes)  # per cell: k, then k ids
+    lines.extend(" ".join(map(str, row)) for row in _split(rows, mesh.cell_sizes + 1))
+    if field is not None:
+        field = np.asarray(field, dtype=float)
+        if field.shape != (mesh.n_vertices,):
+            raise ValueError(
+                f"nodal field must have shape ({mesh.n_vertices},), got {field.shape}"
+            )
+        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        lines.append("SCALARS u double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{val!r}" for val in field.tolist())
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")

@@ -203,6 +203,12 @@ def test_config_missing_file():
         ExperimentConfig.from_json("/nonexistent/cfg.json")
 
 
+def test_config_that_is_a_directory(tmp_path):
+    # read errors are the config's, not the "cannot write output" of main
+    with pytest.raises(ConfigError, match="^cannot read config file"):
+        ExperimentConfig.from_json(tmp_path)
+
+
 def test_config_hash_ignores_output_dir():
     a = make_config(output_dir="here")
     b = make_config(output_dir="there")
@@ -431,6 +437,36 @@ def test_mesh_command(tmp_path, capsys):
     report = (tmp_path / "th2_N4_report.txt").read_text()
     assert "min_edge/h" in report
     assert "reentrant corners: 0" in report
+
+
+OUTPUT_COMMANDS = {
+    "mesh": (["mesh", "--family", "th3", "--N", "8"], "th3_N8.json"),
+    "solve": (["solve", "--family", "th1", "--case", "test1", "--N", "4"], "solution_th1_N4.vtk"),
+    "eig": (
+        ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--eig-count", "2"],
+        "eig_th2_N4.csv",
+    ),
+    "convergence": (
+        ["convergence", "--family", "th1", "--case", "test1", "--N", "4", "8", "--quiet"],
+        "convergence_load_th1.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("blocked", ["directory", "file"])
+def test_unwritable_output_is_a_usage_error(command, blocked, tmp_path, capsys):
+    # a file where the output directory should be, or a directory where an
+    # output file should be: exit 2 with an error line, not a traceback
+    argv, output = OUTPUT_COMMANDS[command]
+    out = tmp_path / "out"
+    if blocked == "directory":
+        out.write_text("")
+    else:
+        (out / output).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot write output: .+\n", err), err
 
 
 def test_mesh_command_does_not_import_scipy_optimize(tmp_path):

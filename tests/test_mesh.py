@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference
 from polyvem.geometry import area_centroid
 from polyvem.mesh import (
+    DOMAIN_TAGS,
     MeshConformityError,
     MeshIOError,
     PolyMesh,
@@ -20,6 +24,7 @@ from polyvem.mesh import (
     reentrant_corners,
     validate,
 )
+from test_mesh_checks import th2_split_at
 
 SQUARE_GENERATORS = {
     "th1": gen_square_th1,
@@ -385,6 +390,27 @@ class TestMeshIO:
         with pytest.raises(MeshIOError, match="malformed mesh arrays"):
             io_read(_write_doc(tmp_path, mesh, cells=cells))
 
+    def test_boundary_that_is_not_a_list_rejected(self, tmp_path):
+        # len() of a JSON true raised a TypeError
+        path = _write_doc(tmp_path, gen_square_th2(2, split_edges=False), boundary=True)
+        with pytest.raises(MeshIOError, match="^boundary must be a list of 9 JSON booleans$"):
+            io_read(path)
+
+    def test_nested_boundary_flags_rejected(self, tmp_path):
+        # [[true], [false], ...] broadcast against the (n,) flags to an (n, n)
+        # comparison and blamed vertex 2, whose flag is correct
+        mesh = gen_square_th1(4)
+        nested = [[flag] for flag in mesh.boundary_vertex.tolist()]
+        path = _write_doc(tmp_path, mesh, boundary=nested)
+        with pytest.raises(MeshIOError, match="^boundary must be a list of .* JSON booleans$"):
+            io_read(path)
+
+    def test_integer_boundary_flags_rejected(self, tmp_path):
+        mesh = gen_square_th2(2, split_edges=False)
+        path = _write_doc(tmp_path, mesh, boundary=[int(f) for f in mesh.boundary_vertex])
+        with pytest.raises(MeshIOError, match="^boundary must be a list of 9 JSON booleans$"):
+            io_read(path)
+
     def test_edge_of_three_cells_rejected(self, tmp_path):
         # three triangles on the edge (0, 1): two of them must run along it
         # in the same direction
@@ -503,25 +529,92 @@ def test_generators_bit_identical(make, digest):
     assert mesh_digest(make()) == digest
 
 
-# pinned digests of the writers' bytes: JSON, then VTK with a nodal field.
-# The benchmark only checks that io_write(io_read(x)) reproduces x, which a
-# self-consistent change of format would pass
+# pinned digests of the writers' bytes: JSON, then VTK, with a nodal field
+# or, as `polyvem mesh` writes it, without.  The benchmark only checks that
+# io_write(io_read(x)) reproduces x, which a self-consistent change of format
+# would pass.  th3 N=128 is the largest file pair of the benchmark's
+# mesh_th3; the split th2 mesh has coordinates of 17 significant digits
 WRITER_DIGESTS = [
-    ("th1", 16, lambda: gen_square_th1(16), "dfe52862c9252864", "ba05beff95f4fdeb"),
-    ("th2", 24, lambda: gen_square_th2(24), "3bca66e098b7ab25", "3aea42b1852b7d09"),
-    ("th3", 32, lambda: gen_square_th3(32), "bd4591218a070a97", "9fd9cc9a5cedf3b8"),
-    ("th7", 16, lambda: gen_rotated_T("th7", 16), "b18e091528a3fabd", "7cdf8027a468e6a7"),
+    ("th1", 16, lambda: gen_square_th1(16), True, "dfe52862c9252864", "ba05beff95f4fdeb"),
+    ("th2", 24, lambda: gen_square_th2(24), True, "3bca66e098b7ab25", "3aea42b1852b7d09"),
+    ("th3", 32, lambda: gen_square_th3(32), True, "bd4591218a070a97", "9fd9cc9a5cedf3b8"),
+    ("th7", 16, lambda: gen_rotated_T("th7", 16), True, "b18e091528a3fabd", "7cdf8027a468e6a7"),
+    ("th3", 128, lambda: gen_square_th3(128), False, "c3abff8c283939e9", "462241de8890970d"),
+    ("th2-split-1e-9", 16, lambda: th2_split_at(16, 1e-9), True, "ec0ec87d844bcd18", "02b856be8219759d"),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, json_digest, vtk_digest",
+    "make, with_field, json_digest, vtk_digest",
     [g[2:] for g in WRITER_DIGESTS],
     ids=[f"{g[0]}-N{g[1]}" for g in WRITER_DIGESTS],
 )
-def test_writers_bit_identical(make, json_digest, vtk_digest, tmp_path):
+def test_writers_bit_identical(make, with_field, json_digest, vtk_digest, tmp_path):
     mesh = make()
+    field = np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0 if with_field else None
     io_write(tmp_path / "m.json", mesh)
-    export_vtk(tmp_path / "m.vtk", mesh, field=np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0)
+    export_vtk(tmp_path / "m.vtk", mesh, field=field)
     for name, digest in (("m.json", json_digest), ("m.vtk", vtk_digest)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == digest, name
+
+
+def assert_writers_match_the_reference(mesh, field, tmp_path):
+    for write, args in ((io_write, ()), (export_vtk, ()), (export_vtk, (field,))):
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        write(ours, mesh, *args)
+        getattr(reference, write.__name__)(theirs, mesh, *args)
+        assert ours.read_bytes() == theirs.read_bytes(), (write.__name__, args)
+
+
+# -0.0, the smallest subnormal, a float whose repr switches to exponent
+# notation, one of 17 significant digits, and the non-finite values
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e22, 1.0 / 3.0, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def meshes_and_fields(draw):
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    n = draw(st.integers(0, 16))
+    coords = np.array(draw(st.lists(floats, min_size=2 * n, max_size=2 * n)), dtype=float)
+    ids = st.integers(0, n - 1)
+    cells = draw(st.lists(st.lists(ids, min_size=3, max_size=12), max_size=6)) if n else []
+    mesh = PolyMesh.from_cells(coords.reshape(n, 2), cells, draw(st.sampled_from(DOMAIN_TAGS)))
+    field = np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+    return mesh, field
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(meshes_and_fields())
+def test_writers_match_the_reference(tmp_path, case):
+    assert_writers_match_the_reference(*case, tmp_path)
+
+
+def test_mesh_without_cells_is_written_as_the_reference(tmp_path):
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], [], "custom")
+    assert_writers_match_the_reference(mesh, np.zeros(2), tmp_path)
+    io_write(tmp_path / "m.json", mesh)
+    assert '"cells": [], ' in (tmp_path / "m.json").read_text()
+    export_vtk(tmp_path / "m.vtk", mesh)
+    assert (tmp_path / "m.vtk").read_text().endswith("0.0\nPOLYGONS 0 0\n")
+
+
+def test_non_finite_coordinates_are_spelled_as_each_format_does(tmp_path):
+    mesh = PolyMesh.from_cells([[np.nan, np.inf], [-np.inf, 0.0], [0.5, 1.0]], [(0, 1, 2)], "custom")
+    assert_writers_match_the_reference(mesh, np.array([np.nan, np.inf, -0.0]), tmp_path)
+    io_write(tmp_path / "m.json", mesh)
+    assert '"vertices": [[NaN, Infinity], [-Infinity, 0.0], [0.5, 1.0]]' in (
+        tmp_path / "m.json"
+    ).read_text()
+    export_vtk(tmp_path / "m.vtk", mesh)
+    assert "\nnan inf 0.0\n-inf 0.0 0.0\n0.5 1.0 0.0\n" in (tmp_path / "m.vtk").read_text()
+
+
+def test_ids_outside_the_vertex_range_and_empty_cells_are_written_as_the_reference(tmp_path):
+    # neither passes validate, but the writers take any PolyMesh
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], [(), (0, 1, 40), ()], "custom")
+    assert_writers_match_the_reference(mesh, np.ones(2), tmp_path)
+    # a negative id leaves no boundary flags to write, but a VTK file
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], [(0, -3, 1)], "custom")
+    export_vtk(tmp_path / "ours", mesh)
+    reference.export_vtk(tmp_path / "theirs", mesh)
+    assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
