@@ -129,9 +129,15 @@ def _shoelace(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _diameter(v: np.ndarray) -> np.ndarray:
-    """Largest pairwise vertex distance of polygons v, shape (..., n, 2)."""
-    d = v[..., :, None, :] - v[..., None, :, :]
-    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+    """Largest pairwise vertex distance of polygons v, shape (..., n, 2).
+
+    Over the pairs i < j, with one square root of the largest squared
+    distance: for finite v, the bits of the largest of all n x n distances.
+    """
+    i, j = np.triu_indices(v.shape[-2], 1)
+    x, y = v[..., 0], v[..., 1]
+    dx, dy = x[..., i] - x[..., j], y[..., i] - y[..., j]
+    return np.sqrt((dx * dx + dy * dy).max(axis=-1))
 
 
 def _edge_lengths(v: np.ndarray) -> np.ndarray:
@@ -181,8 +187,10 @@ def _segments_cross(p1, p2, p3, p4, tol) -> np.ndarray:
     # collinear / touching configurations: fall back to bounding-box overlap
     e = tol[..., None]
     for d, a, b, p in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
-        in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
-        hit |= (np.abs(d) <= tol) & in_box.all(axis=-1)
+        near = np.abs(d) <= tol
+        if near.any():
+            in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
+            hit |= near & in_box.all(axis=-1)
     return hit
 
 

@@ -136,6 +136,14 @@ class PolyMesh:
     def cell_polygon(self, i: int, validate: bool = False) -> Polygon:
         return Polygon(self.cell_vertices(i), validate=validate)
 
+    def _check_vertex_ids(self) -> None:
+        """Raise MeshConformityError naming the first cell that references a
+        vertex id outside [0, n_vertices)."""
+        ids = self.cell_ids
+        if len(ids) and (ids.min() < 0 or ids.max() >= self.n_vertices):
+            bad = np.flatnonzero(_out_of_range_cells(ids, self.cell_sizes, self.n_vertices))
+            raise MeshConformityError(f"cell {int(bad[0])} references a vertex out of range")
+
     @cached_property
     def geometry(self) -> MeshGeometry:
         """Cell geometry grouped by vertex count, computed once per mesh.
@@ -149,9 +157,7 @@ class PolyMesh:
             else the first that is not a valid polygon, with the message of
             ``Polygon(validate=True)``.
         """
-        bad = np.flatnonzero(_out_of_range_cells(self.cell_ids, self.cell_sizes, self.n_vertices))
-        if len(bad):
-            raise MeshConformityError(f"cell {int(bad[0])} references a vertex out of range")
+        self._check_vertex_ids()
         geom = mesh_geometry(self.vertices, self.cell_ids, self.cell_sizes)
         if len(geom.invalid):
             ci = int(geom.invalid[0])
@@ -170,8 +176,9 @@ class PolyMesh:
     def topology(self) -> "EdgeTopology":
         """Directed cell edges and undirected incidence counts.
 
-        Vertex ids must be non-negative (`validate` checks the range first).
+        Raises MeshConformityError if a cell references a vertex out of range.
         """
+        self._check_vertex_ids()
         return edge_topology(self.cell_ids, self.cell_sizes)
 
     @cached_property
@@ -574,14 +581,33 @@ def _edge_fault(topo: EdgeTopology, n: int) -> str | None:
     """The first edge traversed twice in the same direction, or None.
 
     This also rejects every edge of three or more cells: their sides run
-    in only two directions.
+    in only two directions.  The sides of each undirected edge are counted
+    by direction on the topology; only a fault is looked up by a sort.
     """
+    if np.bincount(2 * topo.edge + (topo.tail < topo.head)).max(initial=0) <= 1:
+        return None
     _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
     repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
     if len(repeated):
         a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
         return f"edge ({a}, {b}) is traversed twice in the same direction"
     return None
+
+
+def _shape_representatives(g) -> np.ndarray:
+    """Index of the first cell of each distinct shape of a `CellBatch`.
+
+    rho is invariant under translation and scaling, and structured meshes
+    repeat a handful of cell shapes, so `validate` computes rho for one
+    cell per signature: the vertices relative to the first, in units of
+    the diameter, rounded to 10 digits.  A signature is the bytes of that
+    row, so the cells come in the order of their bytes.
+    """
+    rel = (g.vertices - g.vertices[:, :1]) / g.diameter[:, None, None]
+    # + 0.0 turns -0.0 into 0.0, so that equal rows have equal bytes
+    rows = np.ascontiguousarray(rel.round(10).reshape(len(g.cells), -1) + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(keys, return_index=True)[1]
 
 
 def validate(mesh: PolyMesh) -> MeshQualityReport:
@@ -626,14 +652,7 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         )
 
     min_edge = min(float(g.edge_lengths.min()) for g in groups)
-    # rho is invariant under translation and scaling, and structured meshes
-    # repeat a handful of cell shapes, so rho is computed for one cell per
-    # signature: the vertices relative to the first, in units of the diameter
-    shapes = []
-    for g in groups:
-        rel = (g.vertices - g.vertices[:, :1]) / g.diameter[:, None, None]
-        _, first = np.unique(rel.round(10).reshape(len(g.cells), -1), axis=0, return_index=True)
-        shapes.extend(g.vertices[first])
+    shapes = [v for g in groups for v in g.vertices[_shape_representatives(g)]]
     min_rho = min((m.rho for m in star_metrics(shapes)), default=np.inf)
     return MeshQualityReport(
         h=mesh.h,
@@ -695,14 +714,10 @@ def _json_rows(tokens, sizes: np.ndarray) -> str:
     return "[[" + _join_rows(tokens, sizes, ", ", "], [")[: -len("], [")] + "]]"
 
 
-def _int_tokens(ints: np.ndarray, n: int) -> np.ndarray:
-    """`str` of each entry, looked up in a table of 0 .. n - 1; entries
-    outside that range, which no valid mesh has, are formatted one by one."""
-    table = np.array(list(map(str, range(max(n, 1)))), dtype=object)
-    inside = (ints >= 0) & (ints < n)
-    tokens = table[np.where(inside, ints, 0)]
-    tokens[~inside] = list(map(str, ints[~inside].tolist()))
-    return tokens
+def _int_tokens(ints: np.ndarray) -> np.ndarray:
+    """`str` of each entry (all >= 0), looked up in a table of 0 .. max."""
+    top = int(ints.max()) + 1 if len(ints) else 0
+    return np.array(list(map(str, range(top))), dtype=object)[ints]
 
 
 def io_write(path, mesh: PolyMesh) -> None:
@@ -711,14 +726,17 @@ def io_write(path, mesh: PolyMesh) -> None:
     The bytes are those of one `json.dumps` of the document: key order
     version, domain, vertices, cells, boundary, and ", " and ": " as
     separators.  The coordinates are the mesh's cached tokens, shared with
-    `export_vtk`, and the ids come from a table of `str(i)`.
+    `export_vtk`, and the ids come from a table of `str(i)`.  A cell that
+    references a vertex out of range raises MeshConformityError before
+    anything is written.
     """
+    mesh._check_vertex_ids()
     n = mesh.n_vertices
     parts = [
         f'{{"version": 1, "domain": {json.dumps(mesh.domain_tag)}, "vertices": ',
         _json_rows(mesh._coordinate_tokens[0], np.full(n, 2)),
         ', "cells": ',
-        _json_rows(_int_tokens(mesh.cell_ids, n), mesh.cell_sizes),
+        _json_rows(_int_tokens(mesh.cell_ids), mesh.cell_sizes),
         ', "boundary": ',
         json.dumps(mesh.boundary_vertex.tolist()),
         "}\n",
@@ -795,15 +813,17 @@ def export_vtk(path, mesh: PolyMesh, field=None) -> None:
     """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data `u`.
 
     Numbers are spelled by `repr` and `str`; the POINTS block, the POLYGONS
-    block and the field are each one join.
+    block and the field are each one join.  Vertex ids are checked as
+    in `io_write`.
     """
+    mesh._check_vertex_ids()
     n = mesh.n_vertices
     rows = np.insert(mesh.cell_ids, mesh._starts, mesh.cell_sizes)  # per cell: k, then k ids
     parts = [
         f"# vtk DataFile Version 3.0\npolyvem mesh\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n",
         _join_rows(mesh._coordinate_tokens[1], np.full(n, 2), " ", " 0.0\n"),
         f"POLYGONS {mesh.n_cells} {len(rows)}\n",
-        _join_rows(_int_tokens(rows, n), mesh.cell_sizes + 1, " ", "\n"),
+        _join_rows(_int_tokens(rows), mesh.cell_sizes + 1, " ", "\n"),
     ]
     if field is not None:
         field = np.asarray(field, dtype=float)

@@ -10,6 +10,13 @@ relative 1e-12.
 The mesh writers, one document built by `json.dumps` and one line per
 vertex and per cell: `polyvem.mesh.io_write` and `export_vtk` must write
 the same bytes.
+
+Three pieces of cell geometry and `validate`, as first written: the
+diameter as the largest of all k x k vertex distances, the shape
+signatures as the distinct rows of `np.unique(axis=0)`, and the edge
+check as a sort of every directed edge.  `polyvem.geometry` and
+`polyvem.mesh` compute the same values with less work; the tests swap
+these in and require every bit to agree.
 """
 
 import json
@@ -175,3 +182,28 @@ def export_vtk(path, mesh, field=None) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+
+
+def diameter(v: np.ndarray) -> np.ndarray:
+    """Largest pairwise vertex distance of polygons v, shape (..., n, 2)."""
+    d = v[..., :, None, :] - v[..., None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def shape_representatives(g) -> np.ndarray:
+    """Index of the first cell of each distinct shape signature of a
+    `CellBatch`: vertices relative to the first, in units of the diameter,
+    rounded to 10 digits and compared as rows of floats."""
+    rel = (g.vertices - g.vertices[:, :1]) / g.diameter[:, None, None]
+    _, first = np.unique(rel.round(10).reshape(len(g.cells), -1), axis=0, return_index=True)
+    return first
+
+
+def edge_fault(topo, n: int):
+    """The first edge traversed twice in the same direction, or None."""
+    _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
+    repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
+    if len(repeated):
+        a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
+        return f"edge ({a}, {b}) is traversed twice in the same direction"
+    return None

@@ -609,12 +609,25 @@ def test_non_finite_coordinates_are_spelled_as_each_format_does(tmp_path):
     assert "\nnan inf 0.0\n-inf 0.0 0.0\n0.5 1.0 0.0\n" in (tmp_path / "m.vtk").read_text()
 
 
-def test_ids_outside_the_vertex_range_and_empty_cells_are_written_as_the_reference(tmp_path):
-    # neither passes validate, but the writers take any PolyMesh
-    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], [(), (0, 1, 40), ()], "custom")
-    assert_writers_match_the_reference(mesh, np.ones(2), tmp_path)
-    # a negative id leaves no boundary flags to write, but a VTK file
-    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], [(0, -3, 1)], "custom")
-    export_vtk(tmp_path / "ours", mesh)
-    reference.export_vtk(tmp_path / "theirs", mesh)
-    assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
+def test_empty_cells_are_written_as_the_reference(tmp_path):
+    # no such mesh passes validate, but the writers take any PolyMesh
+    # whose ids are in range
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(), (0, 1, 2), ()], "custom")
+    assert_writers_match_the_reference(mesh, np.ones(3), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "cells, bad", [([(), (0, 1, 40)], 1), ([(0, -3, 1)], 0)], ids=["too-large", "negative"]
+)
+def test_vertex_ids_out_of_range_are_rejected_before_writing(cells, bad, tmp_path):
+    # io_write used to fail inside np.bincount on a negative id, and to
+    # write 41 boundary flags for 2 vertices, a file io_read rejects
+    message = f"^cell {bad} references a vertex out of range$"
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0]], cells, "custom")
+    for write in (io_write, export_vtk):
+        with pytest.raises(MeshConformityError, match=message):
+            write(tmp_path / "m", mesh)
+        assert not (tmp_path / "m").exists()
+    for derived in ("topology", "boundary_vertex", "geometry"):
+        with pytest.raises(MeshConformityError, match=message):
+            getattr(mesh, derived)

@@ -8,7 +8,13 @@ Chebyshev-centre linear program solved by HiGHS, one polygon at a time
 Polygons carry edges down to 1e-12 of their diameter: the small-edge
 regime the method is meant for.  They are simple by construction, so the
 validity check must accept every one.
+
+The cell geometry and the quality report must also agree bit for bit with
+`tests/reference.py`'s all-pairs diameter, row-wise shape signatures and
+sort-based edge check swapped in for the ones `polyvem` runs.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,16 +23,29 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import polyvem.geometry
+import polyvem.mesh
+import reference
 from polyvem.analysis import error_h1_semi, error_l2
 from polyvem.assembly import apply_dirichlet_lift, assemble, expand_solution
 from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
-from polyvem.geometry import Polygon, StarMetric, mesh_geometry, star_metric, star_metrics
+from polyvem.geometry import (
+    CellBatch,
+    Polygon,
+    StarMetric,
+    _diameter,
+    mesh_geometry,
+    star_metric,
+    star_metrics,
+)
 from polyvem.mesh import (
     _SNAP,
     MeshConformityError,
     PolyMesh,
     _build_mesh,
     _dedupe,
+    _edge_fault,
+    _shape_representatives,
     _quad_cells,
     _tri_cells,
     gen_rotated_T,
@@ -357,3 +376,110 @@ def test_lattice_merge(case, rnd):
     back = np.empty_like(ids_perm)
     back[perm] = ids_perm
     assert len(set(zip(ids.tolist(), back.tolist()))) == len(coords)
+
+
+def bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# every family at two sizes; th2 N=24 has 1152 hexagons, two batches
+GENERATORS = {
+    "th1": gen_square_th1,
+    "th2": gen_square_th2,
+    "th3": gen_square_th3,
+    **{f: partial(gen_rotated_T, f) for f in ("th4", "th5", "th6", "th7")},
+}
+SIZES = {"th1": (6, 24), "th2": (5, 24), "th3": (6, 32)}
+ORACLE_MESHES = {
+    f"{f}-N{N}": partial(gen, N) for f, gen in GENERATORS.items() for N in SIZES.get(f, (8, 24))
+}
+ORACLE_MESHES["th2-split-1e-9-N8"] = partial(th2_split_at, 8, 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_geometry_and_report_match_the_oracle_bit_for_bit(name, monkeypatch):
+    mesh = ORACLE_MESHES[name]()
+    geom, report = mesh.geometry, validate(mesh)
+    with monkeypatch.context() as m:
+        m.setattr(polyvem.geometry, "_diameter", reference.diameter)
+        m.setattr(polyvem.mesh, "_shape_representatives", reference.shape_representatives)
+        m.setattr(polyvem.mesh, "_edge_fault", reference.edge_fault)
+        # the same arrays, without the cached geometry and topology
+        ref = PolyMesh(mesh.vertices, mesh.cell_ids, mesh.cell_sizes, mesh.domain_tag)
+        ref_geom, ref_report = ref.geometry, validate(ref)
+    assert bits(geom.invalid) == bits(ref_geom.invalid)
+    assert len(geom.groups) == len(ref_geom.groups)
+    for g, r in zip(geom.groups, ref_geom.groups):
+        for field in CellBatch._fields:
+            assert bits(getattr(g, field)) == bits(getattr(r, field)), field
+        # the same cells stand for the shapes, in another order
+        assert sorted(_shape_representatives(g)) == sorted(reference.shape_representatives(r))
+    # repr spells every float exactly, and -0.0 apart from 0.0
+    assert repr(report) == repr(ref_report)
+
+
+@st.composite
+def vertex_stacks(draw):
+    """(G, k, 2) vertex stacks, k = 3..12, holding -0.0 and vertices at
+    1e-12..1e-3 of the stack's diameter from the one before."""
+    k, G = draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    v = np.array(draw(st.lists(coords, min_size=2 * G * k, max_size=2 * G * k))).reshape(G, k, 2)
+    for g, i in draw(st.lists(st.tuples(st.integers(0, G - 1), st.integers(1, k - 1)), max_size=k)):
+        ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
+        step = draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]))
+        v[g, i] = v[g, i - 1] + ratio * max(float(reference.diameter(v[g])), 1.0) * np.array(step)
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(vertex_stacks())
+def test_diameter_matches_the_all_pairs_oracle_bit_for_bit(v):
+    assert bits(_diameter(v)) == bits(reference.diameter(v))
+    for g in range(len(v)):
+        assert Polygon(v[g], validate=False).diameter == float(reference.diameter(v[g]))
+
+
+# directed-edge faults, each named by the oracle's message
+EDGE_FAULTS = {
+    # side 0 -> 1 belongs to cells 0 and 2
+    "three-cells": ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)], [(0, 1, 2), (1, 0, 3), (0, 1, 4)]),
+    # cell 1 is clockwise, so it runs 1 -> 2 as cell 0 does
+    "flipped": ([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)], [(0, 1, 2, 3), (1, 2, 5, 4)]),
+    # the second cell repeats the first cell's second side
+    "same-direction": ([(0, 0), (1, 0), (0, 1), (0.2, 0.2)], [(0, 1, 2), (1, 2, 3)]),
+    # what io_read sees before any repeat check: a side 0 -> 0 in two cells
+    "self-loop": ([(0, 0), (1, 0), (0, 1)], [(0, 0, 1), (0, 0, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FAULTS))
+def test_edge_fault_names_the_edge_the_oracle_names(name):
+    v, cells = EDGE_FAULTS[name]
+    mesh = PolyMesh.from_cells(v, cells, "custom")
+    fault = _edge_fault(mesh.topology, mesh.n_vertices)
+    assert fault is not None
+    assert fault == reference.edge_fault(mesh.topology, mesh.n_vertices)
+
+
+@pytest.mark.parametrize("family", sorted(MESHES))
+def test_min_rho_is_the_minimum_over_every_cell(family):
+    # congruent cells in other positions round differently, by far less
+    # than the tolerance
+    mesh = MESHES[family]
+    rho = star_metrics([mesh.cell_vertices(i) for i in range(mesh.n_cells)])
+    assert abs(validate(mesh).min_rho - min(m.rho for m in rho)) <= 1e-12
+
+
+def test_signed_zero_does_not_split_a_shape():
+    # cell 1 is cell 0 moved by (2, 0), except that its last vertex lies
+    # 1e-12 right of x = 2 where cell 0's lies 1e-12 left of x = 0: that
+    # relative coordinate rounds to -0.0 in cell 0 and to 0.0 in cell 1
+    v = [(0, 0), (1, 0), (1, 1), (-1e-12, 1), (2, 0), (3, 0), (3, 1), (2 + 1e-12, 1)]
+    mesh = PolyMesh.from_cells(v, [(0, 1, 2, 3), (4, 5, 6, 7)], "custom")
+    (g,) = mesh.geometry.groups
+    rel = ((g.vertices - g.vertices[:, :1]) / g.diameter[:, None, None]).round(10)
+    assert np.signbit(rel[:, 3, 0]).tolist() == [True, False]
+    assert list(_shape_representatives(g)) == list(reference.shape_representatives(g)) == [0]
+    rho = star_metrics([mesh.cell_vertices(i) for i in range(mesh.n_cells)])
+    assert abs(validate(mesh).min_rho - min(m.rho for m in rho)) <= 1e-12
