@@ -34,7 +34,6 @@ __all__ = [
     "apply_dirichlet_lift",
     "expand_solution",
     "write_matrix_market",
-    "read_matrix_market",
     "export_system",
 ]
 
@@ -296,7 +295,7 @@ def expand_solution(
 
 def write_matrix_market(obj, path: Union[str, Path]) -> Path:
     """Write a sparse matrix or vector in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite  # imported here: only the matrix-market helpers need it
+    from scipy.io import mmwrite  # imported here: only the matrix-market writer needs it
 
     path = Path(path)
     if path.suffix != ".mtx":
@@ -306,22 +305,6 @@ def write_matrix_market(obj, path: Union[str, Path]) -> Path:
         arr = sp.csr_matrix(arr.reshape(-1, 1))
     mmwrite(str(path), arr)
     return path
-
-
-def read_matrix_market(path: Union[str, Path]):
-    """Read a MatrixMarket file; vectors come back as (n,) arrays."""
-    from scipy.io import mmread  # imported here: only the matrix-market helpers need it
-
-    mat = mmread(str(path))
-    if sp.issparse(mat):
-        mat = mat.tocsr()
-        if mat.shape[1] == 1:
-            return np.asarray(mat.todense()).ravel()
-        return mat
-    arr = np.asarray(mat)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        return arr.ravel()
-    return arr
 
 
 def export_system(

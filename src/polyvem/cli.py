@@ -224,6 +224,13 @@ class ExperimentConfig:
                     f"unknown named case {self.coefficients!r}; "
                     f"available: {', '.join(sorted(CASES))}"
                 )
+            if self.problem == "eigen" and CASES[self.coefficients].coeffs.f is not None:
+                # as for a table: the pencil would silently drop its gamma and f
+                eigen = sorted(name for name, c in CASES.items() if c.coeffs.f is None)
+                raise ConfigError(
+                    f"case {self.coefficients!r} has a load, which eigen problems drop; "
+                    f"eigen cases: {', '.join(eigen)}"
+                )
         elif isinstance(self.coefficients, dict):
             if self.problem == "eigen":
                 # the pencil is (A + B, M): reaction and load terms have no
@@ -454,12 +461,8 @@ def run_eigen_study(
 def _cmd_mesh(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        mesh = generate_mesh(args.family, args.N)
-        report = validate(mesh)
-    except (MeshConformityError, ValueError) as exc:
-        print(f"error: mesh generation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    mesh = generate_mesh(args.family, args.N)
+    report = validate(mesh)
     stem = f"{args.family}_N{args.N}"
     io_write(out / f"{stem}.json", mesh)
     export_vtk(out / f"{stem}.vtk", mesh)

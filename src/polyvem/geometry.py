@@ -9,7 +9,6 @@ diameter, and consecutive collinear vertices (hanging nodes) are legal.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +27,8 @@ __all__ = [
     "star_metrics",
     "BATCH_CELLS",
     "CellBatch",
+    "FAULTS",
+    "fault_message",
     "MeshGeometry",
     "mesh_geometry",
     "polygon_batch",
@@ -194,8 +195,17 @@ def _segments_cross(p1, p2, p3, p4, tol) -> np.ndarray:
     return hit
 
 
+def _crossings(v: np.ndarray, diam: np.ndarray) -> np.ndarray:
+    """Per polygon of v (G, k, 2), whether each `_nonadjacent_edge_pairs` pair crosses."""
+    k = v.shape[1]
+    i, j = _nonadjacent_edge_pairs(k)
+    return _segments_cross(
+        v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], _AREA_EPS * diam[:, None]
+    )
+
+
 class Polygon:
-    """A simple, counter-clockwise oriented polygon.
+    """A simple, counter-clockwise oriented polygon: a `CellBatch` of one cell.
 
     Parameters
     ----------
@@ -204,15 +214,14 @@ class Polygon:
         distinct; edges may otherwise be arbitrarily short.  Consecutive
         collinear vertices are allowed (hanging nodes).
     validate : bool
-        Run the simplicity and orientation checks (default).  Skipping is
-        only safe for polygons that already passed validation once.
+        Raise if the cell has a fault (default).  Skipping is only safe for
+        polygons that already passed validation once.
 
     Raises
     ------
     ValueError
-        If the polygon has fewer than 3 vertices, non-finite or duplicate
-        consecutive vertices, self-intersections, zero area, or clockwise
-        orientation.
+        If the vertex array is not (n, 2) with n >= 3, or, with validate,
+        with the message of the polygon's fault in `FAULTS`.
     """
 
     def __init__(self, vertices, validate: bool = True):
@@ -220,60 +229,32 @@ class Polygon:
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"vertex array must have shape (n, 2), got {v.shape}")
         if v.shape[0] < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {v.shape[0]}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon has non-finite vertex coordinates")
+            raise ValueError(FAULTS[TOO_FEW].format(v.shape[0]))
         self.vertices = v
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        v = self.vertices
-        n = len(v)
-        lengths = self.edge_lengths
-        if np.any(lengths == 0.0):
-            k = int(np.argmin(lengths))
-            raise ValueError(f"duplicate consecutive vertices at position {k}")
-        diam = self.diameter
-        eps = _AREA_EPS * diam * diam
-        # simplicity: no two non-adjacent edges may intersect
-        i, j = _nonadjacent_edge_pairs(n)
-        hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], _AREA_EPS * diam)
-        if hit.any():
-            p = int(np.argmax(hit))
-            raise ValueError(f"polygon is not simple: edges {i[p]} and {j[p]} intersect")
-        area = self.area
-        if abs(area) <= eps:
-            raise ValueError("polygon is degenerate (zero area)")
-        if area < 0.0:
-            raise ValueError("polygon is clockwise; vertices must be counter-clockwise")
+        self.batch = _cell_batch(np.zeros(1, dtype=np.int64), np.arange(len(v))[None], v[None])
+        if validate and self.batch.fault[0]:
+            raise ValueError(fault_message(self.batch, 0))
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    @cached_property
+    @property
     def diameter(self) -> float:
         """Largest pairwise vertex distance."""
-        return float(_diameter(self.vertices))
-
-    @cached_property
-    def _area_centroid(self) -> tuple[float, np.ndarray]:
-        area, c = _shoelace(self.vertices)
-        return float(area), c
+        return float(self.batch.diameter[0])
 
     @property
     def area(self) -> float:
-        return self._area_centroid[0]
+        return float(self.batch.area[0])
 
     @property
     def centroid(self) -> Point2:
-        c = self._area_centroid[1]
-        return Point2(float(c[0]), float(c[1]))
+        return Point2(*map(float, self.batch.centroid[0]))
 
-    @cached_property
+    @property
     def edge_lengths(self) -> np.ndarray:
-        return _edge_lengths(self.vertices)
+        return self.batch.edge_lengths[0]
 
     @property
     def perimeter(self) -> float:
@@ -433,8 +414,9 @@ class CellBatch(NamedTuple):
     diameter : ndarray, shape (G,)
     edge_lengths : ndarray, shape (G, k)
         Length of the edge from vertex i to vertex i + 1.
-    valid : ndarray of bool, shape (G,)
-        The cell passes the checks of ``Polygon(validate=True)``.
+    fault : ndarray of int8, shape (G,)
+        0 for a valid cell, else the index in `FAULTS` of the first fault
+        the cell has.
     fan : ndarray of bool, shape (G,)
         The cell is star-shaped with respect to its centroid, so the
         centroid fan triangulates it (what `triangulate` would do) and
@@ -449,7 +431,7 @@ class CellBatch(NamedTuple):
     centroid: np.ndarray
     diameter: np.ndarray
     edge_lengths: np.ndarray
-    valid: np.ndarray
+    fault: np.ndarray
     fan: np.ndarray
 
     def take(self, sel) -> "CellBatch":
@@ -475,37 +457,67 @@ class MeshGeometry(NamedTuple):
     def batches(self):
         """Valid cells in batches of at most BATCH_CELLS."""
         for g in self.groups:
-            g = g.take(g.valid)
+            g = g.take(g.fault == 0)
             for start in range(0, len(g.cells), BATCH_CELLS):
                 yield g.take(slice(start, start + BATCH_CELLS))
 
 
+# The faults of a cell in the order they are checked; `CellBatch.fault` is
+# the first one a cell has, 0 if none.  No batch holds a cell of fewer than
+# 3 vertices (entry 1).  A mesh names entry 2 as "cell N repeats ...".
+FAULTS = (
+    "",
+    "polygon needs at least 3 vertices, got {}",
+    "repeats a vertex index",
+    "polygon has non-finite vertex coordinates",
+    "duplicate consecutive vertices at position {}",
+    "polygon is not simple: edges {} and {} intersect",
+    "polygon is degenerate (zero area)",
+    "polygon is clockwise; vertices must be counter-clockwise",
+)
+TOO_FEW, REPEATS, _CROSSES = 1, 2, 5
+
+
 def _cell_batch(cells: np.ndarray, ids: np.ndarray, v: np.ndarray) -> CellBatch:
-    k = ids.shape[1]
-    area, centroid = _shoelace(v)
-    diam = _diameter(v)
-    lengths = _edge_lengths(v)
-    eps = _AREA_EPS * diam * diam
-    i, j = _nonadjacent_edge_pairs(k)
-    crossed = _segments_cross(
-        v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], _AREA_EPS * diam[:, None]
-    ).any(axis=1)
-    finite = np.isfinite(v).all(axis=(1, 2))
-    valid = finite & (lengths > 0.0).all(axis=1) & ~crossed & (area > eps)
-    fan = _fan_triangulable(v, centroid, eps)
-    return CellBatch(cells, ids, v, area, centroid, diam, lengths, valid, fan)
+    # a cell with an infinite coordinate is named by its fault, not by warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        area, centroid = _shoelace(v)
+        diam = _diameter(v)
+        lengths = _edge_lengths(v)
+        eps = _AREA_EPS * diam * diam
+        i, j = np.triu_indices(ids.shape[1], 1)
+        checks = [
+            (ids[:, i] == ids[:, j]).any(axis=1),
+            ~np.isfinite(v).all(axis=(1, 2)),
+            (lengths == 0.0).any(axis=1),
+            _crossings(v, diam).any(axis=1),
+            np.abs(area) <= eps,
+            area < 0.0,
+        ]
+        fault = np.select(checks, np.arange(REPEATS, REPEATS + len(checks), dtype=np.int8), 0)
+        fan = _fan_triangulable(v, centroid, eps)
+    return CellBatch(cells, ids, v, area, centroid, diam, lengths, fault, fan)
+
+
+def fault_message(g: CellBatch, row: int) -> str:
+    """`FAULTS` entry of the cell in row `row` of g, its details read from that row."""
+    fault = int(g.fault[row])
+    if fault == _CROSSES:
+        i, j = _nonadjacent_edge_pairs(g.vertices.shape[1])
+        p = int(np.argmax(_crossings(g.vertices[row : row + 1], g.diameter[row : row + 1])))
+        return FAULTS[fault].format(i[p], j[p])
+    return FAULTS[fault].format(int(np.argmin(g.edge_lengths[row])))
 
 
 def polygon_batch(poly) -> CellBatch:
     """A `Polygon` (validated or not) or (n, 2) array as a batch of one cell.
 
-    Raises ValueError, with the message of ``Polygon(validate=True)``, if
-    the polygon is not valid.
+    Raises ValueError, with the message of its fault, if the polygon is
+    not valid.
     """
-    v = poly.vertices if isinstance(poly, Polygon) else Polygon(poly, validate=False).vertices
-    g = _cell_batch(np.zeros(1, dtype=np.int64), np.arange(len(v))[None], v[None])
-    if not g.valid[0]:
-        Polygon(v)  # raises the reason
+    g = _as_polygon(poly).batch
+    if g.fault[0]:
+        raise ValueError(fault_message(g, 0))
     return g
 
 
@@ -528,7 +540,7 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
             parts.append(_cell_batch(idx[chunk], ids[chunk], vertices[ids[chunk]]))
         g = CellBatch._make(np.concatenate(a) for a in zip(*parts))
         groups.append(g)
-        valid[g.cells] = g.valid
+        valid[g.cells] = g.fault == 0
     return MeshGeometry(tuple(groups), np.flatnonzero(~valid))
 
 

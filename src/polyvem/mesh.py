@@ -28,9 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    FAULTS,
+    REPEATS,
+    TOO_FEW,
     MeshGeometry,
     Point2,
     Polygon,
+    fault_message,
     mesh_geometry,
     star_metric,  # noqa: F401  perfbench/spans.py wraps this name
     star_metrics,
@@ -133,8 +137,9 @@ class PolyMesh:
     def cell_vertices(self, i: int) -> np.ndarray:
         return self.vertices[self.cell(i)]
 
-    def cell_polygon(self, i: int, validate: bool = False) -> Polygon:
-        return Polygon(self.cell_vertices(i), validate=validate)
+    def cell_polygon(self, i: int) -> Polygon:
+        """Cell i as a `Polygon`, not validated."""
+        return Polygon(self.cell_vertices(i), validate=False)
 
     def _check_vertex_ids(self) -> None:
         """Raise MeshConformityError naming the first cell that references a
@@ -154,17 +159,21 @@ class PolyMesh:
         ------
         MeshConformityError
             Naming the first cell that references a vertex out of range, or
-            else the first that is not a valid polygon, with the message of
-            ``Polygon(validate=True)``.
+            else the first that has a fault in `geometry.FAULTS`.
         """
         self._check_vertex_ids()
         geom = mesh_geometry(self.vertices, self.cell_ids, self.cell_sizes)
         if len(geom.invalid):
             ci = int(geom.invalid[0])
-            try:
-                Polygon(self.cell_vertices(ci))
-            except ValueError as exc:
-                raise MeshConformityError(f"cell {ci} is not a valid polygon: {exc}") from exc
+            k = int(self.cell_sizes[ci])
+            if k < 3:
+                what = FAULTS[TOO_FEW].format(k)
+            else:
+                g = next(g for g in geom.groups if g.ids.shape[1] == k)
+                what = fault_message(g, np.searchsorted(g.cells, ci))
+            if what != FAULTS[REPEATS]:
+                what = f"is not a valid polygon: {what}"
+            raise MeshConformityError(f"cell {ci} {what}")
         return geom
 
     @cached_property
@@ -616,30 +625,18 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
     Raises
     ------
     MeshConformityError
-        On a mesh without cells, an invalid cell polygon (naming the cell),
-        an edge traversed twice in the same direction (naming the edge), or
-        a coverage/overlap area mismatch.  Small star-shapedness radii are
-        reported, not rejected.  When several faults exist, the one named
-        is the first in cell order.
+        On a mesh without cells, a cell with a fault in `geometry.FAULTS`
+        or a vertex id out of range (naming the cell), an edge traversed
+        twice in the same direction (naming the edge), or a coverage/overlap
+        area mismatch.  Small star-shapedness radii are reported, not
+        rejected.  The faulty cell named is the first in cell order, except
+        that ids out of range, which have no coordinates, come first.
     """
     if mesh.n_cells == 0:
         raise MeshConformityError("mesh has no cells")
-    n = mesh.n_vertices
-    flat, sizes = mesh.cell_ids, mesh.cell_sizes
-    cell_of = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((flat, cell_of))
-    same = (flat[order][1:] == flat[order][:-1]) & (cell_of[order][1:] == cell_of[order][:-1])
-    repeats = np.zeros(len(sizes), dtype=bool)
-    repeats[cell_of[order][1:][same]] = True
-    out_of_range = _out_of_range_cells(flat, sizes, n)
-    bad = np.flatnonzero(repeats | out_of_range)
-    if len(bad):
-        ci = int(bad[0])
-        what = "repeats a vertex index" if repeats[ci] else "references a vertex out of range"
-        raise MeshConformityError(f"cell {ci} {what}")
     groups = mesh.geometry.groups
 
-    fault = _edge_fault(mesh.topology, n)
+    fault = _edge_fault(mesh.topology, mesh.n_vertices)
     if fault:
         raise MeshConformityError(fault)
 

@@ -84,7 +84,7 @@ class LocalElement:
 def pi_nabla(E) -> np.ndarray:
     """`pi_nabla_batch` of the polygon E alone, shape (3, n).
 
-    Raises ValueError, with the message of `Polygon`, if E is not valid.
+    Raises ValueError, with the message of its fault, if E is not valid.
     """
     return pi_nabla_batch(polygon_batch(E))[0]
 
@@ -92,7 +92,7 @@ def pi_nabla(E) -> np.ndarray:
 def stab_matrix(E) -> np.ndarray:
     """`_stab_batch` of the polygon E alone, shape (n, n).
 
-    Raises ValueError, with the message of `Polygon`, if E is not valid.
+    Raises ValueError, with the message of its fault, if E is not valid.
     """
     return _stab_batch(polygon_batch(E))[0]
 
@@ -103,7 +103,7 @@ def local_forms(E, coeffs: CoefficientSet) -> LocalElement:
     Raises
     ------
     ValueError
-        If E is not a valid polygon (with the message of `Polygon`), if
+        If E is not a valid polygon (with the message of its fault), if
         kappa at its centroid is not strictly positive, or if an entry of
         the forms is not finite.
     """
@@ -216,7 +216,7 @@ def local_forms_batch(g: CellBatch, coeffs: CoefficientSet) -> FormBatch:
     kappa sampled at the centroid.  Convection, reaction, mass and load put
     Pi (the L2 projection on this element space) in both slots and are
     integrated by `cell_quadrature` of degree `QUAD_DEGREE`; Mh carries no
-    stabilization.  The cells must have ``g.valid``.  Coefficients are
+    stabilization.  The cells must be valid (``g.fault == 0``).  Coefficients are
     called once per batch, on arrays of shape (G,) for kappa and (G, m) at
     the quadrature nodes.
     """

@@ -17,6 +17,10 @@ signatures as the distinct rows of `np.unique(axis=0)`, and the edge
 check as a sort of every directed edge.  `polyvem.geometry` and
 `polyvem.mesh` compute the same values with less work; the tests swap
 these in and require every bit to agree.
+
+The validity checks of one polygon, one after another, as `Polygon` ran
+them before they moved into the cell batch: `Polygon(v)` must raise
+exactly the message `polygon_fault(v)` returns.
 """
 
 import json
@@ -24,7 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polyvem.geometry import _as_polygon, polygon_quadrature
+from polyvem.geometry import (
+    _AREA_EPS,
+    _as_polygon,
+    _edge_lengths,
+    _nonadjacent_edge_pairs,
+    _segments_cross,
+    _shoelace,
+    polygon_quadrature,
+)
 from polyvem.vem_core import QUAD_DEGREE
 
 
@@ -206,4 +218,31 @@ def edge_fault(topo, n: int):
     if len(repeated):
         a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
         return f"edge ({a}, {b}) is traversed twice in the same direction"
+    return None
+
+
+def polygon_fault(v):
+    """Why `Polygon(v)` rejects the vertex array v, or None if it is valid."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2:
+        return f"vertex array must have shape (n, 2), got {v.shape}"
+    n = len(v)
+    if n < 3:
+        return f"polygon needs at least 3 vertices, got {n}"
+    if not np.all(np.isfinite(v)):
+        return "polygon has non-finite vertex coordinates"
+    lengths = _edge_lengths(v)
+    if np.any(lengths == 0.0):
+        return f"duplicate consecutive vertices at position {int(np.argmin(lengths))}"
+    diam = float(diameter(v))
+    i, j = _nonadjacent_edge_pairs(n)
+    hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], _AREA_EPS * diam)
+    if hit.any():
+        p = int(np.argmax(hit))
+        return f"polygon is not simple: edges {i[p]} and {j[p]} intersect"
+    area = float(_shoelace(v)[0])
+    if abs(area) <= _AREA_EPS * diam * diam:
+        return "polygon is degenerate (zero area)"
+    if area < 0.0:
+        return "polygon is clockwise; vertices must be counter-clockwise"
     return None

@@ -429,6 +429,30 @@ def test_main_unknown_subcommand():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family, N", [("th2", "1"), ("th4", "5")])
+def test_mesh_command_rejects_a_bad_N_with_exit_2(tmp_path, capsys, family, N):
+    # exit 2 as for solve, eig and convergence; this was exit 1
+    assert main(["mesh", "--family", family, "--N", N, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: mesh family {family}: N must be")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eig", "--family", "th2", "--case", "test1", "--N", "8"],
+        ["convergence", "--problem", "eigen", "--family", "th2", "--case", "test2", "--N", "4", "8"],
+    ],
+    ids=["eig_test1", "convergence_test2"],
+)
+def test_eigen_study_rejects_a_case_with_a_load(tmp_path, capsys, argv):
+    # the study used to run, dropping the case's gamma and f from the pencil
+    assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    case = argv[argv.index("--case") + 1]
+    assert err.startswith(f"error: case '{case}' has a load, which eigen problems drop")
+    assert not (tmp_path / "out").exists()
+
+
 def test_mesh_command(tmp_path, capsys):
     rc = main(["mesh", "--family", "th2", "--N", "4", "--out", str(tmp_path)])
     assert rc == 0

@@ -2,8 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial import ConvexHull
+
+import reference
 
 from polyvem.geometry import (
     Point2,
@@ -104,6 +108,51 @@ class TestPolygon:
         poly = Polygon([(0, 0), (1, 0), (1 + eps, eps), (1, 1), (0, 1)])
         assert poly.edge_lengths.min() < 2 * eps
         assert poly.area > 0.99
+
+
+@st.composite
+def faulty_polygons(draw):
+    """A (k, 2) star-shaped polygon, k = 3..12, as drawn or broken in one
+    way: reversed (clockwise), shuffled (mostly self-intersecting), with a
+    repeated consecutive vertex, collinear (3 vertices: zero area), with a vertex at
+    1e-12..1e-3 of the diameter from the one before, or not finite."""
+    k = draw(st.integers(3, 12))
+    t = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=k, max_size=k, unique=True)))
+    r = np.array(draw(st.lists(st.floats(0.2, 1.5), min_size=k, max_size=k)))
+    v = np.column_stack([r * np.cos(t), r * np.sin(t)]) + draw(st.floats(-5.0, 5.0))
+    i = draw(st.integers(1, k - 1))
+    kind = draw(st.sampled_from(
+        ["star", "reversed", "shuffled", "repeat", "collinear", "tiny", "non-finite"]
+    ))
+    if kind == "reversed":
+        v = v[::-1]
+    elif kind == "shuffled":
+        v = v[draw(st.permutations(range(k)))]
+    elif kind == "repeat":
+        v[i] = v[i - 1]
+    elif kind == "collinear":
+        line = np.outer(r, [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]) + v[0]
+        # beyond 3 vertices, some edges of a collinear polygon overlap
+        v = line[: draw(st.sampled_from([3, k]))]
+    elif kind == "tiny":
+        ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
+        step = v[i] - v[i - 1]
+        v[i] = v[i - 1] + ratio * float(reference.diameter(v)) / np.hypot(*step) * step
+    elif kind == "non-finite":
+        v[i, draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_polygons())
+def test_polygon_raises_the_oracles_message(v):
+    message = reference.polygon_fault(v)
+    if message is None:
+        Polygon(v)
+    else:
+        with pytest.raises(ValueError) as info:
+            Polygon(v)
+        assert str(info.value) == message
 
 
 class TestTriangulate:

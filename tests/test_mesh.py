@@ -313,6 +313,25 @@ def test_validate_names_the_broken_cell(kind):
     assert str(info.value) == message
 
 
+# two faulty cells: validate names cell 0, whatever the faults' order in the checks
+FIRST_FAULTY_CELL = {
+    "clockwise-then-repeat": (
+        [(0, 3, 2, 1), (1, 4, 5, 2, 4)],
+        "cell 0 is not a valid polygon: polygon is clockwise; vertices must be counter-clockwise",
+    ),
+    "repeat-then-bowtie": ([(0, 1, 2, 0, 3), (1, 4, 2, 5)], "cell 0 repeats a vertex index"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_FAULTY_CELL))
+def test_validate_names_the_first_faulty_cell(kind):
+    cells, message = FIRST_FAULTY_CELL[kind]
+    mesh = PolyMesh.from_cells([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1]], cells, "custom")
+    with pytest.raises(MeshConformityError) as info:
+        validate(mesh)
+    assert str(info.value) == message
+
+
 class TestMeshIO:
     def test_round_trip_bit_exact(self, tmp_path):
         mesh = gen_square_th1(4)
@@ -485,7 +504,8 @@ class TestPolyMeshModel:
 
     def test_cell_polygon_matches_area(self):
         mesh = gen_square_th1(4)
-        poly = mesh.cell_polygon(0, validate=True)
+        poly = mesh.cell_polygon(0)
+        assert poly.batch.fault[0] == 0
         area, _ = area_centroid(poly)
         assert area > 0.0
 
