@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
 from .mesh import PolyMesh
@@ -192,6 +191,8 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
 
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
     """Sum the triplets into CSR; duplicate entries are added, none dropped."""
+    import scipy.sparse as sp  # imported here: `import polyvem` and `polyvem mesh` load no scipy
+
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
@@ -295,6 +296,7 @@ def expand_solution(
 
 def write_matrix_market(obj, path: Union[str, Path]) -> Path:
     """Write a sparse matrix or vector in MatrixMarket coordinate format."""
+    import scipy.sparse as sp
     from scipy.io import mmwrite  # imported here: only the matrix-market writer needs it
 
     path = Path(path)

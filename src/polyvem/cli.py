@@ -212,10 +212,15 @@ class ExperimentConfig:
             if not _is_a(getattr(self, name), Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.seed < 0:
+            # numpy's generator takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.shift is not None:
             if not _is_a(self.shift, Real):
                 raise ConfigError(f"shift must be a number, got {self.shift!r}")
             object.__setattr__(self, "shift", float(self.shift))
+            if not np.isfinite(self.shift):
+                raise ConfigError(f"shift must be finite, got {self.shift}")
         if self.problem == "eigen" and self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1 for eigenvalue problems")
         if isinstance(self.coefficients, str):

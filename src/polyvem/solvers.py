@@ -16,16 +16,32 @@ and doubles as a cross-check oracle.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
 from .coefficients import CoefficientSet
+
+
+class _Module:
+    """Stand-in for a scipy module that imports it on first attribute use,
+    so `import polyvem` and `polyvem mesh` load no scipy."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# all solver code reaches scipy through these module attributes, so a
+# tracer can replace spla with a proxy of its own
+sla = _Module("scipy.linalg")
+sp = _Module("scipy.sparse")
+spla = _Module("scipy.sparse.linalg")
 
 __all__ = [
     "SolverError",
@@ -267,6 +283,8 @@ def solve_eigs(
     if k < 1:
         raise SolverError("k must be >= 1")
     sigma = 1.0 if shift is None else float(shift)
+    if not np.isfinite(sigma):
+        raise SolverError(f"shift must be finite, got {sigma}")
     k_pad = k + max(8, k)
     if k_pad >= n - 1:
         return solve_eigs_dense(A, M, k)

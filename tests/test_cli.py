@@ -423,6 +423,24 @@ def test_bad_study_input_exits_2(tmp_path, capsys, overrides, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--seed", "-3"], "seed must be >= 0, got -3"),
+        (["--shift", "nan"], "shift must be finite, got nan"),
+        (["--shift", "inf"], "shift must be finite, got inf"),
+    ],
+    ids=["negative_seed", "shift_nan", "shift_inf"],
+)
+def test_eig_rejects_a_negative_seed_or_a_non_finite_shift(tmp_path, capsys, flags, fragment):
+    # a negative seed ended in numpy's traceback (exit 1); a non-finite
+    # shift ran six failed factorizations before exit 1
+    argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--eig-count", "2"]
+    assert main([*argv, *flags, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {fragment}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -493,21 +511,60 @@ def test_unwritable_output_is_a_usage_error(command, blocked, tmp_path, capsys):
     assert re.fullmatch(r"error: cannot write output: .+\n", err), err
 
 
-def test_mesh_command_does_not_import_scipy_optimize(tmp_path):
-    # validate's rho needs no linear program; the import alone costs about
-    # 0.3 s, most of a small mesh command.  A fresh interpreter, because
-    # other tests import scipy.optimize into this one
-    code = (
-        "import sys; from polyvem.cli import main; "
-        f"main(['mesh', '--family', 'th3', '--N', '8', '--out', {str(tmp_path)!r}]); "
-        "print('scipy.optimize' in sys.modules)"
-    )
+def run_fresh(code, cwd):
+    """Run code in a fresh interpreter on this checkout; its last stdout line.
+
+    Other tests import scipy into this process, so what a command loads,
+    or does on its first use of scipy, is seen only in a new one."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import polyvem",
+        "from polyvem.cli import main; main(['mesh', '--family', 'th3', '--N', '8', '--out', 'm'])",
+    ],
+    ids=["import_polyvem", "mesh_command"],
+)
+def test_loads_no_scipy(code, tmp_path):
+    # assembly and the solvers import scipy on their first call; the
+    # import alone costs about 0.3 s, most of a small mesh command
+    assert run_fresh(f"import sys; {code}; print({SCIPY_LOADED})", tmp_path) == "[]"
+
+
+FIRST_USE_COMMANDS = [
+    ["solve", "--family", "th2", "--case", "test1", "--N", "8"],
+    ["eig", "--family", "th2", "--case", "eigen_square", "--N", "8", "--eig-count", "2"],
+]
+
+
+def test_first_use_of_scipy_writes_the_same_csvs(tmp_path, capsys):
+    # the fresh interpreter imports scipy inside the first assembly and the
+    # first eigensolve; its CSVs must match those of this process
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    runs = [[*argv, "--out", str(fresh), "--format", "csv"] for argv in FIRST_USE_COMMANDS]
+    assert run_fresh(
+        f"import sys; from polyvem.cli import main; "
+        f"print([main(argv) for argv in {runs!r}], 'scipy.sparse.linalg' in sys.modules)",
+        tmp_path,
+    ) == "[0, 0] True"
+    for argv in FIRST_USE_COMMANDS:
+        assert main([*argv, "--out", str(here), "--format", "csv"]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in here.iterdir())
+    assert names == ["eig_th2_N8.csv", "solution_th2_N8_errors.csv"]
+    assert sorted(p.name for p in fresh.iterdir()) == names
+    for name in names:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def test_mesh_command_flags_reentrant_corners(tmp_path):

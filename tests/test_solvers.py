@@ -307,6 +307,17 @@ class TestPencilFactorization:
         default = splu(K)
         assert fill < (default.L.nnz + default.U.nnz) / K.nnz
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_is_refused_before_factoring(self, shift, monkeypatch):
+        # A - nan M cannot be factored; the retries used to run six splu
+        # calls and end in "failed after 5 retries (last shift nan)"
+        A, M, _ = eigen_pencil(8)
+        calls = []
+        monkeypatch.setattr(solvers.spla, "splu", lambda *a, **kw: calls.append(a))
+        with pytest.raises(SolverError, match="shift must be finite"):
+            solve_eigs(A, M, k=6, shift=shift)
+        assert calls == []
+
 
 def rotating(a):
     """theta = a (-(y - 1/2), x - 1/2): divergence free, |theta| up to a / sqrt(2)."""

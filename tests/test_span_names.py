@@ -7,6 +7,7 @@ untraced run and fails only when the tracer is installed.  `install`
 monkeypatches the modules, so it runs in a subprocess of its own.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,10 +16,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_span_tracer_installs():
+def run_traced(code: str) -> subprocess.CompletedProcess:
+    """Run code after installing the tracer in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        [sys.executable, "-c", f"import spans; rec = spans.Recorder(); spans.install(rec); {code}"],
         cwd=ROOT / "perfbench",
         env=env,
         capture_output=True,
@@ -26,3 +28,29 @@ def test_span_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_span_tracer_installs():
+    run_traced("pass")
+
+
+def test_solver_calls_go_through_the_traced_spla(tmp_path):
+    # the tracer sees factorizations and Arnoldi only through
+    # `solvers.spla`; a solver that imported scipy.sparse.linalg itself
+    # would still pass the smoke runs, with zero LU fill and operator counts
+    runs = [
+        ["solve", "--family", "th2", "--case", "test1", "--N", "8"],
+        ["eig", "--family", "th2", "--case", "eigen_square", "--N", "8", "--eig-count", "2"],
+    ]
+    runs = [[*argv, "--out", str(tmp_path), "--quiet"] for argv in runs]
+    proc = run_traced(
+        "import json; import polyvem.cli as cli; "
+        f"codes = [cli.main(argv) for argv in {runs!r}]; "
+        "print(json.dumps([codes, sorted({s[spans.NAME] for s in rec.spans}), "
+        "rec.counts['solvers.arnoldi_opapps']]))"
+    )
+    codes, names, opapps = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert {"solvers.splu", "solvers.arnoldi"} <= set(names)
+    assert opapps > 0
