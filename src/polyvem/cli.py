@@ -637,8 +637,24 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every float spelling as a value.
+
+    argparse reads only -<digits> and -<digits>.<digits> as negative
+    numbers; `--shift -1e3` or `--shift -inf` would otherwise be an
+    unknown option and exit 2 with "expected one argument".
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyvem",
         description=(
             "Lowest-order virtual element solver for convection-diffusion-"

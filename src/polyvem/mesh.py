@@ -200,16 +200,29 @@ class PolyMesh:
 
     @cached_property
     def _coordinate_tokens(self) -> tuple[list, list]:
-        """Every coordinate x0, y0, x1, ... formatted once: as JSON and as `repr`.
+        """Every coordinate x0, y0, x1, ... as JSON and as `repr`.
 
+        Each distinct float is spelled once and its token scattered back.
+        The values are told apart by their bits, since 0.0 and -0.0 are
+        equal but spelled differently; a spelling is a function of the bits.
         `json.dumps` spells a float as `repr` does, except nan and ±inf,
         so the two are one list unless a coordinate is not finite.
         """
-        flat = self.vertices.ravel().tolist()
-        as_json = json.dumps(flat)[1:-1].split(", ") if flat else []
-        if np.isfinite(self.vertices).all():
-            return as_json, as_json
-        return as_json, list(map(repr, flat))
+        flat = np.ascontiguousarray(self.vertices, dtype=np.float64).ravel()
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        spellings = [json.dumps(values.tolist())[1:-1].split(", ") if len(values) else []]
+        if not np.isfinite(values).all():
+            spellings.append(list(map(repr, values.tolist())))
+        tokens = [np.array(s, dtype=object)[inverse].tolist() for s in spellings]
+        return tokens[0], tokens[-1]
+
+    @cached_property
+    def _id_tokens(self) -> np.ndarray:
+        """`str(i)` for i = 0 .. the largest vertex id or cell size, as an
+        object array that the writers index with ids and sizes."""
+        top = max(self.n_vertices, int(self.cell_sizes.max(initial=-1)) + 1)
+        return np.array(list(map(str, range(top))), dtype=object)
 
     def edge_counts(self) -> dict:
         """Undirected edge -> number of incident cells."""
@@ -711,19 +724,13 @@ def _json_rows(tokens, sizes: np.ndarray) -> str:
     return "[[" + _join_rows(tokens, sizes, ", ", "], [")[: -len("], [")] + "]]"
 
 
-def _int_tokens(ints: np.ndarray) -> np.ndarray:
-    """`str` of each entry (all >= 0), looked up in a table of 0 .. max."""
-    top = int(ints.max()) + 1 if len(ints) else 0
-    return np.array(list(map(str, range(top))), dtype=object)[ints]
-
-
 def io_write(path, mesh: PolyMesh) -> None:
     """Write a mesh as JSON (schema version 1).
 
     The bytes are those of one `json.dumps` of the document: key order
     version, domain, vertices, cells, boundary, and ", " and ": " as
-    separators.  The coordinates are the mesh's cached tokens, shared with
-    `export_vtk`, and the ids come from a table of `str(i)`.  A cell that
+    separators.  The coordinates and the ids are the mesh's cached tokens,
+    shared with `export_vtk`.  A cell that
     references a vertex out of range raises MeshConformityError before
     anything is written.
     """
@@ -733,7 +740,7 @@ def io_write(path, mesh: PolyMesh) -> None:
         f'{{"version": 1, "domain": {json.dumps(mesh.domain_tag)}, "vertices": ',
         _json_rows(mesh._coordinate_tokens[0], np.full(n, 2)),
         ', "cells": ',
-        _json_rows(_int_tokens(mesh.cell_ids), mesh.cell_sizes),
+        _json_rows(mesh._id_tokens[mesh.cell_ids], mesh.cell_sizes),
         ', "boundary": ',
         json.dumps(mesh.boundary_vertex.tolist()),
         "}\n",
@@ -820,7 +827,7 @@ def export_vtk(path, mesh: PolyMesh, field=None) -> None:
         f"# vtk DataFile Version 3.0\npolyvem mesh\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n",
         _join_rows(mesh._coordinate_tokens[1], np.full(n, 2), " ", " 0.0\n"),
         f"POLYGONS {mesh.n_cells} {len(rows)}\n",
-        _join_rows(_int_tokens(rows), mesh.cell_sizes + 1, " ", "\n"),
+        _join_rows(mesh._id_tokens[rows], mesh.cell_sizes + 1, " ", "\n"),
     ]
     if field is not None:
         field = np.asarray(field, dtype=float)

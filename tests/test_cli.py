@@ -429,8 +429,10 @@ def test_bad_study_input_exits_2(tmp_path, capsys, overrides, fragment):
         (["--seed", "-3"], "seed must be >= 0, got -3"),
         (["--shift", "nan"], "shift must be finite, got nan"),
         (["--shift", "inf"], "shift must be finite, got inf"),
+        # argparse used to read -inf as an unknown option: "expected one argument"
+        (["--shift", "-inf"], "shift must be finite, got -inf"),
     ],
-    ids=["negative_seed", "shift_nan", "shift_inf"],
+    ids=["negative_seed", "shift_nan", "shift_inf", "shift_minus_inf"],
 )
 def test_eig_rejects_a_negative_seed_or_a_non_finite_shift(tmp_path, capsys, flags, fragment):
     # a negative seed ended in numpy's traceback (exit 1); a non-finite
@@ -439,6 +441,15 @@ def test_eig_rejects_a_negative_seed_or_a_non_finite_shift(tmp_path, capsys, fla
     assert main([*argv, *flags, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {fragment}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--shift", "-1e3"], ["--shift=-1e3"]], ids=["separate", "joined"]
+)
+def test_eig_takes_a_negative_shift_in_exponent_notation(tmp_path, capsys, flags):
+    argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--eig-count", "2"]
+    assert main([*argv, *flags, "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("shift -1000, ")
 
 
 def test_main_unknown_subcommand():

@@ -136,8 +136,12 @@ def faulty_polygons(draw):
         v = line[: draw(st.sampled_from([3, k]))]
     elif kind == "tiny":
         ratio = 10.0 ** draw(st.floats(-12.0, -3.0))
-        step = v[i] - v[i - 1]
-        v[i] = v[i - 1] + ratio * float(reference.diameter(v)) / np.hypot(*step) * step
+        # the unit vector along v[i] - v[i-1], taken from its angle: two
+        # angles such as 0.0 and a subnormal give a zero or subnormal step,
+        # and dividing by its length divides by zero or overflows
+        phi = np.arctan2(*(v[i] - v[i - 1])[::-1])
+        unit = np.array([np.cos(phi), np.sin(phi)])
+        v[i] = v[i - 1] + ratio * float(reference.diameter(v)) * unit
     elif kind == "non-finite":
         v[i, draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return v

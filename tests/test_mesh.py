@@ -636,6 +636,26 @@ def test_empty_cells_are_written_as_the_reference(tmp_path):
     assert_writers_match_the_reference(mesh, np.ones(3), tmp_path)
 
 
+def test_zeros_of_both_signs_keep_their_own_spelling(tmp_path):
+    # the writers spell each distinct coordinate once; 0.0 == -0.0, so the
+    # distinct values must be told apart by their bits, not their values
+    mesh = PolyMesh.from_cells([[0.0, -0.0], [-0.0, 0.0], [1.0, np.nan]], [(0, 1, 2)], "custom")
+    assert_writers_match_the_reference(mesh, np.zeros(3), tmp_path)
+    io_write(tmp_path / "m.json", mesh)
+    assert '"vertices": [[0.0, -0.0], [-0.0, 0.0], [1.0, NaN]]' in (tmp_path / "m.json").read_text()
+    export_vtk(tmp_path / "m.vtk", mesh)
+    assert "\n0.0 -0.0 0.0\n-0.0 0.0 0.0\n1.0 nan 0.0\n" in (tmp_path / "m.vtk").read_text()
+
+
+def test_cell_size_above_every_vertex_id_is_written_as_the_reference(tmp_path):
+    # the VTK rows spell each cell's size with the vertex-id table, so the
+    # table must reach 5 here, though the largest id is 2
+    mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2, 0, 1)], "custom")
+    assert_writers_match_the_reference(mesh, np.ones(3), tmp_path)
+    export_vtk(tmp_path / "m.vtk", mesh)
+    assert (tmp_path / "m.vtk").read_text().endswith("POLYGONS 1 6\n5 0 1 2 0 1\n")
+
+
 @pytest.mark.parametrize(
     "cells, bad", [([(), (0, 1, 40)], 1), ([(0, -3, 1)], 0)], ids=["too-large", "negative"]
 )
