@@ -32,6 +32,7 @@ __all__ = [
     "triple_seminorm_interp",
     "fit_rate",
     "extrapolate",
+    "is_complex",
     "match_eigs",
     "EigMatch",
     "MatchReport",
@@ -187,6 +188,11 @@ class MatchReport:
         return any(p.imag_flagged for p in self.pairs)
 
 
+def is_complex(lam: complex) -> bool:
+    """Whether lam's imaginary part exceeds 1e-6 of its modulus."""
+    return bool(abs(lam.imag) > 1e-6 * max(abs(lam), 1e-300))
+
+
 def match_eigs(computed, reference: Sequence[float]) -> MatchReport:
     """Pair computed eigenvalues with reference values, order preserved.
 
@@ -202,9 +208,8 @@ def match_eigs(computed, reference: Sequence[float]) -> MatchReport:
     pairs = []
     for lam, lref in zip(vals[:n], ref[:n]):
         lam = complex(lam)
-        flagged = abs(lam.imag) > 1e-6 * max(abs(lam), 1e-300)
         rel = abs(lam.real - lref) / max(abs(lref), 1e-300)
-        pairs.append(EigMatch(lam, float(lref), float(rel), bool(flagged)))
+        pairs.append(EigMatch(lam, float(lref), float(rel), is_complex(lam)))
     return MatchReport(tuple(pairs), len(vals) - n, len(ref) - n)
 
 

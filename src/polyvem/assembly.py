@@ -12,6 +12,7 @@ the same mesh produce bit-identical sparse structures.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -20,7 +21,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .mesh import PolyMesh
-from .vem_core import local_forms, local_forms_batch
+from .vem_core import form_fault, local_forms_batch
+from .vem_core import local_forms  # noqa: F401  perfbench/spans.py wraps this name
 
 __all__ = [
     "AssemblyError",
@@ -35,6 +37,21 @@ __all__ = [
     "write_matrix_market",
     "export_system",
 ]
+
+
+class _Module:
+    """Stand-in for a scipy module that imports it on first attribute use,
+    so `import polyvem` and `polyvem mesh` load no scipy."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# the annotations below and the sparse builders read scipy.sparse through this
+sp = _Module("scipy.sparse")
 
 
 class AssemblyError(ValueError):
@@ -160,23 +177,21 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     if mesh.n_cells == 0:
         raise AssemblyError("mesh has no cells")
     index = np.int32 if len(mesh.vertices) <= np.iinfo(np.int32).max else np.int64
-    ids, local, failed = [], {name: [] for name in "ABCMF"}, []
+    ids, local = [], {name: [] for name in "ABCMF"}
+    failed = None  # (cell, batch, row) of the lowest cell whose forms failed
     field_bound = 0.0
     for batch in mesh.geometry.batches():
         forms = local_forms_batch(batch, coeffs)
-        failed.extend(batch.cells[~forms.ok])
+        bad = np.flatnonzero(~forms.ok)
+        if len(bad) and (failed is None or batch.cells[bad[0]] < failed[0]):
+            failed = (int(batch.cells[bad[0]]), batch, int(bad[0]))
         ids.append(batch.ids.astype(index))
         field_bound = max(field_bound, float(forms.field_ratio.max()))
         for name, m in zip("ABCMF", forms):
             local[name].append(m.reshape(-1))
     if failed:
-        # the lowest failed cell is reported; `local_forms` runs the same
-        # forms on that cell alone and raises the reason
-        ci = int(min(failed))
-        try:
-            local_forms(mesh.cell_polygon(ci), coeffs)
-        except ValueError as exc:
-            raise AssemblyError(f"cell {ci}: {exc}") from exc
+        ci, batch, row = failed
+        raise AssemblyError(f"cell {ci}: {form_fault(batch, coeffs, row)}")
 
     rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
     cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])
@@ -191,8 +206,6 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
 
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
     """Sum the triplets into CSR; duplicate entries are added, none dropped."""
-    import scipy.sparse as sp  # imported here: `import polyvem` and `polyvem mesh` load no scipy
-
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
@@ -296,7 +309,6 @@ def expand_solution(
 
 def write_matrix_market(obj, path: Union[str, Path]) -> Path:
     """Write a sparse matrix or vector in MatrixMarket coordinate format."""
-    import scipy.sparse as sp
     from scipy.io import mmwrite  # imported here: only the matrix-market writer needs it
 
     path = Path(path)

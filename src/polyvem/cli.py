@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import ConvergenceRecord, error_norms
+from .analysis import ConvergenceRecord, error_norms, is_complex
 from .analysis import error_h1_semi, error_l2  # noqa: F401  perfbench/spans.py wraps these names
 from .assembly import AssemblyError, apply_dirichlet_lift, assemble, expand_solution
 from .coefficients import CASES, CoefficientSet, ManufacturedCase
@@ -408,10 +408,6 @@ def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[np.
     return np.asarray(case.exact_eigenvalues(k), dtype=float)
 
 
-def _is_complex(lam: complex) -> bool:
-    return abs(lam.imag) > 1e-6 * max(abs(lam.real), 1e-300)
-
-
 # --- studies --------------------------------------------------------------
 
 
@@ -448,7 +444,7 @@ def run_eigen_study(
         quality.append(_quality_line(level.mesh, N))
         record.add_entry(N, level.mesh.h, level.n, level.values)
         lams = level.eigs.eigenvalues
-        if any(_is_complex(lam) for lam in lams):
+        if any(is_complex(lam) for lam in lams):
             log(f"N={N}: warning: complex eigenvalues reported: {lams}")
         log(
             f"N={N}: "
@@ -519,6 +515,12 @@ def _load_config(args, problem: str) -> ExperimentConfig:
     )
 
 
+def _log(args) -> Callable[[str], None]:
+    """print, or with --quiet nothing: the result lines of a command; the
+    `wrote` lines are printed either way."""
+    return (lambda s: None) if args.quiet else print
+
+
 def _write_level_csv(path: Path, config: ExperimentConfig, N: int, level: _Level) -> None:
     """The one-level CSV of `solve` and `eig`, headed by the config hash and
     the quality line."""
@@ -542,9 +544,10 @@ def _cmd_solve(args) -> int:
     # the error CSV needs errors, which need an exact solution
     if level.values and args.format in ("csv", "both"):
         _write_level_csv(out / f"{stem}_errors.csv", config, N, level)
+    log = _log(args)
     for k, v in level.values.items():
-        print(f"{k} = {v:.8e}")
-    print(f"solution range [{level.u.min():.6g}, {level.u.max():.6g}] on {level.n} DOFs")
+        log(f"{k} = {v:.8e}")
+    log(f"solution range [{level.u.min():.6g}, {level.u.max():.6g}] on {level.n} DOFs")
     return EXIT_OK
 
 
@@ -556,16 +559,17 @@ def _cmd_eig(args) -> int:
     N = config.N_list[-1] if args.N_single is None else args.N_single
     level = _eigen_level(config, coeffs, N)
     result = level.eigs
-    print(f"shift {level.shift:.6g}, discarded {result.discarded_count} infinite modes")
+    log = _log(args)
+    log(f"shift {level.shift:.6g}, discarded {result.discarded_count} infinite modes")
     exact = _exact_eigenvalues(case, config.eig_count)
     for j, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals)):
         line = f"lambda_{j + 1} = {lam.real:.8f}"
-        if _is_complex(lam):
+        if is_complex(lam):
             line += f" + {lam.imag:.3e}i (complex!)"
         line += f"  residual {res:.2e}"
         if exact is not None:
             line += f"  exact {exact[j]:.8f}  rel.err {abs(lam.real - exact[j]) / exact[j]:.3e}"
-        print(line)
+        log(line)
     if args.format in ("csv", "both"):
         _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, N, level)
     return EXIT_OK
@@ -576,16 +580,11 @@ def _cmd_convergence(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"convergence_{config.problem}_{config.mesh_family}"
-    log = print if not args.quiet else (lambda s: None)
-    try:
-        if config.problem == "load":
-            record, quality = run_load_study(config, log=log)
-            exact = None
-        else:
-            record, quality, exact = run_eigen_study(config, log=log)
-    except (SolverError, MeshConformityError) as exc:
-        print(f"error: study failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if config.problem == "load":
+        record, quality = run_load_study(config, log=_log(args))
+        exact = None
+    else:
+        record, quality, exact = run_eigen_study(config, log=_log(args))
     exact_footer = None if exact is None else dict(zip(record.names, exact.tolist()))
     extrap = config.problem == "eigen" and exact is None
     header = "\n".join([f"config {config.config_hash}", *quality])
@@ -634,7 +633,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("csv", "vtk", "both"), default="both", help="output kinds"
     )
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--quiet", action="store_true", help="print only the names of written files")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -213,18 +213,15 @@ class Polygon:
         Vertex coordinates in order.  n >= 3.  Consecutive vertices must be
         distinct; edges may otherwise be arbitrarily short.  Consecutive
         collinear vertices are allowed (hanging nodes).
-    validate : bool
-        Raise if the cell has a fault (default).  Skipping is only safe for
-        polygons that already passed validation once.
 
     Raises
     ------
     ValueError
-        If the vertex array is not (n, 2) with n >= 3, or, with validate,
-        with the message of the polygon's fault in `FAULTS`.
+        If the vertex array is not (n, 2) with n >= 3, or with the message
+        of the polygon's fault in `FAULTS`.
     """
 
-    def __init__(self, vertices, validate: bool = True):
+    def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"vertex array must have shape (n, 2), got {v.shape}")
@@ -232,7 +229,7 @@ class Polygon:
             raise ValueError(FAULTS[TOO_FEW].format(v.shape[0]))
         self.vertices = v
         self.batch = _cell_batch(np.zeros(1, dtype=np.int64), np.arange(len(v))[None], v[None])
-        if validate and self.batch.fault[0]:
+        if self.batch.fault[0]:
             raise ValueError(fault_message(self.batch, 0))
 
     @property
@@ -292,8 +289,8 @@ def triangulate(poly) -> list[np.ndarray]:
     """Split a polygon into triangles.
 
     Uses a centroid fan when the polygon is star-shaped with respect to its
-    centroid (the common case for mesh cells, including cells with hanging
-    nodes), and falls back to ear clipping otherwise.
+    centroid (``CellBatch.fan``: the common case for mesh cells, including
+    cells with hanging nodes), and falls back to ear clipping otherwise.
 
     Returns
     -------
@@ -302,12 +299,10 @@ def triangulate(poly) -> list[np.ndarray]:
     """
     p = _as_polygon(poly)
     v = p.vertices
-    n = len(v)
-    c = np.asarray(p.centroid)
-    tol = _AREA_EPS * p.diameter ** 2
-    if _fan_triangulable(v, c, tol):
+    if p.batch.fan[0]:
+        n, c = len(v), p.batch.centroid[0]
         return [np.array([v[i], v[(i + 1) % n], c]) for i in range(n)]
-    return _ear_clip(v, tol)
+    return _ear_clip(v, _AREA_EPS * p.diameter ** 2)
 
 
 def _point_in_triangle_strict(q, a, b, c, eps: float) -> bool:
@@ -364,13 +359,16 @@ def polygon_quadrature(poly, degree: int) -> tuple[np.ndarray, np.ndarray, np.nd
     -------
     x, y, w : ndarray
     """
-    try:
-        rule = QUAD_RULES[degree]
-    except KeyError:
+    if degree not in QUAD_RULES:
         raise ValueError(
             f"unsupported quadrature degree {degree}; available: {sorted(QUAD_RULES)}"
-        ) from None
-    tri = np.array(triangulate(poly))  # (T, 3, 2)
+        )
+    return _triangles_quadrature(triangulate(poly), degree)
+
+
+def _triangles_quadrature(tris, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree's rule mapped onto each triangle (3, 2) of tris, node arrays flat."""
+    rule, tri = QUAD_RULES[degree], np.array(tris)
     pts = rule.bary @ tri
     w = rule.weights * (0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))[:, None]
     return pts[..., 0].ravel(), pts[..., 1].ravel(), w.ravel()
@@ -419,9 +417,9 @@ class CellBatch(NamedTuple):
         the cell has.
     fan : ndarray of bool, shape (G,)
         The cell is star-shaped with respect to its centroid, so the
-        centroid fan triangulates it (what `triangulate` would do) and
-        `cell_quadrature` integrates it as array operations; the other
-        valid cells are ear-clipped there one by one.
+        centroid fan triangulates it: `triangulate` takes the fan there,
+        and `cell_quadrature` integrates it as array operations.  Both
+        ear-clip the other valid cells one by one.
     """
 
     cells: np.ndarray
@@ -510,15 +508,12 @@ def fault_message(g: CellBatch, row: int) -> str:
 
 
 def polygon_batch(poly) -> CellBatch:
-    """A `Polygon` (validated or not) or (n, 2) array as a batch of one cell.
+    """A `Polygon` or (n, 2) array as a batch of one cell.
 
     Raises ValueError, with the message of its fault, if the polygon is
     not valid.
     """
-    g = _as_polygon(poly).batch
-    if g.fault[0]:
-        raise ValueError(fault_message(g, 0))
-    return g
+    return _as_polygon(poly).batch
 
 
 def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> MeshGeometry:
@@ -548,10 +543,11 @@ def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, 
     """`polygon_quadrature` of every cell of a batch of valid cells, row per cell.
 
     Cells with ``g.fan`` are integrated over the centroid fan as array
-    operations.  The others take `polygon_quadrature`'s ear clipping one by
-    one; it yields at most k - 2 triangles, so each such row is padded to
-    k * npts nodes with zero-weight copies of its last node, a point inside
-    the cell where the integrands are already evaluated.
+    operations.  The others are ear-clipped one by one from their batch
+    row, as `triangulate` clips them; that yields at most k - 2 triangles,
+    so each such row is padded to k * npts nodes with zero-weight copies of
+    its last node, a point inside the cell where the integrands are already
+    evaluated.
 
     Returns
     -------
@@ -567,7 +563,8 @@ def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, 
     )
     w = (rule.weights * (0.5 * _cross(vn - v, c - v))[..., None]).reshape(len(v), -1)
     for r in np.flatnonzero(~g.fan):
-        xr, yr, wr = polygon_quadrature(v[r], degree)
+        tris = _ear_clip(v[r], _AREA_EPS * float(g.diameter[r]) ** 2)
+        xr, yr, wr = _triangles_quadrature(tris, degree)
         pad = (0, w.shape[1] - len(wr))
         x[r], y[r] = np.pad(xr, pad, mode="edge"), np.pad(yr, pad, mode="edge")
         w[r] = np.pad(wr, pad)

@@ -34,10 +34,10 @@ from .geometry import (
     MeshGeometry,
     Point2,
     Polygon,
+    _chebyshev_centres,
     fault_message,
     mesh_geometry,
     star_metric,  # noqa: F401  perfbench/spans.py wraps this name
-    star_metrics,
 )
 
 __all__ = [
@@ -138,8 +138,8 @@ class PolyMesh:
         return self.vertices[self.cell(i)]
 
     def cell_polygon(self, i: int) -> Polygon:
-        """Cell i as a `Polygon`, not validated."""
-        return Polygon(self.cell_vertices(i), validate=False)
+        """Cell i as a `Polygon`; ValueError names its fault if it has one."""
+        return Polygon(self.cell_vertices(i))
 
     def _check_vertex_ids(self) -> None:
         """Raise MeshConformityError naming the first cell that references a
@@ -380,32 +380,18 @@ def _insert_hanging_vertices(
     return out, sizes + np.add.reduceat(count, starts)
 
 
-def _orient_ccw(coords: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Reverse the vertex order of every clockwise cell."""
-    starts = np.cumsum(sizes) - sizes
-    x, y = coords[flat, 0], coords[flat, 1]
-    nxt = _successor(sizes)
-    area2 = np.add.reduceat(x * y[nxt], starts) - np.add.reduceat(x[nxt] * y, starts)
-    rev = np.repeat(area2 < 0.0, sizes)
-    if not rev.any():
-        return flat
-    pos = np.arange(len(flat))
-    first = np.repeat(starts, sizes)
-    last = first + np.repeat(sizes, sizes) - 1
-    return flat[np.where(rev, first + last - pos, pos)]
-
-
 def _build_mesh(parts, domain_tag: str, insert_hanging: bool = True) -> PolyMesh:
     """Mesh from cells given as coordinate arrays, one (G, k, 2) array per part.
 
-    Shared vertices are merged (`_dedupe`), hanging vertices inserted into
-    axis-aligned edges, and every cell oriented counter-clockwise.
+    Shared vertices are merged (`_dedupe`) and hanging vertices inserted
+    into axis-aligned edges.  The cells keep the counter-clockwise order
+    the generators emit; `PolyMesh.geometry` rejects a clockwise one.
     """
     sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
     coords, flat, grid = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
     if insert_hanging:
         flat, sizes = _insert_hanging_vertices(grid, flat, sizes)
-    return PolyMesh(coords, _orient_ccw(coords, flat, sizes), sizes, domain_tag)
+    return PolyMesh(coords, flat, sizes, domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +648,10 @@ def validate(mesh: PolyMesh) -> MeshQualityReport:
         )
 
     min_edge = min(float(g.edge_lengths.min()) for g in groups)
-    shapes = [v for g in groups for v in g.vertices[_shape_representatives(g)]]
-    min_rho = min((m.rho for m in star_metrics(shapes)), default=np.inf)
+    # rho is the kernel's Chebyshev radius over the diameter; an empty
+    # kernel has a negative one and is reported as rho 0
+    radii = (_chebyshev_centres(g.vertices[_shape_representatives(g)])[1] for g in groups)
+    min_rho = max(min(float(r.min()) for r in radii), 0.0)
     return MeshQualityReport(
         h=mesh.h,
         min_edge=min_edge,

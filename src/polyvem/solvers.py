@@ -16,26 +16,13 @@ and doubles as a cross-check oracle.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .assembly import GlobalSystem
+from .assembly import GlobalSystem, _Module
 from .coefficients import CoefficientSet
-
-
-class _Module:
-    """Stand-in for a scipy module that imports it on first attribute use,
-    so `import polyvem` and `polyvem mesh` load no scipy."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr):
-        return getattr(importlib.import_module(self._name), attr)
-
 
 # all solver code reaches scipy through these module attributes, so a
 # tracer can replace spla with a proxy of its own

@@ -40,6 +40,7 @@ __all__ = [
     "pi_nabla",
     "stab_matrix",
     "local_forms",
+    "form_fault",
     "FormBatch",
     "pi_nabla_batch",
     "local_forms_batch",
@@ -110,15 +111,22 @@ def local_forms(E, coeffs: CoefficientSet) -> LocalElement:
     g = polygon_batch(E)
     forms = local_forms_batch(g, coeffs)
     if not forms.ok[0]:
-        kappa = float(_eval_scalar(coeffs.kappa, g.centroid[:, 0], g.centroid[:, 1])[0])
-        if not kappa > 0.0:
-            centroid = Point2(*map(float, g.centroid[0]))
-            raise ValueError(f"kappa must be strictly positive, got {kappa} at {centroid}")
-        raise ValueError("coefficient evaluation produced non-finite values")
+        raise ValueError(form_fault(g, coeffs, 0))
     P = pi_nabla_batch(g)
     D = _scaled_monomials(g.vertices[..., 0], g.vertices[..., 1], g)
     local = (P, D @ P, _stab_batch(g), *forms[:5])
     return LocalElement(P.shape[2], *(m[0] for m in local))
+
+
+def form_fault(g: CellBatch, coeffs: CoefficientSet, row: int) -> str:
+    """Why the forms of the cell in row `row` of g are not usable
+    (`FormBatch.ok` is False there), read from that row."""
+    x, y = g.centroid[row : row + 1].T
+    kappa = float(_eval_scalar(coeffs.kappa, x, y)[0])
+    if not kappa > 0.0:
+        centroid = Point2(float(x[0]), float(y[0]))
+        return f"kappa must be strictly positive, got {kappa} at {centroid}"
+    return "coefficient evaluation produced non-finite values"
 
 
 def _eval_scalar(field, x, y) -> np.ndarray:
@@ -151,8 +159,8 @@ class FormBatch(NamedTuple):
     Fh : ndarray, shape (G, k)
     ok : ndarray of bool, shape (G,)
         kappa at the centroid is positive and every entry is finite.
-        Assembly rejects a cell without it; `local_forms`, the same forms
-        on a batch of that one cell, words the error.
+        Assembly and `local_forms` reject a cell without it, with the
+        reason `form_fault` words from the cell's batch row.
     field_ratio : ndarray, shape (G,)
         max |theta| over the cell's quadrature nodes / sqrt(kappa_E); 0
         where kappa_E is not positive.  With positive weights it bounds

@@ -18,6 +18,7 @@ from polyvem.analysis import (
     error_h1_semi,
     error_l2,
     fit_rate,
+    is_complex,
     match_eigs,
     triple_seminorm_interp,
 )
@@ -255,6 +256,15 @@ class TestMatchEigs:
         assert report.pairs[0].imag_flagged
         report = match_eigs(np.array([1.0 + 1e-9j]), [1.0])
         assert not report.pairs[0].imag_flagged
+
+    @pytest.mark.parametrize("imag, flagged", [(1.0000000000002e-6, False), (1.000000000001e-6, True)])
+    def test_imag_flag_is_relative_to_the_modulus(self, imag, flagged):
+        # 1e-6 of |1 + 1e-6 i| is 1e-6 (1 + 5e-13): the first value lies above
+        # 1e-6 of the real part but below 1e-6 of the modulus; the CLI's
+        # "(complex!)" mark uses the same test
+        lam = 1.0 + imag * 1j
+        assert is_complex(lam) is flagged
+        assert match_eigs(np.array([lam]), [1.0]).pairs[0].imag_flagged is flagged
 
 
 class TestConvergenceRecord:

@@ -6,6 +6,8 @@ for positive definiteness, and direct substitution of global linear
 fields, which the method reproduces exactly.
 """
 
+import typing
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,8 @@ from scipy.io import mmread
 
 from polyvem.assembly import (
     AssemblyError,
+    FullSystem,
+    GlobalSystem,
     apply_dirichlet_lift,
     assemble,
     assemble_full,
@@ -233,6 +237,13 @@ class TestOperatorStructure:
             assert m1.indices.tobytes() == m2.indices.tobytes()
             assert m1.data.tobytes() == m2.data.tobytes()
         assert s1.F.tobytes() == s2.F.tobytes()
+
+    @pytest.mark.parametrize("system", [GlobalSystem, FullSystem])
+    def test_annotations_resolve(self, system):
+        # the operator annotations name scipy.sparse through the module's
+        # `sp`, which imports it on first use
+        hints = typing.get_type_hints(system)
+        assert hints["A"] is sp.csr_matrix and hints["F"] is np.ndarray
 
     def test_k_load_is_sum(self):
         mesh = gen_square_th1(3)

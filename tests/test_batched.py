@@ -12,8 +12,15 @@ batch of one cell, so they equal the batch rows bitwise.
 import numpy as np
 import pytest
 
+import polyvem.cli as cli
 from polyvem.analysis import error_h1_semi, error_l2, error_norms, triple_seminorm_interp
-from polyvem.assembly import apply_dirichlet_lift, assemble, assemble_full, expand_solution
+from polyvem.assembly import (
+    AssemblyError,
+    apply_dirichlet_lift,
+    assemble,
+    assemble_full,
+    expand_solution,
+)
 from polyvem.coefficients import CoefficientSet, constant, constant_vector
 from polyvem.geometry import (
     QUAD_RULES,
@@ -263,6 +270,44 @@ def test_per_cell_functions_are_one_cell_batches(name, tmp_path):
             for got, batched in zip(per_cell, (*forms[:5], P)):
                 assert np.array_equal(got, batched[row])
             assert np.array_equal(pi_nabla(mesh.cell_polygon(ci)), P[row])
+
+
+def run_production(name, tmp_path):
+    """One production path: the ear-clipped U through assembly and the
+    error norms, a kappa assembly rejects on one cell, or a CLI command."""
+    if name == "u_shaped":
+        mesh = u_shaped_mesh(tmp_path)
+        assemble(mesh, COEFFS)
+        error_norms(mesh, u_smooth(*mesh.vertices.T), u_smooth, grad_u_smooth)
+    elif name == "kappa":
+        kappa = lambda x, y: np.where(np.asarray(x) > 0.5, -1.0, 1.0)
+        coeffs = CoefficientSet(kappa, constant_vector(0.0, 0.0), constant(0.0))
+        with pytest.raises(AssemblyError, match="^cell 2: kappa must be strictly positive"):
+            assemble(gen_square_th3(4), coeffs)
+    else:
+        argv = {
+            "cli_solve": ["solve", "--family", "th2", "--case", "test1", "--N", "8"],
+            "cli_eig": ["eig", "--family", "th7", "--case", "eigen_T", "--N", "16"],
+            "cli_mesh": ["mesh", "--family", "th3", "--N", "8"],
+        }[name]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name", ["u_shaped", "kappa", "cli_solve", "cli_eig", "cli_mesh"])
+def test_production_builds_no_polygon(name, tmp_path, monkeypatch):
+    # production reads cells as batch rows: the ear clipping of a cell that
+    # is not star-shaped and assembly's error for one cell are worked from
+    # the cell's row, and no command builds a single-cell `Polygon`
+    calls = []
+    init = Polygon.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polygon, "__init__", counted)
+    run_production(name, tmp_path)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("name", ["th2", "u_shaped"])

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polyvem.cli as cli
 from polyvem.cli import (
     ConfigError,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from polyvem.cli import (
     run_eigen_study,
     run_load_study,
 )
+from polyvem.solvers import SolverError
 
 RNG = np.random.default_rng(20240817)
 
@@ -490,6 +492,35 @@ def test_mesh_command(tmp_path, capsys):
     report = (tmp_path / "th2_N4_report.txt").read_text()
     assert "min_edge/h" in report
     assert "reentrant corners: 0" in report
+
+
+QUIET_COMMANDS = {
+    "solve": ["solve", "--family", "th2", "--case", "test1", "--N", "4"],
+    "eig": ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUIET_COMMANDS))
+def test_quiet_prints_only_the_written_files(command, tmp_path, capsys):
+    # --quiet drops the result lines; the `wrote` lines stay, as for convergence
+    argv = [*QUIET_COMMANDS[command], "--out", str(tmp_path)]
+    assert main(argv) == 0
+    loud = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--quiet"]) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    wrote = [line for line in loud if line.startswith("wrote ")]
+    assert quiet == wrote and 0 < len(wrote) < len(loud)
+
+
+def test_failed_study_is_the_common_error_line(tmp_path, capsys, monkeypatch):
+    # main maps a SolverError to exit 1 for every command, convergence included
+    def fail(system, rhs):
+        raise SolverError("load solve did not converge")
+
+    monkeypatch.setattr(cli, "solve_load", fail)
+    argv = ["convergence", "--family", "th1", "--case", "test1", "--N", "4", "8", "16"]
+    assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: load solve did not converge\n"
 
 
 OUTPUT_COMMANDS = {

@@ -1,17 +1,23 @@
 """Array-level mesh checks against their per-polygon and per-edge references.
 
-`validate` takes ρ of all distinct cell shapes from `star_metrics`, which
-enumerates the points equidistant from three edge lines, and every edge
-count comes from one edge-topology helper.  The references are the
-Chebyshev-centre linear program solved by HiGHS, one polygon at a time
-(only the tests import `linprog`), and a dict count over the cell cycles.
+`validate` takes ρ of all distinct cell shapes from the kernel-centre
+search behind `star_metrics`, run on each vertex-count group's batch rows
+(`geometry._chebyshev_centres`).  It enumerates the points equidistant
+from three edge lines, and every edge count comes from one edge-topology
+helper.  The references are the Chebyshev-centre linear program solved by
+HiGHS, one polygon at a time (only the tests import `linprog`), ρ of
+every cell from `star_metrics`, and a dict count over the cell cycles.
 Polygons carry edges down to 1e-12 of their diameter: the small-edge
 regime the method is meant for.  They are simple by construction, so the
-validity check must accept every one.
+validity check must accept every one.  The mesh builder keeps the order
+of the cells it is given; a clockwise one is left for the geometry to
+reject.
 
 The cell geometry and the quality report must also agree bit for bit with
 `tests/reference.py`'s all-pairs diameter, row-wise shape signatures and
-sort-based edge check swapped in for the ones `polyvem` runs.
+sort-based edge check swapped in for the ones `polyvem` runs.  The
+diameter agrees for whole stacks and for batches of one cell, the batch a
+`Polygon` holds.
 """
 
 from functools import partial
@@ -303,11 +309,14 @@ def test_boundary_flags_from_topology(family):
     assert np.array_equal(flags, mesh.boundary_vertex)
 
 
-def test_clockwise_cells_are_reversed():
+def test_builder_keeps_a_clockwise_cell_for_geometry_to_reject():
+    # the generators emit counter-clockwise cells; one that does not is a
+    # generator bug, which the builder passes on and the geometry names
     square = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
     mesh = _build_mesh([square, square[:, ::-1] + [1.0, 0.0]], "custom")
-    # the second cell arrives clockwise as vertices (2, 4, 5, 1)
-    assert mesh.cells == ((0, 1, 2, 3), (1, 5, 4, 2))
+    assert mesh.cells == ((0, 1, 2, 3), (2, 4, 5, 1))
+    with pytest.raises(MeshConformityError, match="^cell 1 is not a valid polygon: polygon is clockwise"):
+        mesh.geometry
 
 
 def test_one_quantum_apart_merges_into_the_first_vertex():
@@ -436,8 +445,10 @@ def vertex_stacks(draw):
 @given(vertex_stacks())
 def test_diameter_matches_the_all_pairs_oracle_bit_for_bit(v):
     assert bits(_diameter(v)) == bits(reference.diameter(v))
+    # a batch of one cell, the batch a `Polygon` holds, gives the same bits;
+    # most stacks are not valid polygons, so no `Polygon` is built from them
     for g in range(len(v)):
-        assert Polygon(v[g], validate=False).diameter == float(reference.diameter(v[g]))
+        assert bits(_diameter(v[g : g + 1])) == bits(reference.diameter(v[g : g + 1]))
 
 
 # directed-edge faults, each named by the oracle's message
