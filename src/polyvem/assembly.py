@@ -169,44 +169,56 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
 
     Returns (rows, cols, ops, F, field_bound): one (rows, cols) pattern
     shared by the four operators, whose data arrays ``ops`` holds by name,
-    and the largest `FormBatch.field_ratio`.  The batch results are
-    concatenated one operator at a time, so at most one operator is held
-    twice.
+    and the largest `FormBatch.field_ratio`.  Every array is sized from
+    the batches up front and each batch writes into its own slice, so no
+    operator is ever held twice.
     """
     _check_domain(mesh, coeffs)
     if mesh.n_cells == 0:
         raise AssemblyError("mesh has no cells")
     index = np.int32 if len(mesh.vertices) <= np.iinfo(np.int32).max else np.int64
-    ids, local = [], {name: [] for name in "ABCMF"}
+    shapes = [g.ids.shape for g in mesh.geometry.groups]  # (G, k); every cell is valid
+    size = sum(G * k * k for G, k in shapes)
+    rows, cols = np.empty(size, dtype=index), np.empty(size, dtype=index)
+    ops = {name: np.empty(size) for name in "ABCM"}
+    load_ids = np.empty(sum(G * k for G, k in shapes), dtype=index)
+    load = np.empty(len(load_ids))
     failed = None  # (cell, batch, row) of the lowest cell whose forms failed
     field_bound = 0.0
+    start = load_start = 0
     for batch in mesh.geometry.batches():
         forms = local_forms_batch(batch, coeffs)
         bad = np.flatnonzero(~forms.ok)
         if len(bad) and (failed is None or batch.cells[bad[0]] < failed[0]):
             failed = (int(batch.cells[bad[0]]), batch, int(bad[0]))
-        ids.append(batch.ids.astype(index))
         field_bound = max(field_bound, float(forms.field_ratio.max()))
-        for name, m in zip("ABCMF", forms):
-            local[name].append(m.reshape(-1))
+        G, k = batch.ids.shape
+        end, load_end = start + G * k * k, load_start + G * k
+        rows[start:end].reshape(G, k, k)[...] = batch.ids[:, :, None]
+        cols[start:end].reshape(G, k, k)[...] = batch.ids[:, None, :]
+        for name, m in zip("ABCM", forms):
+            ops[name][start:end] = m.reshape(-1)
+        load_ids[load_start:load_end] = batch.ids.reshape(-1)
+        load[load_start:load_end] = forms.Fh.reshape(-1)
+        start, load_start = end, load_end
     if failed:
         ci, batch, row = failed
         raise AssemblyError(f"cell {ci}: {form_fault(batch, coeffs, row)}")
-
-    rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i in ids])
-    cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i in ids])
-    F = np.bincount(
-        np.concatenate([i.ravel() for i in ids]),
-        weights=np.concatenate(local.pop("F")),
-        minlength=len(mesh.vertices),
-    )
-    ops = {name: np.concatenate(local.pop(name)) for name in "ABCM"}
+    # one bincount over all cells: summing per-batch bincounts would change F's bits
+    F = np.bincount(load_ids, weights=load, minlength=len(mesh.vertices))
     return rows, cols, ops, F, field_bound
 
 
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
-    """Sum the triplets into CSR; duplicate entries are added, none dropped."""
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    """Sum the triplets into CSR; duplicate entries are added, none dropped.
+
+    After summing, scipy keeps ``data`` and ``indices`` as views of buffers
+    as long as the triplets (it copies only a view under half its base), so
+    they are copied once to hold just the nonzeros.
+    """
+    m = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    m.data, m.indices = m.data.copy(), m.indices.copy()
+    return m
 
 
 def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:

@@ -389,17 +389,16 @@ def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _L
     """Solve the eigenproblem (A + B, M) on the mesh of resolution N."""
     mesh = generate_mesh(config.mesh_family, N)
     system = assemble(mesh, coeffs)
+    pencil = (system.A + system.B).tocsc(), system.M.tocsc()
+    field_bound, n = system.field_bound, system.n
+    # only the pencil lives through the shifted factorization
+    del system
     shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
     result = solve_eigs(
-        (system.A + system.B).tocsc(),
-        system.M,
-        config.eig_count,
-        shift=shift,
-        seed=config.seed,
-        field_bound=system.field_bound,
+        *pencil, config.eig_count, shift=shift, seed=config.seed, field_bound=field_bound
     )
     values = {f"lambda_{j + 1}": float(lam.real) for j, lam in enumerate(result.eigenvalues)}
-    return _Level(mesh, system.n, values, eigs=result, shift=shift)
+    return _Level(mesh, n, values, eigs=result, shift=shift)
 
 
 def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[np.ndarray]:

@@ -185,13 +185,15 @@ def _segments_cross(p1, p2, p3, p4, tol) -> np.ndarray:
         return ((a > tol) & (b < -tol)) | ((a < -tol) & (b > tol))
 
     hit = straddle(d1, d2) & straddle(d3, d4)
-    # collinear / touching configurations: fall back to bounding-box overlap
-    e = tol[..., None]
+    # collinear / touching configurations: fall back to bounding-box overlap,
+    # taken only at the points that lie near the other segment's line
     for d, a, b, p in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
         near = np.abs(d) <= tol
         if near.any():
-            in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
-            hit |= near & in_box.all(axis=-1)
+            near = np.nonzero(near)
+            p, a, b = (np.broadcast_to(q, hit.shape + (2,))[near] for q in (p, a, b))
+            e = np.broadcast_to(tol, hit.shape)[near][:, None]
+            hit[near] |= ((p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)).all(axis=-1)
     return hit
 
 

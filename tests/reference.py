@@ -11,12 +11,13 @@ The mesh writers, one document built by `json.dumps` and one line per
 vertex and per cell: `polyvem.mesh.io_write` and `export_vtk` must write
 the same bytes.
 
-Three pieces of cell geometry and `validate`, as first written: the
-diameter as the largest of all k x k vertex distances, the shape
-signatures as the distinct rows of `np.unique(axis=0)`, and the edge
-check as a sort of every directed edge.  `polyvem.geometry` and
-`polyvem.mesh` compute the same values with less work; the tests swap
-these in and require every bit to agree.
+Four pieces of cell geometry and `validate`, as first written: the
+diameter as the largest of all k x k vertex distances, the segment
+crossing test with its bounding-box fallback on every edge pair, the
+shape signatures as the distinct rows of `np.unique(axis=0)`, and the
+edge check as a sort of every directed edge.  `polyvem.geometry` and
+`polyvem.mesh` compute the same values with less work; the tests require
+every bit to agree.
 
 The validity checks of one polygon, one after another, as `Polygon` ran
 them before they moved into the cell batch: `Polygon(v)` must raise
@@ -32,8 +33,8 @@ from polyvem.geometry import (
     _AREA_EPS,
     _as_polygon,
     _edge_lengths,
+    _cross,
     _nonadjacent_edge_pairs,
-    _segments_cross,
     _shoelace,
     polygon_quadrature,
 )
@@ -221,6 +222,32 @@ def edge_fault(topo, n: int):
     return None
 
 
+def segments_cross(p1, p2, p3, p4, tol) -> np.ndarray:
+    """`geometry._segments_cross` with the bounding-box test run on every
+    pair whenever any one pair has a point near the other's line."""
+    tol = np.asarray(tol)
+    e12, e34 = p2 - p1, p4 - p3
+    tiny = np.finfo(float).tiny
+    n12 = np.maximum(np.hypot(e12[..., 0], e12[..., 1]), tiny)
+    n34 = np.maximum(np.hypot(e34[..., 0], e34[..., 1]), tiny)
+    d1 = _cross(e34, p1 - p3) / n34
+    d2 = _cross(e34, p2 - p3) / n34
+    d3 = _cross(e12, p3 - p1) / n12
+    d4 = _cross(e12, p4 - p1) / n12
+
+    def straddle(a, b):
+        return ((a > tol) & (b < -tol)) | ((a < -tol) & (b > tol))
+
+    hit = straddle(d1, d2) & straddle(d3, d4)
+    e = tol[..., None]
+    for d, a, b, p in ((d1, p3, p4, p1), (d2, p3, p4, p2), (d3, p1, p2, p3), (d4, p1, p2, p4)):
+        near = np.abs(d) <= tol
+        if near.any():
+            in_box = (p >= np.minimum(a, b) - e) & (p <= np.maximum(a, b) + e)
+            hit |= near & in_box.all(axis=-1)
+    return hit
+
+
 def polygon_fault(v):
     """Why `Polygon(v)` rejects the vertex array v, or None if it is valid."""
     v = np.asarray(v, dtype=float)
@@ -236,7 +263,7 @@ def polygon_fault(v):
         return f"duplicate consecutive vertices at position {int(np.argmin(lengths))}"
     diam = float(diameter(v))
     i, j = _nonadjacent_edge_pairs(n)
-    hit = _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], _AREA_EPS * diam)
+    hit = segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], _AREA_EPS * diam)
     if hit.any():
         p = int(np.argmax(hit))
         return f"polygon is not simple: edges {i[p]} and {j[p]} intersect"

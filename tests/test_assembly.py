@@ -175,6 +175,23 @@ class TestOperatorStructure:
         resid = np.abs(full.A @ ones).max()
         assert resid <= 1e-12 * np.abs(full.A.data).max()
 
+    @pytest.mark.parametrize(
+        "mesh, case",
+        [(lambda: gen_square_th2(8), "eigen_square"), (lambda: gen_rotated_T("th7", 16), "eigen_T")],
+        ids=["th2", "th7"],
+    )
+    def test_operators_hold_only_their_nonzeros(self, mesh, case):
+        # summing duplicates leaves data and indices as views of buffers as
+        # long as the triplets; assembly keeps copies of just the nonzeros
+        mesh = mesh()
+        system = assemble(mesh, CASES[case].coeffs)
+        full = assemble_full(mesh, CASES[case].coeffs)
+        operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
+        operators += [getattr(full, name) for name in "ABCM"]
+        for mat in operators:
+            for arr, size in ((mat.data, mat.nnz), (mat.indices, mat.nnz), (mat.indptr, mat.shape[0] + 1)):
+                assert arr.base is None and arr.size == size
+
     def test_domain_mismatch_rejected(self):
         mesh = gen_rotated_T("th4", 4)
         with pytest.raises(AssemblyError, match="domain"):

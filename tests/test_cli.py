@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from polyvem.cli import (
     run_eigen_study,
     run_load_study,
 )
+from polyvem import solvers
 from polyvem.solvers import SolverError
 
 RNG = np.random.default_rng(20240817)
@@ -348,6 +350,30 @@ def test_run_eigen_study_square():
 
 
 # --- command level ----------------------------------------------------------
+
+
+def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
+    # the assembled system, and each operator it holds, is released before
+    # the shifted factorization
+    refs, alive = [], []
+    assemble, splu = cli.assemble, solvers.spla.splu
+
+    def spy_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
+        refs.extend(weakref.ref(obj) for obj in [system, *operators])
+        return system
+
+    def spy_splu(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", spy_assemble)
+    monkeypatch.setattr(solvers.spla, "splu", spy_splu)
+    config = make_config(problem="eigen", mesh_family="th7", N_list=[16], coefficients="eigen_T")
+    level = cli._eigen_level(config, build_coefficients(config)[0], 16)
+    assert alive == [[False] * 6]
+    assert len(level.eigs.eigenvalues) == 6
 
 
 def test_main_usage_errors(capsys):

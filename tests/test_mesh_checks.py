@@ -17,7 +17,9 @@ The cell geometry and the quality report must also agree bit for bit with
 `tests/reference.py`'s all-pairs diameter, row-wise shape signatures and
 sort-based edge check swapped in for the ones `polyvem` runs.  The
 diameter agrees for whole stacks and for batches of one cell, the batch a
-`Polygon` holds.
+`Polygon` holds.  The crossing test, which boxes only the edge pairs with
+a point near the other edge's line, agrees with the reference that boxes
+every pair.
 """
 
 from functools import partial
@@ -39,7 +41,10 @@ from polyvem.geometry import (
     CellBatch,
     Polygon,
     StarMetric,
+    _AREA_EPS,
     _diameter,
+    _nonadjacent_edge_pairs,
+    _segments_cross,
     mesh_geometry,
     star_metric,
     star_metrics,
@@ -449,6 +454,33 @@ def test_diameter_matches_the_all_pairs_oracle_bit_for_bit(v):
     # most stacks are not valid polygons, so no `Polygon` is built from them
     for g in range(len(v)):
         assert bits(_diameter(v[g : g + 1])) == bits(reference.diameter(v[g : g + 1]))
+
+
+def crossing_args(v, diam):
+    """`_segments_cross`'s arguments for every non-adjacent edge pair of the stack v."""
+    k = v.shape[1]
+    i, j = _nonadjacent_edge_pairs(k)
+    return v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k], _AREA_EPS * diam[:, None]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(gen_square_th2, 16), partial(gen_rotated_T, "th7", 16), partial(th2_split_at, 16, 1e-9)],
+    ids=["th2-N16", "th7-N16", "th2-split-1e-9-N16"],
+)
+def test_crossings_match_the_all_pairs_box_test_bit_for_bit(make):
+    # every th2 batch has split vertices within tol of another edge's line
+    for b in make().geometry.batches():
+        args = crossing_args(b.vertices, b.diameter)
+        assert bits(_segments_cross(*args)) == bits(reference.segments_cross(*args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vertex_stacks())
+def test_crossings_of_random_stacks_match_the_all_pairs_box_test(v):
+    # most stacks are not simple polygons: they cross and touch
+    args = crossing_args(v, _diameter(v))
+    assert bits(_segments_cross(*args)) == bits(reference.segments_cross(*args))
 
 
 # directed-edge faults, each named by the oracle's message

@@ -262,6 +262,39 @@ class TestEigsVem:
         assert cen_p - 0.5 == pytest.approx(0.5 - cen_a, abs=0.01)
 
 
+class TestBackwardError:
+    """`EigenResult.backward_errors`, the componentwise backward error
+    max_i |A x - lambda M x|_i / (|A| |x| + |lambda| |M| |x|)_i, does not
+    grow with the edge ratio as the normwise acceptance bound does."""
+
+    def test_rejects_a_one_percent_wrong_eigenvalue_on_a_split_mesh(self):
+        mesh = th2_split_at(32, 1e-10)
+        coeffs = CASES["eigen_square"].coeffs
+        system = assemble(mesh, coeffs)
+        A, M = (system.A + system.B).tocsc(), system.M.tocsc()
+        res = solve_eigs(A, M, k=1, shift=suggested_shift("unit_square", coeffs))
+        assert res.backward_errors.shape == (1,)
+        assert res.backward_errors[0] <= 1e-12
+        wrong = 1.01 * res.eigenvalues
+        residuals, omega = solvers._pair_errors(A, M, wrong, res.eigenvectors)
+        assert omega[0] >= 1e-6
+        # the normwise bound, ~1e3 here, accepts the wrong value
+        bound = solvers.RESIDUAL_RTOL * (spla.norm(A, 1) + abs(wrong[0]) * spla.norm(M, 1))
+        assert residuals[0] <= bound
+
+    def test_dense_path_reports_it(self):
+        A, M, _ = eigen_pencil(8)
+        res = solve_eigs_dense(A, M, k=6)
+        assert res.backward_errors.shape == (6,)
+        assert (res.backward_errors <= 1e-10).all()
+
+    def test_residuals_match_a_complex_product_per_pair(self):
+        A, M, _ = eigen_pencil(8)
+        res = solve_eigs(A, M, k=6, shift=17.0)
+        for lam, x, r in zip(res.eigenvalues, res.eigenvectors.T, res.residuals):
+            assert r == pytest.approx(np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x), rel=1e-12)
+
+
 class TestPencilFactorization:
     """The LU of the shifted pencil A - sigma M inside solve_eigs."""
 
@@ -426,6 +459,23 @@ class TestFieldOfValuesGuard:
         assert (guarded.requested, padded.requested) == (7, 14)
         ref = padded.eigenvalues
         assert np.abs(guarded.eigenvalues - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_eigen_T_stops_at_the_arnoldi_tolerance(self, monkeypatch):
+        # at machine precision ARPACK made 50 operator applications here
+        system = assemble(gen_rotated_T("th7", 60), CASES["eigen_T"].coeffs)
+        eigs, applied = solvers.spla.eigs, []
+
+        def counting(op, *args, **kwargs):
+            def matvec(v):
+                applied.append(1)
+                return op.matvec(v)
+
+            return eigs(spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), *args, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "eigs", counting)
+        A, M = (system.A + system.B).tocsc(), system.M.tocsc()
+        solve_eigs(A, M, k=6, shift=1.0, seed=0, field_bound=system.field_bound)
+        assert len(applied) <= 42
 
     def test_strong_rotation_falls_back_to_padded_request(self):
         # pairs with |Im| near 40 and 78 among the first 6 values; with
