@@ -54,7 +54,6 @@ from .solvers import (
     solve_adjoint_eigs,
     solve_eigs,
     solve_eigs_dense,
-    solve_linear,
     solve_load,
     suggested_shift,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "solve_adjoint_eigs",
     "solve_eigs",
     "solve_eigs_dense",
-    "solve_linear",
     "solve_load",
     "square_exact_eigenvalues",
     "suggested_shift",

@@ -134,7 +134,7 @@ class GlobalSystem:
     @property
     def K_load(self) -> sp.csr_matrix:
         """Operator of the load problem, A + B + C."""
-        return (self.A + self.B + self.C).tocsr()
+        return _tight((self.A + self.B + self.C).tocsr())
 
     @property
     def n(self) -> int:
@@ -209,16 +209,20 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
     return rows, cols, ops, F, field_bound
 
 
-def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
-    """Sum the triplets into CSR; duplicate entries are added, none dropped.
+def _tight(m: sp.csr_matrix) -> sp.csr_matrix:
+    """m with ``data`` and ``indices`` copied to hold just its nonzeros.
 
-    After summing, scipy keeps ``data`` and ``indices`` as views of buffers
-    as long as the triplets (it copies only a view under half its base), so
-    they are copied once to hold just the nonzeros.
+    A sum leaves them as views of the buffers scipy summed into, as long
+    as the triplet list or as the summands' nonzeros together (scipy
+    copies only a view under half its base).
     """
-    m = sp.csr_matrix((data, (rows, cols)), shape=shape)
     m.data, m.indices = m.data.copy(), m.indices.copy()
     return m
+
+
+def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_matrix:
+    """Sum the triplets into CSR; duplicate entries are added, none dropped."""
+    return _tight(sp.csr_matrix((data, (rows, cols)), shape=shape))
 
 
 def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:

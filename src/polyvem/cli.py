@@ -376,13 +376,38 @@ def _load_level(
     system = assemble(mesh, coeffs)
     u_exact = None if case is None else case.u
     delta, g_b = apply_dirichlet_lift(system, mesh, 0.0 if u_exact is None else u_exact)
-    u_full = expand_solution(system.dof, solve_load(system, system.F + delta), g_b)
+    K, F, dof, n = system.K_load.tocsc(), system.F + delta, system.dof, system.n
+    # only K lives through the factorization, and the heap the assembly
+    # freed goes back to the OS before SuperLU maps its factors
+    del system
+    _release_heap()
+    u_full = expand_solution(dof, solve_load(K, F), g_b)
     values = {}
     if u_exact is not None:
         values["err_l2"], err_h1 = error_norms(mesh, u_full, u_exact, case.grad_u)
         if err_h1 is not None:
             values["err_h1"] = err_h1
-    return _Level(mesh, system.n, values, u=u_full)
+    return _Level(mesh, n, values, u=u_full)
+
+
+def _release_heap() -> None:
+    """Return the allocator's free heap pages to the OS: glibc's
+    ``malloc_trim(0)``.  Does nothing where glibc or the symbol is missing.
+
+    Once earlier levels have freed their LU factors, glibc's mmap threshold
+    has risen, so the assembly's temporaries land in the brk heap and stay
+    resident after they are freed; SuperLU's factors then come from fresh
+    mappings on top of them.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # imported here: only this helper needs it
+
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)
 
 
 def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _Level:

@@ -192,6 +192,28 @@ class TestOperatorStructure:
             for arr, size in ((mat.data, mat.nnz), (mat.indices, mat.nnz), (mat.indptr, mat.shape[0] + 1)):
                 assert arr.base is None and arr.size == size
 
+    @pytest.mark.parametrize(
+        "mesh, case",
+        [(lambda: gen_square_th2(8), "test1"), (lambda: gen_rotated_T("th7", 16), "eigen_T")],
+        ids=["th2", "th7"],
+    )
+    def test_load_operator_holds_only_its_nonzeros(self, mesh, case):
+        # A + B + C leaves data and indices in buffers as long as the
+        # summands' nonzeros together; K_load keeps copies of just its own
+        system = assemble(mesh(), CASES[case].coeffs)
+        K = system.K_load
+        for arr, size in ((K.data, K.nnz), (K.indices, K.nnz), (K.indptr, K.shape[0] + 1)):
+            assert arr.base is None and arr.size == size
+        # oracle: the four operators share one pattern, so K is the sum of
+        # their data on it, less the entries that cancel exactly
+        A, B, C = system.A, system.B, system.C
+        for m in (B, C, system.M):
+            assert np.array_equal(m.indptr, A.indptr) and np.array_equal(m.indices, A.indices)
+        S = sp.csr_matrix(((A.data + B.data) + C.data, A.indices, A.indptr), shape=A.shape)
+        S.eliminate_zeros()
+        for got, want in ((K.indptr, S.indptr), (K.indices, S.indices), (K.data, S.data)):
+            assert got.tobytes() == want.tobytes()
+
     def test_domain_mismatch_rejected(self):
         mesh = gen_rotated_T("th4", 4)
         with pytest.raises(AssemblyError, match="domain"):

@@ -376,6 +376,72 @@ def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
     assert len(level.eigs.eigenvalues) == 6
 
 
+def test_load_level_factors_with_only_K_alive(monkeypatch):
+    # the assembled system, and each operator it holds, is released, and
+    # then the freed heap handed back, before the load factorization
+    refs, events = [], []
+    assemble, splu = cli.assemble, solvers.spla.splu
+
+    def spy_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
+        refs.extend(weakref.ref(obj) for obj in [system, *operators])
+        return system
+
+    def spy_release():
+        events.append(("release", [ref() is not None for ref in refs]))
+
+    def spy_splu(*args, **kwargs):
+        events.append(("splu", [ref() is not None for ref in refs]))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", spy_assemble)
+    monkeypatch.setattr(cli, "_release_heap", spy_release)
+    monkeypatch.setattr(solvers.spla, "splu", spy_splu)
+    config = make_config(mesh_family="th2", N_list=[8])
+    coeffs, case = build_coefficients(config)
+    level = cli._load_level(config, coeffs, case, 8)
+    assert events == [("release", [False] * 6), ("splu", [False] * 6)]
+    assert 0.0 < level.values["err_l2"] < 0.05
+
+
+class _NoTrim:
+    """A C library without malloc_trim."""
+
+
+@pytest.mark.parametrize("where", ["darwin", "no libc.so.6", "no malloc_trim"])
+def test_heap_release_does_nothing_where_it_cannot_act(where, monkeypatch):
+    import ctypes
+
+    def cdll(name):
+        if where == "darwin":
+            raise AssertionError("opened a C library off Linux")
+        if where == "no libc.so.6":
+            raise OSError(f"{name}: cannot open shared object file")
+        return _NoTrim()
+
+    if where == "darwin":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._release_heap() is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc_trim")
+def test_heap_release_calls_malloc_trim_once(monkeypatch):
+    import ctypes
+
+    libc, calls = ctypes.CDLL("libc.so.6"), []
+
+    class Counted:
+        def malloc_trim(self, pad):
+            calls.append(pad)
+            return libc.malloc_trim(pad)
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Counted())
+    cli._release_heap()
+    assert calls == [0]
+
+
 def test_main_usage_errors(capsys):
     assert main(["convergence", "--problem", "load", "--family", "th1"]) == 2
     assert "config" in capsys.readouterr().err.lower()
@@ -540,7 +606,7 @@ def test_quiet_prints_only_the_written_files(command, tmp_path, capsys):
 
 def test_failed_study_is_the_common_error_line(tmp_path, capsys, monkeypatch):
     # main maps a SolverError to exit 1 for every command, convergence included
-    def fail(system, rhs):
+    def fail(K, F):
         raise SolverError("load solve did not converge")
 
     monkeypatch.setattr(cli, "solve_load", fail)

@@ -29,7 +29,6 @@ from polyvem.solvers import (
     solve_adjoint_eigs,
     solve_eigs,
     solve_eigs_dense,
-    solve_linear,
     solve_load,
     suggested_shift,
 )
@@ -47,15 +46,18 @@ def eigen_pencil(N):
 
 
 class TestSolveLinear:
+    """`solve_load`: the sparse LU of K, certified by the normwise
+    backward error."""
+
     def test_one_by_one(self):
-        u = solve_linear(sp.csr_matrix(np.array([[2.0]])), np.array([4.0]))
+        u = solve_load(sp.csr_matrix(np.array([[2.0]])), np.array([4.0]))
         assert u == pytest.approx([2.0])
 
     def test_residual_contract_on_load_problem(self):
         mesh = gen_square_th1(16)
         system = assemble(mesh, CASES["test1"].coeffs)
-        u = solve_load(system)
         K = system.K_load
+        u = solve_load(K, system.F)
         resid = np.linalg.norm(K @ u - system.F) / np.linalg.norm(system.F)
         assert resid <= 1e-10
 
@@ -71,7 +73,7 @@ class TestSolveLinear:
         # 1e-10, a bound that does not scale with cond(K); the normwise
         # backward error, which LU keeps small, is a few eps
         K, F = self.laplacian_1d(8000)
-        u = solve_linear(K, F)
+        u = solve_load(K, F)
         assert np.linalg.norm(K @ u - F) / np.linalg.norm(F) > 1e-10
         assert backward_error(K, u, F) <= 10 * np.finfo(float).eps
 
@@ -90,12 +92,12 @@ class TestSolveLinear:
 
         monkeypatch.setattr(solvers.spla, "splu", PerturbedLU)
         with pytest.raises(SolverError, match="backward error"):
-            solve_linear(K, F)
+            solve_load(K, F)
 
     def test_singular_matrix_reports_condition(self):
         K = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError, match="condition estimate"):
-            solve_linear(K, np.array([1.0, 2.0]))
+            solve_load(K, np.array([1.0, 2.0]))
 
     def test_failed_factorization_is_not_repeated(self, monkeypatch):
         # a matrix splu cannot factor has no factors to estimate from
@@ -108,12 +110,12 @@ class TestSolveLinear:
         monkeypatch.setattr(solvers.spla, "splu", counting_splu)
         K = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError, match="condition estimate inf — "):
-            solve_linear(K, np.array([1.0, 2.0]))
+            solve_load(K, np.array([1.0, 2.0]))
         assert len(calls) == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(SolverError, match="incompatible"):
-            solve_linear(sp.eye(3, format="csr"), np.ones(2))
+            solve_load(sp.eye(3, format="csr"), np.ones(2))
 
     def test_matches_conjugate_gradient_on_symmetric_case(self):
         # two-solver agreement on the symmetric subcase theta=0, gamma=0
@@ -127,7 +129,7 @@ class TestSolveLinear:
                 f=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
             ),
         )
-        u_lu = solve_load(system)
+        u_lu = solve_load(system.K_load, system.F)
         u_cg, info = spla.cg(system.A, system.F, rtol=1e-14, atol=0.0, maxiter=5000)
         assert info == 0
         assert np.abs(u_lu - u_cg).max() <= 1e-9 * max(np.abs(u_lu).max(), 1.0)
@@ -144,7 +146,7 @@ class TestSolveLinear:
         delta, _ = apply_dirichlet_lift(
             system, mesh, lambda x, y: 1.0 + 2.0 * x + 3.0 * y
         )
-        u = solve_load(system, system.F + delta)
+        u = solve_load(system.K_load, system.F + delta)
         xy = mesh.vertices[system.dof.interior_vertices]
         assert np.abs(u - (1.0 + 2.0 * xy[:, 0] + 3.0 * xy[:, 1])).max() <= 1e-10
 
@@ -281,6 +283,32 @@ class TestBackwardError:
         # the normwise bound, ~1e3 here, accepts the wrong value
         bound = solvers.RESIDUAL_RTOL * (spla.norm(A, 1) + abs(wrong[0]) * spla.norm(M, 1))
         assert residuals[0] <= bound
+
+    def test_arnoldi_acceptance_rejects_a_one_percent_wrong_eigenvalue(self):
+        mesh = th2_split_at(32, 1e-10)
+        coeffs = CASES["eigen_square"].coeffs
+        system = assemble(mesh, coeffs)
+        A, M = (system.A + system.B).tocsc(), system.M.tocsc()
+        res = solve_eigs(A, M, k=1, shift=suggested_shift("unit_square", coeffs))
+        assert res.method == "arnoldi"
+        with pytest.raises(SolverError, match="worst backward error exceeds"):
+            solvers._eigen_result(A, M, 1.01 * res.eigenvalues, res.eigenvectors, 1, 0, "arnoldi", 1)
+
+    def test_rows_that_see_only_round_off_of_x_read_their_row_norm(self):
+        # e_1 of a diagonal pencil, with round-off in its zero entries: no
+        # relative change of A's entries removes that residual, but it is
+        # 1e-20 of the row norms times ||x||
+        n = 40
+        A = sp.diags(np.arange(1.0, n + 1)).tocsc()
+        M = sp.eye(n, format="csc")
+        x = np.zeros((n, 1), dtype=complex)
+        x[0, 0], x[1:, 0] = 1.0, 1e-20
+        _, omega = solvers._pair_errors(A, M, np.array([1.0 + 0j]), x)
+        assert omega[0] <= 1e-19
+        # an entry of x above ARNOLDI_TOL is measured componentwise
+        x[1:, 0] = 1e-9
+        _, omega = solvers._pair_errors(A, M, np.array([1.0 + 0j]), x)
+        assert omega[0] >= 0.3
 
     def test_dense_path_reports_it(self):
         A, M, _ = eigen_pencil(8)
