@@ -210,7 +210,8 @@ def _triplets(mesh: PolyMesh, coeffs: CoefficientSet):
 
 
 def _tight(m: sp.csr_matrix) -> sp.csr_matrix:
-    """m with ``data`` and ``indices`` copied to hold just its nonzeros.
+    """m (CSR or CSC) with ``data`` and ``indices`` copied to hold just its
+    nonzeros.
 
     A sum leaves them as views of the buffers scipy summed into, as long
     as the triplet list or as the summands' nonzeros together (scipy

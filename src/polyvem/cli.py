@@ -416,8 +416,10 @@ def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _L
     system = assemble(mesh, coeffs)
     pencil = (system.A + system.B).tocsc(), system.M.tocsc()
     field_bound, n = system.field_bound, system.n
-    # only the pencil lives through the shifted factorization
+    # only the pencil lives through the shifted factorization, and the heap
+    # the assembly freed goes back to the OS before SuperLU maps its factors
     del system
+    _release_heap()
     shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
     result = solve_eigs(
         *pencil, config.eig_count, shift=shift, seed=config.seed, field_bound=field_bound

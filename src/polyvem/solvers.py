@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import _Module
+from .assembly import _Module, _tight
 from .coefficients import CoefficientSet
 
 # all solver code reaches scipy through these module attributes, so a
@@ -59,6 +59,14 @@ BACKWARD_ERROR_BOUND = 1e-8
 # precision, keeps restarting until the extra (k+1)-th value, which only
 # the guard reads, has converged to the last bit.
 ARNOLDI_TOL = 1e-12
+
+# SuperLU's panel width and relaxed-supernode size for the shifted pencil:
+# blocking parameters that size its working storage, not the pivot rule or
+# the fill.  Against scipy's defaults they cut SuperLU's RSS growth at
+# th7 N=132 from 38.2 to 30.3 MiB and its factor time from about 0.2 to
+# 0.15 s.
+SPLU_PANEL_SIZE = 4
+SPLU_RELAX = 4
 
 # load-solve acceptance: normwise backward error <= LOAD_BACKWARD_ERROR_FACTOR * n * eps
 LOAD_BACKWARD_ERROR_FACTOR = 10.0
@@ -198,10 +206,10 @@ def _pair_errors(A, M, vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, 
 
     R = np.abs(apply(A, vecs) - vals * apply(M, vecs))
     X = np.abs(vecs)
-    scale = abs(A) @ X + np.abs(vals) * (abs(M) @ X)
+    absA, absM = abs(A), abs(M)
+    scale = absA @ X + np.abs(vals) * (absM @ X)
     x_max = X.max(axis=0)
     if (X <= ARNOLDI_TOL * x_max).any():  # else every stencil sees a resolved entry
-        absA, absM = abs(A), abs(M)
         stencil = absA + absM
         stencil.data[:] = 1.0
         ones = np.ones(len(X))
@@ -346,8 +354,14 @@ def solve_eigs(
     for _ in range(6):
         try:
             # each cell couples all its vertices, so the pattern of A - sigma M
-            # is symmetric: order for A + A^T, not for A^T A as COLAMD does
-            lu = spla.splu((A - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            # is symmetric: order for A + A^T, not for A^T A as COLAMD does;
+            # the sum holds twice its nonzeros until _tight copies them out
+            lu = spla.splu(
+                _tight((A - sigma * M).tocsc()),
+                permc_spec="MMD_AT_PLUS_A",
+                panel_size=SPLU_PANEL_SIZE,
+                relax=SPLU_RELAX,
+            )
             break
         except RuntimeError as exc:
             last_exc = exc
@@ -371,6 +385,8 @@ def solve_eigs(
             f"only {int(keep.sum())} finite Ritz values survived the "
             f"infinite-mode filter of {m}, {k} requested"
         )
+    # the residual check needs only the pencil and the Ritz pairs
+    del op, lu
     return _eigen_result(
         A, M, sigma + 1.0 / nu[keep], W[:, keep], k, int((~keep).sum()), "arnoldi", m
     )

@@ -353,9 +353,9 @@ def test_run_eigen_study_square():
 
 
 def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
-    # the assembled system, and each operator it holds, is released before
-    # the shifted factorization
-    refs, alive = [], []
+    # the assembled system, and each operator it holds, is released, and
+    # then the freed heap handed back, before the shifted factorization
+    refs, events = [], []
     assemble, splu = cli.assemble, solvers.spla.splu
 
     def spy_assemble(*args, **kwargs):
@@ -364,15 +364,19 @@ def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
         refs.extend(weakref.ref(obj) for obj in [system, *operators])
         return system
 
+    def spy_release():
+        events.append(("release", [ref() is not None for ref in refs]))
+
     def spy_splu(*args, **kwargs):
-        alive.append([ref() is not None for ref in refs])
+        events.append(("splu", [ref() is not None for ref in refs]))
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(cli, "assemble", spy_assemble)
+    monkeypatch.setattr(cli, "_release_heap", spy_release)
     monkeypatch.setattr(solvers.spla, "splu", spy_splu)
     config = make_config(problem="eigen", mesh_family="th7", N_list=[16], coefficients="eigen_T")
     level = cli._eigen_level(config, build_coefficients(config)[0], 16)
-    assert alive == [[False] * 6]
+    assert events == [("release", [False] * 6), ("splu", [False] * 6)]
     assert len(level.eigs.eigenvalues) == 6
 
 

@@ -161,15 +161,21 @@ def test_small_edge_polygons_are_valid(polys):
     assert len(mesh_geometry(vertices, np.arange(len(vertices)), sizes).invalid) == 0
 
 
-def th2_split_at(N, t):
+def th2_split_at(N, t, boundary_t=None):
     """th2 with each edge's extra vertex at fraction t of the edge from its
-    lexicographically smaller end point, instead of at arc length h_e^2."""
+    lexicographically smaller end point, instead of at arc length h_e^2.
+    With boundary_t, edges with an end point on the boundary are split at
+    that fraction instead."""
     p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
     q = np.roll(p, -1, axis=1)
     swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))
     a = np.where(swap[..., None], q, p)
     c = np.where(swap[..., None], p, q)
-    hexagons = np.stack([p, a + t * (c - a)], axis=2).reshape(-1, 6, 2)
+    f = np.full(p.shape[:-1] + (1,), t)
+    if boundary_t is not None:
+        on_boundary = np.minimum(p, 1.0 - p).min(axis=-1) <= 1e-12
+        f[on_boundary | np.roll(on_boundary, -1, axis=1)] = boundary_t
+    hexagons = np.stack([p, a + f * (c - a)], axis=2).reshape(-1, 6, 2)
     return _build_mesh([hexagons], "unit_square", insert_hanging=False)
 
 

@@ -7,6 +7,8 @@ form for the unit-square convection-diffusion spectrum, and the quadratic
 forms themselves for the field-of-values bound behind the Arnoldi request.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -294,6 +296,20 @@ class TestBackwardError:
         with pytest.raises(SolverError, match="worst backward error exceeds"):
             solvers._eigen_result(A, M, 1.01 * res.eigenvalues, res.eigenvectors, 1, 0, "arnoldi", 1)
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-10])
+    def test_rejects_a_one_percent_wrong_eigenvalue_with_tiny_edges_off_the_boundary(self, t):
+        # every tiny edge has two interior end points, so the rows next to
+        # the boundary see no 1/t weights; those rows read 1.6e-5 for
+        # 1.01 lambda_1, the computed pair 6e-16
+        mesh = th2_split_at(16, t, boundary_t=0.5)
+        coeffs = CASES["eigen_square"].coeffs
+        system = assemble(mesh, coeffs)
+        A, M = (system.A + system.B).tocsc(), system.M.tocsc()
+        res = solve_eigs(A, M, k=1, shift=suggested_shift("unit_square", coeffs))
+        assert res.backward_errors[0] <= solvers.BACKWARD_ERROR_BOUND
+        _, omega = solvers._pair_errors(A, M, 1.01 * res.eigenvalues, res.eigenvectors)
+        assert omega[0] >= 100 * solvers.BACKWARD_ERROR_BOUND
+
     def test_rows_that_see_only_round_off_of_x_read_their_row_norm(self):
         # e_1 of a diagonal pencil, with round-off in its zero entries: no
         # relative change of A's entries removes that residual, but it is
@@ -367,6 +383,86 @@ class TestPencilFactorization:
         fill = (lu.L.nnz + lu.U.nnz) / K.nnz
         default = splu(K)
         assert fill < (default.L.nnz + default.U.nnz) / K.nnz
+
+    def test_factors_a_matrix_that_holds_just_its_nonzeros(self, monkeypatch):
+        A, M, _ = eigen_pencil(16)
+        # the sum leaves its entries in views of buffers of nnz(A) + nnz(M) slots
+        shifted = A - 17.0 * M
+        assert shifted.data.base.size == A.nnz + M.nnz > shifted.nnz
+        splu, factored = solvers.spla.splu, []
+
+        def spy(K, **kwargs):
+            factored.append([(arr.base, arr.size, K.nnz) for arr in (K.data, K.indices)])
+            return splu(K, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "splu", spy)
+        solve_eigs(A, M, k=6, shift=17.0)
+        assert factored == [[(None, shifted.nnz, shifted.nnz)] * 2]
+
+    def test_factors_are_freed_before_the_residual_check(self, monkeypatch):
+        A, M, _ = eigen_pencil(16)
+        refs, alive = [], []
+        splu, pair_errors = solvers.spla.splu, solvers._pair_errors
+
+        class Factors:
+            """Holds the only reference to the SuperLU object, which takes
+            no weak references itself."""
+
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def spy_splu(*args, **kwargs):
+            factors = Factors(splu(*args, **kwargs))
+            refs.append(weakref.ref(factors))
+            return factors
+
+        def spy_pair_errors(*args):
+            alive.append([ref() is not None for ref in refs])
+            return pair_errors(*args)
+
+        monkeypatch.setattr(solvers.spla, "splu", spy_splu)
+        monkeypatch.setattr(solvers, "_pair_errors", spy_pair_errors)
+        res = solve_eigs(A, M, k=6, shift=17.0)
+        assert alive == [[False]]
+        assert res.method == "arnoldi"
+
+    @pytest.mark.parametrize(
+        "pencil, rtol",
+        [
+            (lambda: (gen_rotated_T("th7", 28), "eigen_T"), 1e-12),
+            (lambda: (gen_square_th2(16), "eigen_square"), 1e-12),
+            # +-1-ulp changes to A's entries move these eigenvalues by
+            # 5e-7 to 2.2e-6 relative; the blocking moves them by 7.2e-8
+            (lambda: (th2_split_at(8, 1e-9), "eigen_square"), 1e-6),
+        ],
+        ids=["th7-28-eigen_T", "th2-16-eigen_square", "th2_split_at-8-1e-9"],
+    )
+    def test_blocking_constants_leave_the_eigenpairs(self, pencil, rtol, monkeypatch):
+        # SPLU_PANEL_SIZE and SPLU_RELAX size SuperLU's working storage;
+        # they change neither the pivot rule nor the fill, so the eigenpairs
+        # match those factored with scipy's default blocking to round-off
+        mesh, name = pencil()
+        coeffs = CASES[name].coeffs
+        system = assemble(mesh, coeffs)
+        A, M = (system.A + system.B).tocsc(), system.M.tocsc()
+
+        def solve():
+            shift = suggested_shift(mesh.domain_tag, coeffs)
+            return solve_eigs(A, M, k=6, shift=shift, field_bound=system.field_bound)
+
+        tuned = solve()
+        splu = solvers.spla.splu
+
+        def default_blocking(K, panel_size, relax, **kwargs):
+            assert (panel_size, relax) == (solvers.SPLU_PANEL_SIZE, solvers.SPLU_RELAX)
+            return splu(K, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "splu", default_blocking)
+        default = solve()
+        assert tuned.method == default.method == "arnoldi"
+        np.testing.assert_allclose(tuned.eigenvalues, default.eigenvalues, rtol=rtol, atol=0)
+        assert tuned.requested == default.requested
+        assert tuned.discarded_count == default.discarded_count
 
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_is_refused_before_factoring(self, shift, monkeypatch):
