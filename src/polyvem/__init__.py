@@ -53,7 +53,6 @@ from .solvers import (
     SolverError,
     solve_adjoint_eigs,
     solve_eigs,
-    solve_eigs_dense,
     solve_load,
     suggested_shift,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "star_metric",
     "solve_adjoint_eigs",
     "solve_eigs",
-    "solve_eigs_dense",
     "solve_load",
     "square_exact_eigenvalues",
     "suggested_shift",
