@@ -354,11 +354,18 @@ def _quality_line(mesh: PolyMesh, N: int) -> str:
 
 @dataclass(frozen=True)
 class _Level:
-    """What one refinement level produced."""
+    """What one refinement level produced.
 
-    mesh: PolyMesh
+    h and the quality line are read while the mesh is alive.  Only a load
+    level keeps its mesh, for the error norms and the solution VTK; an
+    eigen level drops it before the eigensolve.
+    """
+
+    h: float
+    quality: str  # `_quality_line` of the mesh
     n: int  # interior DOFs
     values: dict  # error norms, or the real parts of the eigenvalues
+    mesh: Optional[PolyMesh] = None  # load only
     u: Optional[np.ndarray] = None  # load: the nodal solution, boundary included
     eigs: Optional[EigenResult] = None
     shift: Optional[float] = None
@@ -377,37 +384,15 @@ def _load_level(
     u_exact = None if case is None else case.u
     delta, g_b = apply_dirichlet_lift(system, mesh, 0.0 if u_exact is None else u_exact)
     K, F, dof, n = system.K_load.tocsc(), system.F + delta, system.dof, system.n
-    # only K lives through the factorization, and the heap the assembly
-    # freed goes back to the OS before SuperLU maps its factors
+    # only K lives through the factorization
     del system
-    _release_heap()
     u_full = expand_solution(dof, solve_load(K, F), g_b)
     values = {}
     if u_exact is not None:
         values["err_l2"], err_h1 = error_norms(mesh, u_full, u_exact, case.grad_u)
         if err_h1 is not None:
             values["err_h1"] = err_h1
-    return _Level(mesh, n, values, u=u_full)
-
-
-def _release_heap() -> None:
-    """Return the allocator's free heap pages to the OS: glibc's
-    ``malloc_trim(0)``.  Does nothing where glibc or the symbol is missing.
-
-    Once earlier levels have freed their LU factors, glibc's mmap threshold
-    has risen, so the assembly's temporaries land in the brk heap and stay
-    resident after they are freed; SuperLU's factors then come from fresh
-    mappings on top of them.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes  # imported here: only this helper needs it
-
-    try:
-        trim = ctypes.CDLL("libc.so.6").malloc_trim
-    except (OSError, AttributeError):
-        return
-    trim(0)
+    return _Level(mesh.h, _quality_line(mesh, N), n, values, mesh=mesh, u=u_full)
 
 
 def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _Level:
@@ -416,16 +401,16 @@ def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _L
     system = assemble(mesh, coeffs)
     pencil = (system.A + system.B).tocsc(), system.M.tocsc()
     field_bound, n = system.field_bound, system.n
-    # only the pencil lives through the shifted factorization, and the heap
-    # the assembly freed goes back to the OS before SuperLU maps its factors
-    del system
-    _release_heap()
+    h, quality = mesh.h, _quality_line(mesh, N)
+    # only the pencil lives through the eigensolve: the mesh, with its
+    # cached geometry and topology, goes with the system
+    del mesh, system
     shift = config.shift if config.shift is not None else suggested_shift(config.domain, coeffs)
     result = solve_eigs(
         *pencil, config.eig_count, shift=shift, seed=config.seed, field_bound=field_bound
     )
     values = {f"lambda_{j + 1}": float(lam.real) for j, lam in enumerate(result.eigenvalues)}
-    return _Level(mesh, n, values, eigs=result, shift=shift)
+    return _Level(h, quality, n, values, eigs=result, shift=shift)
 
 
 def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[np.ndarray]:
@@ -451,8 +436,8 @@ def run_load_study(
     quality = []
     for N in config.N_list:
         level = _load_level(config, coeffs, case, N)
-        quality.append(_quality_line(level.mesh, N))
-        record.add_entry(N, level.mesh.h, level.n, level.values)
+        quality.append(level.quality)
+        record.add_entry(N, level.h, level.n, level.values)
         log(f"N={N}: " + " ".join(f"{k}={v:.6e}" for k, v in level.values.items()))
     return record, quality
 
@@ -467,8 +452,8 @@ def run_eigen_study(
     quality = []
     for N in config.N_list:
         level = _eigen_level(config, coeffs, N)
-        quality.append(_quality_line(level.mesh, N))
-        record.add_entry(N, level.mesh.h, level.n, level.values)
+        quality.append(level.quality)
+        record.add_entry(N, level.h, level.n, level.values)
         lams = level.eigs.eigenvalues
         if any(is_complex(lam) for lam in lams):
             log(f"N={N}: warning: complex eigenvalues reported: {lams}")
@@ -551,8 +536,8 @@ def _write_level_csv(path: Path, config: ExperimentConfig, N: int, level: _Level
     """The one-level CSV of `solve` and `eig`, headed by the config hash and
     the quality line."""
     record = ConvergenceRecord()
-    record.add_entry(N, level.mesh.h, level.n, level.values)
-    header = f"config {config.config_hash}\n{_quality_line(level.mesh, N)}"
+    record.add_entry(N, level.h, level.n, level.values)
+    header = f"config {config.config_hash}\n{level.quality}"
     print(f"wrote {record.write_csv(path, header_comment=header)}")
 
 

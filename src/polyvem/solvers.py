@@ -148,6 +148,9 @@ def solve_load(K: sp.spmatrix, F: np.ndarray) -> np.ndarray:
 
     K is `GlobalSystem.K_load` (pass it in CSC to factor it without a
     copy), and F is ``system.F`` plus the Dirichlet lift's ``delta``.
+    ||K||_inf is taken before the factors exist, since the norm copies K's
+    entries; that copy, and whatever the caller freed before the call, go
+    back to the OS (`_release_heap`) right before `splu`.
     Raises SolverError when the factorization fails, or when u is not
     finite or its backward error exceeds LOAD_BACKWARD_ERROR_FACTOR * n * eps.
     """
@@ -155,8 +158,8 @@ def solve_load(K: sp.spmatrix, F: np.ndarray) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if K.shape[0] != K.shape[1] or F.shape != (K.shape[0],):
         raise SolverError(f"incompatible system: K {K.shape}, F {F.shape}")
-    # before the factors exist: the norm copies K's entries
     K_norm = spla.norm(K, np.inf)
+    _release_heap()
     try:
         lu = spla.splu(K)
         u = lu.solve(F)
@@ -174,6 +177,31 @@ def solve_load(K: sp.spmatrix, F: np.ndarray) -> np.ndarray:
             f"1-norm condition estimate {_condition_estimate(K, lu):.3e}"
         )
     return u
+
+
+def _release_heap() -> None:
+    """Return the allocator's free heap pages to the OS: glibc's
+    ``malloc_trim(0)``.  Does nothing where glibc or the symbol is missing.
+
+    Once earlier levels have freed their LU factors, glibc's mmap threshold
+    has risen, so the assembly's temporaries, the |K| copy of the load
+    norm and SuperLU's working storage land in the brk heap and stay
+    resident after they are freed; the factors, and what Arnoldi
+    allocates, then come from fresh pages on top of them.  `solve_load`
+    calls it right before `splu`, `solve_eigs` before its shift loop and
+    `_shifted_lu` right after each factorization.
+    """
+    import sys  # imported here, as ctypes: only this helper needs them
+
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)
 
 
 def _as_csc(mat) -> sp.csc_matrix:
@@ -267,14 +295,18 @@ def _shifted_lu(A, M, sigma: float):
 
     Each cell couples all its vertices, so the pattern of A - sigma M is
     symmetric: order for A + A^T, not for A^T A as COLAMD does.  The sum
-    holds twice its nonzeros until _tight copies them out.
+    holds twice its nonzeros until _tight copies them out.  SuperLU's
+    working storage, freed when it returns, goes back to the OS before
+    anything reads the factors.
     """
-    return spla.splu(
+    lu = spla.splu(
         _tight((A - sigma * M).tocsc()),
         permc_spec="MMD_AT_PLUS_A",
         panel_size=SPLU_PANEL_SIZE,
         relax=SPLU_RELAX,
     )
+    _release_heap()
+    return lu
 
 
 def _nothing_missed(nu, keep, k: int, sigma: float, c: float) -> bool:
@@ -327,6 +359,10 @@ def solve_eigs(
     same factors and start vector.  So is it when the k + 1 pairs fail the
     backward-error acceptance; their factors are freed by then, so A -
     sigma M is factored once more at the same shift.
+
+    k > n raises SolverError before anything is factored.  The heap the
+    caller freed goes back to the OS (`_release_heap`) before the shift
+    loop, and SuperLU's working storage after each factorization.
     """
     A = _as_csc(A)
     M = _as_csc(M)
@@ -335,9 +371,12 @@ def solve_eigs(
         raise SolverError(f"incompatible pencil: A {A.shape}, M {M.shape}")
     if k < 1:
         raise SolverError("k must be >= 1")
+    if k > n:
+        raise SolverError(f"k = {k} exceeds the pencil's order n = {n}")
     sigma = 1.0 if shift is None else float(shift)
     if not np.isfinite(sigma):
         raise SolverError(f"shift must be finite, got {sigma}")
+    _release_heap()
     lu = None
     last_exc: Optional[Exception] = None
     for _ in range(6):

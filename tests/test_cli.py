@@ -352,61 +352,79 @@ def test_run_eigen_study_square():
 # --- command level ----------------------------------------------------------
 
 
-def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
-    # the assembled system, and each operator it holds, is released, and
-    # then the freed heap handed back, before the shifted factorization
-    refs, events = [], []
-    assemble, splu = cli.assemble, solvers.spla.splu
+def _track_assembly(monkeypatch, refs):
+    """Make cli.assemble hold weak references to the system, each operator
+    it holds, the mesh and its cached geometry: 6 refs, then the mesh's."""
+    assemble = cli.assemble
 
-    def spy_assemble(*args, **kwargs):
-        system = assemble(*args, **kwargs)
+    def spy(mesh, *args, **kwargs):
+        system = assemble(mesh, *args, **kwargs)
         operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
-        refs.extend(weakref.ref(obj) for obj in [system, *operators])
+        # the geometry is a named tuple, which takes no weak references: its arrays do
+        geometry = [*(a for batch in mesh.geometry.groups for a in batch), mesh.geometry.invalid]
+        refs.extend(weakref.ref(obj) for obj in [system, *operators, mesh, *geometry])
         return system
 
-    def spy_release():
-        events.append(("release", [ref() is not None for ref in refs]))
+    monkeypatch.setattr(cli, "assemble", spy)
 
-    def spy_splu(*args, **kwargs):
-        events.append(("splu", [ref() is not None for ref in refs]))
-        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "assemble", spy_assemble)
-    monkeypatch.setattr(cli, "_release_heap", spy_release)
-    monkeypatch.setattr(solvers.spla, "splu", spy_splu)
+def _logged(events, refs, name, fn=None):
+    """A stand-in for fn (or for nothing) that first logs name and which of
+    refs are alive."""
+
+    def call(*args, **kwargs):
+        events.append((name, [ref() is not None for ref in refs]))
+        return None if fn is None else fn(*args, **kwargs)
+
+    return call
+
+
+def test_eigen_level_factors_with_only_the_pencil_alive(monkeypatch):
+    # the assembled system, each operator it holds, the mesh and its cached
+    # geometry are released before the eigensolve hands the freed heap
+    # back; SuperLU's working storage goes back before Arnoldi starts
+    refs, events = [], []
+    _track_assembly(monkeypatch, refs)
+    monkeypatch.setattr(solvers, "_release_heap", _logged(events, refs, "release"))
+    for name in ("splu", "eigs"):
+        monkeypatch.setattr(solvers.spla, name, _logged(events, refs, name, getattr(solvers.spla, name)))
     config = make_config(problem="eigen", mesh_family="th7", N_list=[16], coefficients="eigen_T")
     level = cli._eigen_level(config, build_coefficients(config)[0], 16)
-    assert events == [("release", [False] * 6), ("splu", [False] * 6)]
+    dead = [False] * len(refs)
+    assert events == [("release", dead), ("splu", dead), ("release", dead), ("eigs", dead)]
     assert len(level.eigs.eigenvalues) == 6
+    mesh = generate_mesh("th7", 16)
+    assert level.h == mesh.h and level.quality == cli._quality_line(mesh, 16)
 
 
 def test_load_level_factors_with_only_K_alive(monkeypatch):
-    # the assembled system, and each operator it holds, is released, and
-    # then the freed heap handed back, before the load factorization
+    # the assembled system, and each operator it holds, is released before
+    # the load solve; the |K| copy of its norm, and the heap the assembly
+    # freed, go back to the OS before the factorization.  The mesh stays
+    # for the error norms.
     refs, events = [], []
-    assemble, splu = cli.assemble, solvers.spla.splu
-
-    def spy_assemble(*args, **kwargs):
-        system = assemble(*args, **kwargs)
-        operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
-        refs.extend(weakref.ref(obj) for obj in [system, *operators])
-        return system
-
-    def spy_release():
-        events.append(("release", [ref() is not None for ref in refs]))
-
-    def spy_splu(*args, **kwargs):
-        events.append(("splu", [ref() is not None for ref in refs]))
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "assemble", spy_assemble)
-    monkeypatch.setattr(cli, "_release_heap", spy_release)
-    monkeypatch.setattr(solvers.spla, "splu", spy_splu)
+    _track_assembly(monkeypatch, refs)
+    monkeypatch.setattr(solvers, "_release_heap", _logged(events, refs, "release"))
+    for name in ("norm", "splu"):
+        monkeypatch.setattr(solvers.spla, name, _logged(events, refs, name, getattr(solvers.spla, name)))
     config = make_config(mesh_family="th2", N_list=[8])
     coeffs, case = build_coefficients(config)
     level = cli._load_level(config, coeffs, case, 8)
-    assert events == [("release", [False] * 6), ("splu", [False] * 6)]
+    alive = [False] * 6 + [True] * (len(refs) - 6)
+    assert events == [("norm", alive), ("release", alive), ("splu", alive)]
     assert 0.0 < level.values["err_l2"] < 0.05
+    assert level.h == level.mesh.h and level.quality == cli._quality_line(level.mesh, 8)
+
+
+def test_eig_count_above_the_pencil_order_fails_before_factoring(monkeypatch, capsys):
+    # th2 N=8 has n = 225 interior DOFs: k = 226 would have taken the dense
+    # branch on the factors before failing on the count of finite values
+    events = []
+    monkeypatch.setattr(solvers.spla, "splu", _logged(events, [], "splu", solvers.spla.splu))
+    argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "8", "--eig-count"]
+    assert main([*argv, "226", "--format", "vtk"]) == 1
+    assert "k = 226 exceeds the pencil's order n = 225" in capsys.readouterr().err
+    assert events == []
 
 
 class _NoTrim:
@@ -427,7 +445,7 @@ def test_heap_release_does_nothing_where_it_cannot_act(where, monkeypatch):
     if where == "darwin":
         monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    assert cli._release_heap() is None
+    assert solvers._release_heap() is None
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc_trim")
@@ -442,7 +460,7 @@ def test_heap_release_calls_malloc_trim_once(monkeypatch):
             return libc.malloc_trim(pad)
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: Counted())
-    cli._release_heap()
+    solvers._release_heap()
     assert calls == [0]
 
 

@@ -181,6 +181,16 @@ class TestEigsSmallPencils:
         with pytest.raises(SolverError, match="finite"):
             solve_eigs(A, M, k=2, shift=0.5)
 
+    def test_count_up_to_the_order_is_taken_and_above_it_refused(self, monkeypatch):
+        A = sp.diags([1.0, 2.0, 3.0]).tocsc()
+        M = sp.eye(3, format="csc")
+        assert np.allclose(solve_eigs(A, M, k=3, shift=0.0).eigenvalues, [1.0, 2.0, 3.0])
+        calls = []
+        monkeypatch.setattr(solvers.spla, "splu", lambda *a, **kw: calls.append(a))
+        with pytest.raises(SolverError, match="k = 4 exceeds the pencil's order n = 3"):
+            solve_eigs(A, M, k=4, shift=0.0)
+        assert calls == []
+
     def test_arnoldi_on_diagonal_pencil(self):
         n = 60
         A = sp.diags(np.arange(1.0, n + 1)).tocsc()
@@ -458,7 +468,7 @@ class TestPencilFactorization:
         assert factored == [[(None, shifted.nnz, shifted.nnz)] * 2]
 
     def test_factors_are_freed_before_the_residual_check(self, monkeypatch):
-        refs, alive, factored = [], [], []
+        refs, alive, factored, events = [], [], [], []
         splu, pair_errors = solvers.spla.splu, solvers._pair_errors
 
         class Factors:
@@ -472,6 +482,7 @@ class TestPencilFactorization:
             factors = Factors(splu(K, **kwargs))
             refs.append(weakref.ref(factors))
             factored.append(K)
+            events.append("splu")
             return factors
 
         def spy_pair_errors(*args):
@@ -480,14 +491,16 @@ class TestPencilFactorization:
 
         monkeypatch.setattr(solvers.spla, "splu", spy_splu)
         monkeypatch.setattr(solvers, "_pair_errors", spy_pair_errors)
+        monkeypatch.setattr(solvers, "_release_heap", lambda: events.append("release"))
         A, M, _ = eigen_pencil(16)
         res = solve_eigs(A, M, k=6, shift=17.0)
         assert alive == [[False]]
         assert res.method == "arnoldi"
+        assert events == ["release", "splu", "release"]
 
         # with seed 1 the guarded pairs fail the acceptance here, and the
         # padded request factors the same A - sigma M once more
-        for seen in (refs, alive, factored):
+        for seen in (refs, alive, factored, events):
             seen.clear()
         coeffs = CASES["eigen_square"].coeffs
         system = assemble(th2_split_at(8, 1e-9), coeffs)
@@ -497,6 +510,8 @@ class TestPencilFactorization:
         assert res.requested == 14
         assert alive == [[False], [False, False]]
         assert len(factored) == 2 and abs(factored[0] - factored[1]).max() == 0.0
+        # each factorization hands SuperLU's working storage back
+        assert events == ["release", "splu", "release", "splu", "release"]
 
     @pytest.mark.parametrize(
         "pencil, rtol",
