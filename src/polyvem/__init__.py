@@ -5,9 +5,9 @@ matching eigenvalue problem with vertex unknowns on general polygonal
 cells, including meshes whose edges are arbitrarily small relative to
 cell diameters.  Subpackages:
 
-- geometry: polygon primitives, scaled monomials, quadrature
+- geometry: batched cell geometry, validity checks, quadrature, star-shapedness
 - mesh: structured polygonal mesh families, validation, I/O
-- vem_core: batched projectors, stabilization, local matrices; one-cell views
+- vem_core: scaled monomials, batched projectors, stabilization, local matrices
 - coefficients: named benchmark problems
 - assembly: global sparse systems and Dirichlet handling
 - solvers: direct load solves and shift-invert eigensolves
@@ -35,7 +35,7 @@ from .assembly import (
     export_system,
 )
 from .coefficients import CASES, CoefficientSet, ManufacturedCase, square_exact_eigenvalues
-from .geometry import Polygon, integrate, polygon_quadrature, star_metric
+from .geometry import Polygon, polygon_quadrature, star_metric
 from .mesh import (
     PolyMesh,
     export_vtk,
@@ -56,7 +56,7 @@ from .solvers import (
     solve_load,
     suggested_shift,
 )
-from .vem_core import LocalElement, local_forms, pi_nabla, stab_matrix
+from .vem_core import LocalElement, local_forms
 
 __version__ = "0.1.0"
 
@@ -91,11 +91,8 @@ __all__ = [
     "io_write",
     "local_forms",
     "match_eigs",
-    "integrate",
-    "pi_nabla",
     "polygon_quadrature",
     "reentrant_corners",
-    "stab_matrix",
     "star_metric",
     "solve_adjoint_eigs",
     "solve_eigs",

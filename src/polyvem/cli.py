@@ -563,6 +563,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eig(args) -> int:
+    if args.format == "vtk":
+        raise ConfigError("eig writes only a CSV of eigenvalues: use --format csv or both")
     config = _load_config(args, "eigen")
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
@@ -581,8 +583,7 @@ def _cmd_eig(args) -> int:
         if exact is not None:
             line += f"  exact {exact[j]:.8f}  rel.err {abs(lam.real - exact[j]) / exact[j]:.3e}"
         log(line)
-    if args.format in ("csv", "both"):
-        _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, N, level)
+    _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, N, level)
     return EXIT_OK
 
 

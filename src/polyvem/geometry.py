@@ -1,15 +1,18 @@
-"""Planar polygon utilities: validation, triangulation, quadrature, star metrics.
+"""Planar cell geometry: batched validity checks, quadrature and star-shapedness.
 
 Everything downstream (element matrices, error norms) reduces to integrals
 over simple polygons, so this module owns the geometric predicates and the
-fixed-degree triangle quadrature rules used to evaluate them.  Polygons are
-oriented counter-clockwise; edges may be arbitrarily short relative to the
-diameter, and consecutive collinear vertices (hanging nodes) are legal.
+fixed-degree triangle quadrature rules used to evaluate them.  Cells are
+computed in batches of one vertex count (`CellBatch`); a `Polygon`,
+`polygon_quadrature` and `star_metric` are one-cell views of those batches.
+Polygons are oriented counter-clockwise; edges may be arbitrarily short
+relative to the diameter, and consecutive collinear vertices (hanging
+nodes) are legal.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,13 +21,9 @@ __all__ = [
     "Polygon",
     "TriQuadRule",
     "QUAD_RULES",
-    "area_centroid",
-    "triangulate",
     "polygon_quadrature",
-    "integrate",
     "StarMetric",
     "star_metric",
-    "star_metrics",
     "BATCH_CELLS",
     "CellBatch",
     "FAULTS",
@@ -263,48 +262,8 @@ class Polygon:
         return f"Polygon(n={self.n_vertices}, area={self.area:.6g})"
 
 
-def area_centroid(poly) -> tuple[float, Point2]:
-    """Signed area and area centroid of a polygon.
-
-    Parameters
-    ----------
-    poly : Polygon or array_like
-        Polygon or raw (n, 2) vertex array (taken as-is, no validation).
-
-    Returns
-    -------
-    area : float
-        Signed area (positive for counter-clockwise input).
-    centroid : Point2
-    """
-    if isinstance(poly, Polygon):
-        return poly.area, poly.centroid
-    a, c = _shoelace(np.asarray(poly, dtype=float))
-    return float(a), Point2(float(c[0]), float(c[1]))
-
-
 def _as_polygon(poly) -> Polygon:
     return poly if isinstance(poly, Polygon) else Polygon(poly)
-
-
-def triangulate(poly) -> list[np.ndarray]:
-    """Split a polygon into triangles.
-
-    Uses a centroid fan when the polygon is star-shaped with respect to its
-    centroid (``CellBatch.fan``: the common case for mesh cells, including
-    cells with hanging nodes), and falls back to ear clipping otherwise.
-
-    Returns
-    -------
-    list of ndarray, shape (3, 2)
-        Triangles whose signed areas sum to the polygon area.
-    """
-    p = _as_polygon(poly)
-    v = p.vertices
-    if p.batch.fan[0]:
-        n, c = len(v), p.batch.centroid[0]
-        return [np.array([v[i], v[(i + 1) % n], c]) for i in range(n)]
-    return _ear_clip(v, _AREA_EPS * p.diameter ** 2)
 
 
 def _point_in_triangle_strict(q, a, b, c, eps: float) -> bool:
@@ -344,54 +303,6 @@ def _ear_clip(v: np.ndarray, tol: float) -> list[np.ndarray]:
     return tris
 
 
-def polygon_quadrature(poly, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for a polygon.
-
-    The polygon is triangulated and the degree-matched triangle rule is
-    mapped to each piece.  Weights carry the (signed) triangle areas, so
-    ``w @ g(x, y)`` integrates g over the polygon.
-
-    Parameters
-    ----------
-    poly : Polygon or array_like
-    degree : int
-        One of the supported rule degrees (2, 4, 6).
-
-    Returns
-    -------
-    x, y, w : ndarray
-    """
-    if degree not in QUAD_RULES:
-        raise ValueError(
-            f"unsupported quadrature degree {degree}; available: {sorted(QUAD_RULES)}"
-        )
-    return _triangles_quadrature(triangulate(poly), degree)
-
-
-def _triangles_quadrature(tris, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The degree's rule mapped onto each triangle (3, 2) of tris, node arrays flat."""
-    rule, tri = QUAD_RULES[degree], np.array(tris)
-    pts = rule.bary @ tri
-    w = rule.weights * (0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))[:, None]
-    return pts[..., 0].ravel(), pts[..., 1].ravel(), w.ravel()
-
-
-def integrate(poly, g: Callable, degree: int) -> float:
-    """Integrate a scalar field over a polygon.
-
-    Parameters
-    ----------
-    poly : Polygon or array_like
-    g : callable
-        Field g(x, y) accepting ndarray arguments; scalar returns broadcast.
-    degree : int
-        Polynomial degree integrated exactly (2, 4 or 6).
-    """
-    x, y, w = polygon_quadrature(poly, degree)
-    vals = np.broadcast_to(np.asarray(g(x, y), dtype=float), x.shape)
-    return float(w @ vals)
-
-
 # cells per batch of the vectorized per-cell computations: bounds the
 # (cells x quadrature nodes) temporaries while amortizing the per-batch
 # Python overhead
@@ -419,9 +330,8 @@ class CellBatch(NamedTuple):
         the cell has.
     fan : ndarray of bool, shape (G,)
         The cell is star-shaped with respect to its centroid, so the
-        centroid fan triangulates it: `triangulate` takes the fan there,
-        and `cell_quadrature` integrates it as array operations.  Both
-        ear-clip the other valid cells one by one.
+        centroid fan triangulates it and `cell_quadrature` integrates it
+        as array operations; it ear-clips the other valid cells one by one.
     """
 
     cells: np.ndarray
@@ -542,12 +452,14 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
 
 
 def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`polygon_quadrature` of every cell of a batch of valid cells, row per cell.
+    """Quadrature nodes and weights of every cell of a batch of valid cells, row per cell.
 
-    Cells with ``g.fan`` are integrated over the centroid fan as array
-    operations.  The others are ear-clipped one by one from their batch
-    row, as `triangulate` clips them; that yields at most k - 2 triangles,
-    so each such row is padded to k * npts nodes with zero-weight copies of
+    The degree's triangle rule (2, 4 or 6) is mapped onto each triangle of
+    the cell, and the weights carry the triangle areas, so ``w @ g(x, y)``
+    integrates g over the cell.  Cells with ``g.fan`` are integrated over
+    the centroid fan as array operations.  The others are ear-clipped one
+    by one from their batch row; that yields at most k - 2 triangles, so
+    each such row is padded to k * npts nodes with zero-weight copies of
     its last node, a point inside the cell where the integrands are already
     evaluated.
 
@@ -565,12 +477,27 @@ def cell_quadrature(g: CellBatch, degree: int) -> tuple[np.ndarray, np.ndarray, 
     )
     w = (rule.weights * (0.5 * _cross(vn - v, c - v))[..., None]).reshape(len(v), -1)
     for r in np.flatnonzero(~g.fan):
-        tris = _ear_clip(v[r], _AREA_EPS * float(g.diameter[r]) ** 2)
-        xr, yr, wr = _triangles_quadrature(tris, degree)
-        pad = (0, w.shape[1] - len(wr))
-        x[r], y[r] = np.pad(xr, pad, mode="edge"), np.pad(yr, pad, mode="edge")
-        w[r] = np.pad(wr, pad)
+        tri = np.array(_ear_clip(v[r], _AREA_EPS * float(g.diameter[r]) ** 2))
+        pts = rule.bary @ tri
+        wr = rule.weights * (0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))[:, None]
+        pad = (0, w.shape[1] - wr.size)
+        x[r], y[r] = (np.pad(pts[..., d].ravel(), pad, mode="edge") for d in (0, 1))
+        w[r] = np.pad(wr.ravel(), pad)
     return x, y, w
+
+
+def polygon_quadrature(poly, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cell_quadrature` of one polygon: row 0 of its one-cell batch.
+
+    An ear-clipped polygon's row ends in zero-weight padding nodes, as in
+    the batch.  Raises ValueError for a degree other than 2, 4 or 6, and
+    with the message of its fault for a polygon that is not valid.
+    """
+    if degree not in QUAD_RULES:
+        raise ValueError(
+            f"unsupported quadrature degree {degree}; available: {sorted(QUAD_RULES)}"
+        )
+    return tuple(a[0] for a in cell_quadrature(polygon_batch(poly), degree))
 
 
 class StarMetric(NamedTuple):
@@ -634,35 +561,20 @@ def _chebyshev_centres(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def star_metric(poly) -> StarMetric:
-    """Kernel-based star-shapedness metric of one polygon: ``star_metrics([poly])[0]``."""
-    return star_metrics([_as_polygon(poly).vertices])[0]
-
-
-def star_metrics(polys) -> list[StarMetric]:
-    """Star-shapedness metric of each polygon, from its kernel's Chebyshev centre.
+    """Star-shapedness of one polygon: `_chebyshev_centres` of a stack of one.
 
     The kernel is the intersection of the half-planes to the left of each
     (counter-clockwise) edge.  Its Chebyshev centre, the centre of the
     largest inscribed ball, is the best of the points equidistant from
-    three edge lines over all C(k, 3) edge triples of a k-gon
-    (`_chebyshev_centres`): exact up to rounding, at a cost of order
-    C(k, 3)·k.  The answer does not depend on a polygon's size or
-    position.  The polygons are taken as given: (k, 2) counter-clockwise
-    vertex arrays of simple polygons, not re-validated.
-
-    Returns
-    -------
-    list of StarMetric
-        One per polygon.  ``is_star`` is False (with center None, rho 0)
-        when the best radius is below -_AREA_EPS·diam, i.e. the kernel is
-        empty; a degenerate kernel yields is_star True with rho ~ 0.
+    three edge lines over all C(k, 3) edge triples of a k-gon: exact up to
+    rounding, at a cost of order C(k, 3)·k.  The answer does not depend on
+    the polygon's size or position.  ``is_star`` is False (with center
+    None, rho 0) when the best radius is below -_AREA_EPS·diam, i.e. the
+    kernel is empty; a degenerate kernel yields is_star True with rho ~ 0.
+    Raises ValueError, with the message of its fault, if the polygon is
+    not valid.
     """
-    vs = [np.asarray(p, dtype=float) for p in polys]
-    out = [StarMetric(False, None, 0.0)] * len(vs)
-    for k in {len(v) for v in vs}:
-        idx = [i for i, v in enumerate(vs) if len(v) == k]
-        c, r = _chebyshev_centres(np.stack([vs[i] for i in idx]))
-        for i, (cx, cy), ri in zip(idx, c, r):
-            if ri >= -_AREA_EPS:
-                out[i] = StarMetric(True, Point2(float(cx), float(cy)), max(float(ri), 0.0))
-    return out
+    (c,), (r,) = _chebyshev_centres(_as_polygon(poly).vertices[None])
+    if r < -_AREA_EPS:
+        return StarMetric(False, None, 0.0)
+    return StarMetric(True, Point2(float(c[0]), float(c[1])), max(float(r), 0.0))

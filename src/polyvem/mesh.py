@@ -33,7 +33,7 @@ from .geometry import (
     TOO_FEW,
     MeshGeometry,
     Point2,
-    Polygon,
+    Polygon,  # noqa: F401  perfbench/spans.py wraps this name
     _chebyshev_centres,
     fault_message,
     mesh_geometry,
@@ -136,10 +136,6 @@ class PolyMesh:
 
     def cell_vertices(self, i: int) -> np.ndarray:
         return self.vertices[self.cell(i)]
-
-    def cell_polygon(self, i: int) -> Polygon:
-        """Cell i as a `Polygon`; ValueError names its fault if it has one."""
-        return Polygon(self.cell_vertices(i))
 
     def _check_vertex_ids(self) -> None:
         """Raise MeshConformityError naming the first cell that references a
@@ -467,7 +463,7 @@ def gen_square_th1(N: int) -> PolyMesh:
     return _glued_grids(N, _quad_cells)
 
 
-def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
+def gen_square_th2(N: int) -> PolyMesh:
     """Right-triangle mesh of the unit square with an extra vertex per edge.
 
     Each edge of the underlying N x N x 2 triangle mesh receives one
@@ -481,14 +477,9 @@ def gen_square_th2(N: int, split_edges: bool = True) -> PolyMesh:
     ----------
     N : int
         Grid subdivisions per direction, N >= 2.
-    split_edges : bool
-        If False, return the plain triangle mesh (useful as a classical
-        reference; the element matrices then reduce to P1 finite elements).
     """
     _check_n(N, 2)
     p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
-    if not split_edges:
-        return _build_mesh([p], "unit_square", insert_hanging=False)
     q = np.roll(p, -1, axis=1)
     # anchor a at the lexicographically smaller endpoint of each edge (p, q)
     swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))

@@ -37,8 +37,6 @@ from .geometry import (
 
 __all__ = [
     "LocalElement",
-    "pi_nabla",
-    "stab_matrix",
     "local_forms",
     "form_fault",
     "FormBatch",
@@ -80,22 +78,6 @@ class LocalElement:
     Ch: np.ndarray
     Mh: np.ndarray
     Fh: np.ndarray
-
-
-def pi_nabla(E) -> np.ndarray:
-    """`pi_nabla_batch` of the polygon E alone, shape (3, n).
-
-    Raises ValueError, with the message of its fault, if E is not valid.
-    """
-    return pi_nabla_batch(polygon_batch(E))[0]
-
-
-def stab_matrix(E) -> np.ndarray:
-    """`_stab_batch` of the polygon E alone, shape (n, n).
-
-    Raises ValueError, with the message of its fault, if E is not valid.
-    """
-    return _stab_batch(polygon_batch(E))[0]
 
 
 def local_forms(E, coeffs: CoefficientSet) -> LocalElement:

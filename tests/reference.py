@@ -1,11 +1,13 @@
 """Straightforward references for code that polyvem computes in bulk.
 
 The local VEM forms, one polygon at a time: Pi from edge sums, S scattered
-entry by entry with `np.add.at`, and the forms integrated by
-`polygon_quadrature` over the polygon's own triangulation.
-`polyvem.vem_core` computes the same quantities for stacked batches of
-cells, in a different summation order; the tests compare the two to a
-relative 1e-12.
+entry by entry with `np.add.at`, and the forms integrated by this module's
+own `polygon_quadrature`.  That quadrature triangulates the polygon itself
+(the centroid fan, or ear clipping when a fan triangle would be inverted)
+and maps `QUAD_RULES`, the one table it shares with polyvem, onto each
+triangle in a loop.  `polyvem.vem_core` and `polyvem.geometry.cell_quadrature`
+compute the same quantities for stacked batches of cells, in a different
+summation order; the tests compare the two to a relative 1e-12.
 
 The mesh writers, one document built by `json.dumps` and one line per
 vertex and per cell: `polyvem.mesh.io_write` and `export_vtk` must write
@@ -39,12 +41,12 @@ import scipy.sparse as sp
 
 from polyvem.geometry import (
     _AREA_EPS,
+    QUAD_RULES,
     _as_polygon,
     _edge_lengths,
     _cross,
     _nonadjacent_edge_pairs,
     _shoelace,
-    polygon_quadrature,
 )
 from polyvem.vem_core import QUAD_DEGREE
 
@@ -105,6 +107,56 @@ def stab_matrix(E) -> np.ndarray:
     np.add.at(S, (idx, nxt), -w)
     np.add.at(S, (nxt, idx), -w)
     return S
+
+
+def _ear_clip(v: np.ndarray, tol: float) -> list:
+    """Cut off the first corner, in index order, that is convex and whose
+    triangle holds no other remaining vertex; drop a collinear corner."""
+    idx = list(range(len(v)))
+    tris = []
+    while len(idx) > 3:
+        n = len(idx)
+        for k in range(n):
+            a, b, c = v[idx[k - 1]], v[idx[k]], v[idx[(k + 1) % n]]
+            a2 = _cross(b - a, c - a)
+            if abs(a2) <= tol:
+                idx.pop(k)
+                break
+            q = v[[j for j in idx if j not in (idx[k - 1], idx[k], idx[(k + 1) % n])]]
+            sides = [_cross(b - a, q - a), _cross(c - b, q - b), _cross(a - c, q - c)]
+            if a2 > 0.0 and not (np.array(sides) > -tol).all(axis=0).any():
+                tris.append(np.array([a, b, c]))
+                idx.pop(k)
+                break
+        else:
+            raise ValueError("ear clipping failed; polygon is not simple")
+    return tris + [v[idx]]
+
+
+def triangulate(E) -> list:
+    """Triangles (3, 2) of the polygon E: its centroid fan when no fan
+    triangle has twice its signed area below -1e-14 diam^2, else ear clipping."""
+    p = _as_polygon(E)
+    v, c, n = p.vertices, np.array(p.centroid), p.n_vertices
+    tol = _AREA_EPS * p.diameter**2
+    fan = [np.array([v[i], v[(i + 1) % n], c]) for i in range(n)]
+    if all(_cross(b - a, c - a) >= -tol for a, b, c in fan):
+        return fan
+    return _ear_clip(v, tol)
+
+
+def polygon_quadrature(E, degree: int):
+    """Nodes x, y and weights w of the degree's rule on each triangle of
+    `triangulate(E)`, so that ``w @ g(x, y)`` integrates g over E."""
+    rule = QUAD_RULES[degree]
+    x, y, w = [], [], []
+    for a, b, c in triangulate(E):
+        area = 0.5 * _cross(b - a, c - a)
+        for bary, weight in zip(rule.bary, rule.weights):
+            x.append(bary @ [a[0], b[0], c[0]])
+            y.append(bary @ [a[1], b[1], c[1]])
+            w.append(weight * area)
+    return np.array(x), np.array(y), np.array(w)
 
 
 def _eval_scalar(field, x, y) -> np.ndarray:

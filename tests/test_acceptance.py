@@ -31,9 +31,10 @@ from polyvem.coefficients import (
 from polyvem.geometry import Polygon
 from polyvem.mesh import gen_rotated_T, gen_square_th1, gen_square_th2, gen_square_th3
 from polyvem.solvers import solve_eigs, solve_load, suggested_shift
-from polyvem.vem_core import local_forms, pi_nabla
+from polyvem.vem_core import local_forms
 
 from reference import qz_eigs
+from test_mesh_checks import th2_unsplit
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
 
@@ -197,7 +198,7 @@ def test_criterion_5_small_edge_invariants(capsys):
     grads = np.vstack([np.eye(2), rng.uniform(-2.0, 2.0, size=(3, 2))])
     min_ratio = np.inf
     for ci in range(len(mesh.cells)):
-        poly = mesh.cell_polygon(ci)
+        poly = Polygon(mesh.cell_vertices(ci))
         le = local_forms(poly, LAPLACE)
         v = poly.vertices
         h, area = poly.diameter, poly.area
@@ -292,7 +293,7 @@ def fem_p1_stiffness_global(mesh) -> sp.csr_matrix:
 
 def test_criterion_7_triangle_fem_equivalence(capsys):
     t0 = time.monotonic()
-    mesh = gen_square_th2(16, split_edges=False)
+    mesh = th2_unsplit(16)
     vem = assemble_full(mesh, LAPLACE).A
     fem = fem_p1_stiffness_global(mesh)
     diff = np.abs((vem - fem).toarray()).max()

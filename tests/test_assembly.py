@@ -38,6 +38,7 @@ from polyvem.mesh import (
 )
 
 import reference
+from test_mesh_checks import th2_unsplit
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
 
@@ -257,7 +258,7 @@ class TestOperatorStructure:
                 build(mesh, LAPLACE)
 
     def test_non_simple_cell_rejected(self):
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         cells = list(mesh.cells)
         cells[2] = (0, 4, 7, 8)  # corners (0,0), (1,0), (0,1), (1,1): a bow-tie
         bad = PolyMesh.from_cells(mesh.vertices, cells, mesh.domain_tag)

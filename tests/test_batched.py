@@ -2,12 +2,15 @@
 
 Assembly and the error norms run on stacked arrays of cells that share a
 vertex count (`PolyMesh.geometry`, `local_forms_batch`, `cell_quadrature`).
-The oracle works on one `Polygon` at a time: the forms and Pi of
-`tests/reference.py`, and `polygon_quadrature`.  The two sum in a
-different order, so agreement is to a relative 1e-12, not bitwise.  The
-public per-cell `local_forms` and `pi_nabla` are the batched kernels on a
-batch of one cell, so they equal the batch rows bitwise.
+The oracle works on one `Polygon` at a time: the forms, Pi and the
+quadrature of `tests/reference.py`.  The two sum in a different order, so
+agreement is to a relative 1e-12, not bitwise.  The public per-cell
+`local_forms`, `polygon_quadrature` and `star_metric` are the batched
+kernels on a batch of one cell, so they equal the batch rows bitwise, and
+no production path calls them.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -25,10 +28,13 @@ from polyvem.coefficients import CoefficientSet, constant, constant_vector
 from polyvem.geometry import (
     QUAD_RULES,
     Polygon,
+    _chebyshev_centres,
     cell_quadrature,
     fault_message,
     mesh_geometry,
+    polygon_batch,
     polygon_quadrature,
+    star_metric,
 )
 from polyvem.mesh import (
     PolyMesh,
@@ -41,7 +47,7 @@ from polyvem.mesh import (
     validate,
 )
 from polyvem.solvers import solve_load
-from polyvem.vem_core import local_forms, local_forms_batch, pi_nabla, pi_nabla_batch
+from polyvem.vem_core import _stab_batch, local_forms, local_forms_batch, pi_nabla_batch
 
 import reference
 
@@ -75,6 +81,10 @@ def grad_u_smooth(x, y):
     return -2.0 * np.sin(2.0 * x) * np.exp(y), np.cos(2.0 * x) * np.exp(y)
 
 
+def cubic(x, y):
+    return x**3 - 2.0 * x * y**2 + y
+
+
 def reference_forms(mesh, coeffs):
     """Dense A, B, C, M, F over all vertices, summed cell by cell."""
     nv = len(mesh.vertices)
@@ -96,7 +106,7 @@ def reference_errors(mesh, u_h, u, grad_u):
         poly = Polygon(mesh.cell_vertices(ci))
         s = reference.pi_nabla(poly) @ u_h[list(cell)]
         (xc, yc), h = poly.centroid, poly.diameter
-        x, y, w = polygon_quadrature(poly, 6)
+        x, y, w = reference.polygon_quadrature(poly, 6)
         proj = s[0] + s[1] * (x - xc) / h + s[2] * (y - yc) / h
         l2 += w @ (u(x, y) - proj) ** 2
         gx, gy = grad_u(x, y)
@@ -158,7 +168,7 @@ def test_batched_matches_per_cell(name, gen):
 def test_random_polygons_match_per_cell():
     """A soup of random cells with 3 to 12 vertices: star-shaped about the
     origin (mostly, not always, about the centroid) or with shuffled, mostly
-    self-intersecting vertex order."""
+    self-intersecting vertex order, and the U-shaped cell of `u_shaped_mesh`."""
     rng = np.random.default_rng(7)
     polys = []
     for k in range(3, 13):
@@ -168,6 +178,8 @@ def test_random_polygons_match_per_cell():
             v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]) + rng.uniform(-5, 5, 2)
             polys.append(v)
         polys.append(rng.permutation(polys[-1]))
+    u_cell = [(0, 0), (1, 0), (1, 1), (0.8, 1), (0.8, 0.2), (0.5, 0.2), (0.2, 0.2), (0.2, 1), (0, 1)]
+    polys.append(np.array(u_cell, dtype=float))
     vertices = np.concatenate(polys)
     starts = np.cumsum([0] + [len(v) for v in polys])
     geom = mesh_geometry(vertices, np.arange(len(vertices)), np.diff(starts))
@@ -197,12 +209,18 @@ def test_random_polygons_match_per_cell():
                 assert_close(got[row], ref)
             assert_close(P[row], reference.pi_nabla(poly))
             for degree, (x, y, w) in quads.items():
-                ref = polygon_quadrature(poly, degree)
+                ref = reference.polygon_quadrature(poly, degree)
                 m = len(ref[2])
                 for got, r in zip((x, y, w), ref):
                     assert_close(got[row, :m], r)
                 # ear-clipped rows are padded with zero-weight nodes
                 assert (w[row, m:] == 0.0).all()
+                # the oracle triangulates and maps the rule itself, and
+                # integrates a smooth field and a cubic as the kernel does
+                xr, yr, wr = ref
+                for g in (u_smooth, cubic):
+                    err = abs(w[row] @ g(x[row], y[row]) - wr @ g(xr, yr))
+                    assert err <= 1e-14 * (np.abs(wr) @ np.abs(g(xr, yr)))
             fan.append(b.fan[row])
     # every valid cell is batched, and both quadratures are exercised:
     # centroid fans and ear-clipped cells
@@ -254,8 +272,9 @@ def test_non_star_cell_is_ear_clipped(tmp_path):
 
 @pytest.mark.parametrize("name", ["th1", "th2", "th3", "th4", "th5", "th6", "th7", "u_shaped"])
 def test_per_cell_functions_are_one_cell_batches(name, tmp_path):
-    # local_forms and pi_nabla run the batched kernels on a batch of one
-    # cell, so they return exactly what assembly uses
+    # local_forms, polygon_quadrature and star_metric run the batched
+    # kernels on a batch of one cell, so they return exactly what assembly
+    # and validate use
     if name == "u_shaped":
         mesh = u_shaped_mesh(tmp_path)
     elif name in ("th1", "th2", "th3"):
@@ -263,13 +282,20 @@ def test_per_cell_functions_are_one_cell_batches(name, tmp_path):
     else:
         mesh = gen_rotated_T(name, 8)
     for b in mesh.geometry.batches():
-        forms, P = local_forms_batch(b, COEFFS), pi_nabla_batch(b)
+        forms, P, S = local_forms_batch(b, COEFFS), pi_nabla_batch(b), _stab_batch(b)
+        quad = cell_quadrature(b, 4)
+        centres, radii = _chebyshev_centres(b.vertices)
         for row, ci in enumerate(b.cells):
-            le = local_forms(mesh.cell_polygon(ci), COEFFS)
-            per_cell = (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh, le.PiNabla)
-            for got, batched in zip(per_cell, (*forms[:5], P)):
+            poly = Polygon(mesh.cell_vertices(ci))
+            le = local_forms(poly, COEFFS)
+            per_cell = (le.Ah, le.Bh, le.Ch, le.Mh, le.Fh, le.PiNabla, le.S)
+            for got, batched in zip(per_cell, (*forms[:5], P, S)):
                 assert np.array_equal(got, batched[row])
-            assert np.array_equal(pi_nabla(mesh.cell_polygon(ci)), P[row])
+            for got, batched in zip(polygon_quadrature(poly, 4), quad):
+                assert np.array_equal(got, batched[row])
+            m = star_metric(poly)
+            assert m.rho == max(radii[row], 0.0)
+            assert m.center is None or m.center == tuple(centres[row])
 
 
 def run_production(name, tmp_path):
@@ -294,20 +320,25 @@ def run_production(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["u_shaped", "kappa", "cli_solve", "cli_eig", "cli_mesh"])
-def test_production_builds_no_polygon(name, tmp_path, monkeypatch):
+def test_production_builds_no_polygon(name, tmp_path):
     # production reads cells as batch rows: the ear clipping of a cell that
     # is not star-shaped and assembly's error for one cell are worked from
-    # the cell's row, and no command builds a single-cell `Polygon`
+    # the cell's row, and no command builds a single-cell `Polygon` or
+    # enters a one-cell view, under whatever name a module holds it
+    views = (Polygon.__init__, polygon_quadrature, star_metric, polygon_batch, local_forms)
+    codes = {f.__code__: f.__qualname__ for f in views}
     calls = []
-    init = Polygon.__init__
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
 
-    monkeypatch.setattr(Polygon, "__init__", counted)
-    run_production(name, tmp_path)
-    assert len(calls) == 0
+    sys.setprofile(profile)
+    try:
+        run_production(name, tmp_path)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["th2", "u_shaped"])

@@ -416,13 +416,13 @@ def test_load_level_factors_with_only_K_alive(monkeypatch):
     assert level.h == level.mesh.h and level.quality == cli._quality_line(level.mesh, 8)
 
 
-def test_eig_count_above_the_pencil_order_fails_before_factoring(monkeypatch, capsys):
+def test_eig_count_above_the_pencil_order_fails_before_factoring(monkeypatch, capsys, tmp_path):
     # th2 N=8 has n = 225 interior DOFs: k = 226 would have taken the dense
     # branch on the factors before failing on the count of finite values
     events = []
     monkeypatch.setattr(solvers.spla, "splu", _logged(events, [], "splu", solvers.spla.splu))
     argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "8", "--eig-count"]
-    assert main([*argv, "226", "--format", "vtk"]) == 1
+    assert main([*argv, "226", "--format", "csv", "--out", str(tmp_path)]) == 1
     assert "k = 226 exceeds the pencil's order n = 225" in capsys.readouterr().err
     assert events == []
 
@@ -557,6 +557,17 @@ def test_eig_rejects_a_negative_seed_or_a_non_finite_shift(tmp_path, capsys, fla
     assert main([*argv, *flags, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {fragment}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_eig_rejects_the_vtk_format_before_building_a_mesh(tmp_path, capsys, monkeypatch):
+    # eig writes only a CSV: --format vtk wrote nothing and exited 0
+    built = []
+    monkeypatch.setattr(cli, "generate_mesh", lambda *args: built.append(args))
+    argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--format", "vtk"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eig writes only a CSV of eigenvalues: use --format csv or both\n"
+    assert built == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

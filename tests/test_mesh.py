@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from polyvem.geometry import area_centroid
+from polyvem.geometry import Polygon
 from polyvem.mesh import (
     DOMAIN_TAGS,
     MeshConformityError,
@@ -24,7 +24,7 @@ from polyvem.mesh import (
     reentrant_corners,
     validate,
 )
-from test_mesh_checks import th2_split_at
+from test_mesh_checks import th2_split_at, th2_unsplit
 
 SQUARE_GENERATORS = {
     "th1": gen_square_th1,
@@ -34,7 +34,7 @@ SQUARE_GENERATORS = {
 
 
 def cell_area_sum(mesh):
-    return sum(mesh.cell_polygon(i).area for i in range(mesh.n_cells))
+    return sum(Polygon(mesh.cell_vertices(i)).area for i in range(mesh.n_cells))
 
 
 def on_unit_square_boundary(x, y, tol=1e-12):
@@ -131,7 +131,7 @@ class TestTh2:
         assert report.min_rho > 0.1
 
     def test_unsplit_triangles(self):
-        mesh = gen_square_th2(4, split_edges=False)
+        mesh = th2_unsplit(4)
         assert all(len(cell) == 3 for cell in mesh.cells)
         assert mesh.n_cells == 32
         validate(mesh)
@@ -243,7 +243,7 @@ class TestValidateFailures:
             validate(mesh)
 
     def test_reversed_cell_named(self):
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         cells = list(mesh.cells)
         cells[3] = cells[3][::-1]
         bad = PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
@@ -253,7 +253,7 @@ class TestValidateFailures:
     def test_overlapping_cells_area_mismatch(self):
         # duplicate a cell but flip its orientation flag by renaming: the
         # duplicated cell overlaps its twin, inflating the covered area
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         cells = list(mesh.cells) + [mesh.cells[0]]
         bad = PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
         with pytest.raises(MeshConformityError, match="coverage|direction|shared"):
@@ -261,7 +261,7 @@ class TestValidateFailures:
 
     def test_inconsistent_boundary_flag(self, tmp_path):
         # an in-memory mesh derives its flags; a file brings its own
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         flags = mesh.boundary_vertex.tolist()
         flags[flags.index(False)] = True
         with pytest.raises(MeshIOError, match="boundary flag"):
@@ -284,7 +284,7 @@ def _with_cell(mesh, i, cell):
     return PolyMesh.from_cells(mesh.vertices.copy(), cells, mesh.domain_tag)
 
 
-# cell 2 of gen_square_th2(2, split_edges=False) is (1, 4, 5); vertices 0, 1, 4
+# cell 2 of th2_unsplit(2) is (1, 4, 5); vertices 0, 1, 4
 # lie on y = 0, and 0, 4, 7, 8 are the corners (0,0), (1,0), (0,1), (1,1)
 BROKEN_CELLS = {
     "repeat": ((1, 4, 1), "cell 2 repeats a vertex index"),
@@ -306,7 +306,7 @@ BROKEN_CELLS = {
 @pytest.mark.parametrize("kind", sorted(BROKEN_CELLS))
 def test_validate_names_the_broken_cell(kind):
     cell, message = BROKEN_CELLS[kind]
-    mesh = gen_square_th2(2, split_edges=False)
+    mesh = th2_unsplit(2)
     assert mesh.cells[2] == (1, 4, 5)
     with pytest.raises(MeshConformityError) as info:
         validate(_with_cell(mesh, 2, cell))
@@ -383,7 +383,7 @@ class TestMeshIO:
             io_read(path)
 
     def test_repeated_cell_rejected(self, tmp_path):
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         path = _write_doc(tmp_path, mesh, cells=[*map(list, mesh.cells), list(mesh.cells[0])])
         a, b = mesh.cells[0][:2]
         with pytest.raises(MeshIOError, match=rf"^edge \({a}, {b}\) is traversed twice"):
@@ -395,7 +395,7 @@ class TestMeshIO:
     @pytest.mark.parametrize("bad_id", [0.7, 1.0, True, "1"])
     def test_non_integer_vertex_id_rejected(self, tmp_path, bad_id):
         # int() would read 0.7 as 0 and true as 1 without an error
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         cells = [*map(list, mesh.cells)]
         cells[1] = [bad_id, *cells[1][1:]]
         path = _write_doc(tmp_path, mesh, cells=cells)
@@ -403,7 +403,7 @@ class TestMeshIO:
             io_read(path)
 
     def test_vertex_id_beyond_int64_rejected(self, tmp_path):
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         cells = [*map(list, mesh.cells)]
         cells[1] = [2**70, *cells[1][1:]]
         with pytest.raises(MeshIOError, match="malformed mesh arrays"):
@@ -411,7 +411,7 @@ class TestMeshIO:
 
     def test_boundary_that_is_not_a_list_rejected(self, tmp_path):
         # len() of a JSON true raised a TypeError
-        path = _write_doc(tmp_path, gen_square_th2(2, split_edges=False), boundary=True)
+        path = _write_doc(tmp_path, th2_unsplit(2), boundary=True)
         with pytest.raises(MeshIOError, match="^boundary must be a list of 9 JSON booleans$"):
             io_read(path)
 
@@ -425,7 +425,7 @@ class TestMeshIO:
             io_read(path)
 
     def test_integer_boundary_flags_rejected(self, tmp_path):
-        mesh = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
         path = _write_doc(tmp_path, mesh, boundary=[int(f) for f in mesh.boundary_vertex])
         with pytest.raises(MeshIOError, match="^boundary must be a list of 9 JSON booleans$"):
             io_read(path)
@@ -496,18 +496,12 @@ class TestPolyMeshModel:
     def test_identity_equality(self):
         # the generated __eq__ compared the arrays and raised; meshes are
         # immutable, so identity is equality and they are hashable
-        mesh = gen_square_th2(2, split_edges=False)
-        other = gen_square_th2(2, split_edges=False)
+        mesh = th2_unsplit(2)
+        other = th2_unsplit(2)
         assert mesh == mesh
         assert mesh != other
         assert {mesh, mesh, other} == {mesh, other}
 
-    def test_cell_polygon_matches_area(self):
-        mesh = gen_square_th1(4)
-        poly = mesh.cell_polygon(0)
-        assert poly.batch.fault[0] == 0
-        area, _ = area_centroid(poly)
-        assert area > 0.0
 
 
 def mesh_digest(mesh):
@@ -536,7 +530,7 @@ GENERATOR_DIGESTS = [
     ("th6", 16, lambda: gen_rotated_T("th6", 16), "d856461de4cdf86b"),
     ("th7", 16, lambda: gen_rotated_T("th7", 16), "db9f9a6948c9f1b8"),
     ("th7", 132, lambda: gen_rotated_T("th7", 132), "c9b85e24c8c1ad31"),
-    ("th2-unsplit", 8, lambda: gen_square_th2(8, split_edges=False), "082e1d73f5bb94cc"),
+    ("th2-unsplit", 8, lambda: th2_unsplit(8), "082e1d73f5bb94cc"),
 ]
 
 

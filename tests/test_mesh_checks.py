@@ -1,12 +1,13 @@
 """Array-level mesh checks against their per-polygon and per-edge references.
 
 `validate` takes ρ of all distinct cell shapes from the kernel-centre
-search behind `star_metrics`, run on each vertex-count group's batch rows
-(`geometry._chebyshev_centres`).  It enumerates the points equidistant
-from three edge lines, and every edge count comes from one edge-topology
-helper.  The references are the Chebyshev-centre linear program solved by
-HiGHS, one polygon at a time (only the tests import `linprog`), ρ of
-every cell from `star_metrics`, and a dict count over the cell cycles.
+search, run on each vertex-count group's batch rows
+(`geometry._chebyshev_centres`), which `star_metric` runs on a stack of
+one polygon.  It enumerates the points equidistant from three edge lines,
+and every edge count comes from one edge-topology helper.  The references
+are the Chebyshev-centre linear program solved by HiGHS, one polygon at a
+time (only the tests import `linprog`), ρ of every cell from
+`star_metric`, and a dict count over the cell cycles.
 Polygons carry edges down to 1e-12 of their diameter: the small-edge
 regime the method is meant for.  They are simple by construction, so the
 validity check must accept every one.  The mesh builder keeps the order
@@ -47,7 +48,6 @@ from polyvem.geometry import (
     _segments_cross,
     mesh_geometry,
     star_metric,
-    star_metrics,
 )
 from polyvem.mesh import (
     _SNAP,
@@ -66,7 +66,7 @@ from polyvem.mesh import (
     validate,
 )
 from polyvem.solvers import solve_eigs, solve_load, suggested_shift
-from polyvem.vem_core import local_forms, pi_nabla, stab_matrix
+from polyvem.vem_core import local_forms
 
 # kernel-free: the arms x <= 1 and x >= 2 cannot both be seen
 U_SHAPE = np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)], dtype=float)
@@ -131,24 +131,11 @@ def highs_star_metric(v) -> StarMetric:
 @given(st.lists(small_edge_polygons(), min_size=1, max_size=6), st.integers(0, 6))
 def test_rho_matches_the_highs_oracle(polys, at):
     polys = polys[:at] + [U_SHAPE] + polys[at:]
-    for poly, m in zip(polys, star_metrics(polys)):
-        ref = highs_star_metric(poly)
+    for poly in polys:
+        m, ref = star_metric(poly), highs_star_metric(poly)
         assert m.is_star == ref.is_star
         # HiGHS meets each constraint to its 1e-10 feasibility tolerance
         assert abs(m.rho - ref.rho) <= 1e-10
-
-
-@SETTINGS
-@given(st.lists(small_edge_polygons(), min_size=1, max_size=5), st.integers(0, 5))
-def test_non_star_polygon_leaves_the_others_alone(polys, at):
-    at = min(at, len(polys))
-    alone = star_metrics(polys)
-    mixed = star_metrics(polys[:at] + [U_SHAPE] + polys[at:])
-    assert mixed[at] == StarMetric(False, None, 0.0)
-    others = mixed[:at] + mixed[at + 1 :]
-    assert [m.is_star for m in others] == [True] * len(polys)
-    for m, ref in zip(others, alone):
-        assert abs(m.rho - ref.rho) <= 1e-12
 
 
 @SETTINGS
@@ -179,6 +166,11 @@ def th2_split_at(N, t, boundary_t=None):
     return _build_mesh([hexagons], "unit_square", insert_hanging=False)
 
 
+def th2_unsplit(N):
+    """The N x N x 2 right-triangle mesh th2 splits, built by the same builder."""
+    return _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square", insert_hanging=False)
+
+
 @SETTINGS
 @given(small_edge_polygons())
 def test_stability_in_the_discrete_triple_seminorm(v):
@@ -186,10 +178,10 @@ def test_stability_in_the_discrete_triple_seminorm(v):
     # complement of the constants, with bounds free of the edge ratio,
     # although cond(Ah) there grows like h_E / min |e|
     poly = Polygon(v)
-    P, S = pi_nabla(poly), stab_matrix(poly)
-    T = poly.area / poly.diameter**2 * (P[1:].T @ P[1:]) + S
     laplace = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
-    A = local_forms(poly, laplace).Ah
+    le = local_forms(poly, laplace)
+    P, A = le.PiNabla, le.Ah
+    T = poly.area / poly.diameter**2 * (P[1:].T @ P[1:]) + le.S
     Q = sla.null_space(np.ones((1, len(v))))
     lam = sla.eigh(Q.T @ A @ Q, Q.T @ T @ Q, eigvals_only=True)
     assert 0.05 <= lam.min() and lam.max() <= 2.0
@@ -244,7 +236,6 @@ def test_u_shape_has_empty_kernel():
     # half-plane, and the Chebyshev-centre program is infeasible
     assert star_metric(U_SHAPE) == StarMetric(False, None, 0.0)
     assert star_metric(Polygon(U_SHAPE)) == StarMetric(False, None, 0.0)
-    assert star_metrics([U_SHAPE]) == [StarMetric(False, None, 0.0)]
     assert highs_star_metric(U_SHAPE) == StarMetric(False, None, 0.0)
 
 
@@ -516,8 +507,8 @@ def test_min_rho_is_the_minimum_over_every_cell(family):
     # congruent cells in other positions round differently, by far less
     # than the tolerance
     mesh = MESHES[family]
-    rho = star_metrics([mesh.cell_vertices(i) for i in range(mesh.n_cells)])
-    assert abs(validate(mesh).min_rho - min(m.rho for m in rho)) <= 1e-12
+    rho = min(star_metric(mesh.cell_vertices(i)).rho for i in range(mesh.n_cells))
+    assert abs(validate(mesh).min_rho - rho) <= 1e-12
 
 
 def test_signed_zero_does_not_split_a_shape():
@@ -530,5 +521,5 @@ def test_signed_zero_does_not_split_a_shape():
     rel = ((g.vertices - g.vertices[:, :1]) / g.diameter[:, None, None]).round(10)
     assert np.signbit(rel[:, 3, 0]).tolist() == [True, False]
     assert list(_shape_representatives(g)) == list(reference.shape_representatives(g)) == [0]
-    rho = star_metrics([mesh.cell_vertices(i) for i in range(mesh.n_cells)])
-    assert abs(validate(mesh).min_rho - min(m.rho for m in rho)) <= 1e-12
+    rho = min(star_metric(mesh.cell_vertices(i)).rho for i in range(mesh.n_cells))
+    assert abs(validate(mesh).min_rho - rho) <= 1e-12
