@@ -22,7 +22,6 @@ from .analysis import (
     error_norms,
     extrapolate,
     fit_rate,
-    match_eigs,
     triple_seminorm_interp,
 )
 from .assembly import (
@@ -32,7 +31,6 @@ from .assembly import (
     assemble_full,
     dof_map,
     expand_solution,
-    export_system,
 )
 from .coefficients import CASES, CoefficientSet, ManufacturedCase, square_exact_eigenvalues
 from .geometry import Polygon, polygon_quadrature, star_metric
@@ -51,7 +49,6 @@ from .mesh import (
 from .solvers import (
     EigenResult,
     SolverError,
-    solve_adjoint_eigs,
     solve_eigs,
     solve_load,
     suggested_shift,
@@ -79,7 +76,6 @@ __all__ = [
     "error_l2",
     "error_norms",
     "expand_solution",
-    "export_system",
     "export_vtk",
     "extrapolate",
     "fit_rate",
@@ -90,11 +86,9 @@ __all__ = [
     "io_read",
     "io_write",
     "local_forms",
-    "match_eigs",
     "polygon_quadrature",
     "reentrant_corners",
     "star_metric",
-    "solve_adjoint_eigs",
     "solve_eigs",
     "solve_load",
     "square_exact_eigenvalues",

@@ -33,9 +33,6 @@ __all__ = [
     "fit_rate",
     "extrapolate",
     "is_complex",
-    "match_eigs",
-    "EigMatch",
-    "MatchReport",
     "ConvergenceEntry",
     "ColumnFit",
     "ConvergenceRecord",
@@ -165,52 +162,9 @@ def extrapolate(hs: Sequence[float], vals: Sequence[float]) -> tuple[float, floa
     return float(lam), float(t)
 
 
-@dataclass(frozen=True)
-class EigMatch:
-    computed: complex
-    reference: float
-    rel_error: float
-    imag_flagged: bool
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    pairs: tuple
-    unmatched_computed: int
-    unmatched_reference: int
-
-    @property
-    def rel_errors(self) -> np.ndarray:
-        return np.array([p.rel_error for p in self.pairs])
-
-    @property
-    def any_imag_flagged(self) -> bool:
-        return any(p.imag_flagged for p in self.pairs)
-
-
 def is_complex(lam: complex) -> bool:
     """Whether lam's imaginary part exceeds 1e-6 of its modulus."""
     return bool(abs(lam.imag) > 1e-6 * max(abs(lam), 1e-300))
-
-
-def match_eigs(computed, reference: Sequence[float]) -> MatchReport:
-    """Pair computed eigenvalues with reference values, order preserved.
-
-    `computed` is an EigenResult or a sequence of (complex) values; both
-    lists are sorted ascending (by real part) and matched greedily front to
-    back, so multiplicities line up positionally.  Counts may differ; the
-    surplus is reported unmatched.
-    """
-    vals = np.asarray(getattr(computed, "eigenvalues", computed))
-    vals = vals[np.lexsort((vals.imag if np.iscomplexobj(vals) else np.zeros(len(vals)), vals.real))]
-    ref = np.sort(np.asarray(reference, dtype=float))
-    n = min(len(vals), len(ref))
-    pairs = []
-    for lam, lref in zip(vals[:n], ref[:n]):
-        lam = complex(lam)
-        rel = abs(lam.real - lref) / max(abs(lref), 1e-300)
-        pairs.append(EigMatch(lam, float(lref), float(rel), is_complex(lam)))
-    return MatchReport(tuple(pairs), len(vals) - n, len(ref) - n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = [
     "assemble_full",
     "apply_dirichlet_lift",
     "expand_solution",
-    "write_matrix_market",
-    "export_system",
 ]
 
 
@@ -322,30 +319,3 @@ def expand_solution(
             )
         full[dof.boundary_vertices] = boundary_values
     return full
-
-
-def write_matrix_market(obj, path: Union[str, Path]) -> Path:
-    """Write a sparse matrix or vector in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite  # imported here: only the matrix-market writer needs it
-
-    path = Path(path)
-    if path.suffix != ".mtx":
-        path = path.with_suffix(path.suffix + ".mtx")
-    arr = obj
-    if isinstance(arr, np.ndarray) and arr.ndim == 1:
-        arr = sp.csr_matrix(arr.reshape(-1, 1))
-    mmwrite(str(path), arr)
-    return path
-
-
-def export_system(
-    system: Union[GlobalSystem, FullSystem], directory: Union[str, Path], stem: str = "system"
-) -> list[Path]:
-    """Dump A, B, C, M, F as MatrixMarket files for external cross-checks."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in ("A", "B", "C", "M"):
-        written.append(write_matrix_market(getattr(system, name), directory / f"{stem}_{name}"))
-    written.append(write_matrix_market(system.F, directory / f"{stem}_F"))
-    return written

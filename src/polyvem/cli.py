@@ -505,10 +505,16 @@ def _load_config(args, problem: str) -> ExperimentConfig:
     """The command's study: the --config file, or the flags as a `problem` study.
 
     A config file fixes every study input, its problem included; --out,
-    when given, is the one study flag that overrides it.
+    when given, is the one study flag that overrides it.  `convergence`
+    runs the file's problem; `solve` and `eig` refuse a file of the other.
     """
     if args.config:
         config = ExperimentConfig.from_json(args.config)
+        if args.command != "convergence" and config.problem != problem:
+            raise ConfigError(
+                f"{args.config} is a {config.problem} config; "
+                f"polyvem {args.command} runs only {problem} problems"
+            )
         return config if args.out is None else replace(config, output_dir=args.out)
     if not args.family:
         raise ConfigError("either --config or --family is required")

@@ -220,11 +220,6 @@ class PolyMesh:
         top = max(self.n_vertices, int(self.cell_sizes.max(initial=-1)) + 1)
         return np.array(list(map(str, range(top))), dtype=object)
 
-    def edge_counts(self) -> dict:
-        """Undirected edge -> number of incident cells."""
-        topo = self.topology
-        return dict(zip(map(tuple, topo.edges.tolist()), topo.counts.tolist()))
-
 
 @dataclass(frozen=True)
 class MeshQualityReport:

@@ -38,7 +38,6 @@ __all__ = [
     "backward_error",
     "solve_load",
     "solve_eigs",
-    "solve_adjoint_eigs",
     "suggested_shift",
 ]
 
@@ -420,25 +419,6 @@ def solve_eigs(
         except SolverError:
             if m != k + 1:
                 raise
-
-
-def solve_adjoint_eigs(
-    A,
-    M,
-    k: int,
-    shift: Optional[float] = None,
-    seed: int = 0,
-    field_bound: Optional[float] = None,
-) -> EigenResult:
-    """Eigenpairs of the adjoint problem: the pencil (A^T, M^T).
-
-    The adjoint spectrum is the conjugate of the primal one; for real
-    matrices the two coincide as multisets, so the primal field_bound
-    serves here too.
-    """
-    return solve_eigs(
-        _as_csc(A).T, _as_csc(M).T, k, shift=shift, seed=seed, field_bound=field_bound
-    )
 
 
 def suggested_shift(domain_tag: str, coeffs: CoefficientSet) -> float:

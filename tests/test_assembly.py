@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmread
 
 from polyvem.assembly import (
     AssemblyError,
@@ -23,8 +22,6 @@ from polyvem.assembly import (
     assemble_full,
     dof_map,
     expand_solution,
-    export_system,
-    write_matrix_market,
 )
 from polyvem.coefficients import CASES, CoefficientSet, constant, constant_vector
 from polyvem.geometry import Polygon
@@ -350,30 +347,3 @@ class TestDirichletLift:
         assert np.abs(full[dof.boundary_vertices]).max() == 0.0
         with pytest.raises(AssemblyError):
             expand_solution(dof, u[:-1])
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        mesh = gen_square_th2(2)
-        system = assemble(mesh, CASES["test1"].coeffs)
-        paths = export_system(system, tmp_path, stem="sq2")
-        assert sorted(p.name for p in paths) == [
-            "sq2_A.mtx",
-            "sq2_B.mtx",
-            "sq2_C.mtx",
-            "sq2_F.mtx",
-            "sq2_M.mtx",
-        ]
-        A_back = mmread(tmp_path / "sq2_A.mtx")
-        assert sp.issparse(A_back)
-        assert np.allclose(A_back.toarray(), system.A.toarray(), rtol=0, atol=0)
-        F_back = mmread(tmp_path / "sq2_F.mtx").toarray().ravel()
-        assert F_back.shape == system.F.shape
-        assert np.allclose(F_back, system.F, rtol=0, atol=0)
-
-    def test_vector_round_trip(self, tmp_path):
-        v = np.array([1.5, -2.25, 3.125, 0.0])
-        p = write_matrix_market(v, tmp_path / "vec")
-        assert p.suffix == ".mtx"
-        back = mmread(p).toarray().ravel()
-        assert np.array_equal(back, v)

@@ -508,6 +508,36 @@ def test_assembly_error_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, problem, coefficients, other",
+    [("eig", "load", "test1", "eigen"), ("solve", "eigen", "eigen_square", "load")],
+    ids=["eig_load_config", "solve_eigen_config"],
+)
+def test_single_level_commands_refuse_a_config_of_the_other_problem(
+    tmp_path, capsys, monkeypatch, command, problem, coefficients, other
+):
+    # eig ran (A + B, M) with test1's gamma and f dropped, and solve solved a
+    # zero load; both exited 0 and wrote the other study's config hash
+    built = []
+    monkeypatch.setattr(cli, "generate_mesh", lambda *args: built.append(args))
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        json.dumps(
+            {
+                "problem": problem,
+                "mesh_family": "th2",
+                "N_list": [4],
+                "coefficients": coefficients,
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p} is a {problem} config; polyvem {command} runs only {other} problems\n"
+    assert built == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "overrides, fragment",
     [
         (dict(N_list="16"), "N_list must hold integers"),  # was read as N = 1, 6

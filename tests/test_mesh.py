@@ -152,7 +152,8 @@ class TestTh3:
 
     def test_interior_edges_shared_by_two(self):
         mesh = gen_square_th3(8)
-        for (a, b), count in mesh.edge_counts().items():
+        topo = mesh.topology
+        for (a, b), count in zip(topo.edges.tolist(), topo.counts.tolist()):
             assert count in (1, 2)
             if count == 1:
                 assert mesh.boundary_vertex[a] and mesh.boundary_vertex[b]
@@ -184,6 +185,18 @@ class TestRotatedT:
         # offset bricks acquire hanging vertices: cells beyond quads
         assert max(len(cell) for cell in mesh.cells) >= 6
         validate(mesh)
+
+    def test_th7_merges_two_spellings_of_one_interface_vertex(self):
+        # the stem's y = 0.5 on x = 0 is linspace(0, 1, 97)[48] = 0.5 on the
+        # left half and linspace(0, 1, 99)[49] = 0.49999999999999994 on the
+        # right; the 1e-12 snap makes them one vertex.  Merging only equal
+        # coordinates leaves two, and cell 3527 is then not simple
+        mesh = gen_rotated_T("th7", 96)
+        report = validate(mesh)
+        assert report.vertex_count == 14457
+        near = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1] - 0.5) <= 1e-12
+        assert near.sum() == 1
+        assert report.min_edge_over_h == pytest.approx(0.014430750636456808, rel=1e-12)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError, match="family"):

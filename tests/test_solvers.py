@@ -29,7 +29,6 @@ from polyvem.solvers import (
     EigenResult,
     SolverError,
     backward_error,
-    solve_adjoint_eigs,
     solve_eigs,
     solve_load,
     suggested_shift,
@@ -294,7 +293,7 @@ class TestEigsVem:
         A, M, _ = eigen_pencil(16)
         shift = suggested_shift("unit_square", CASES["eigen_square"].coeffs)
         primal = solve_eigs(A, M, k=6, shift=shift)
-        adjoint = solve_adjoint_eigs(A, M, k=6, shift=shift)
+        adjoint = solve_eigs(A.T, M.T, k=6, shift=shift)
         p = np.sort_complex(primal.eigenvalues)
         a = np.sort_complex(np.conj(adjoint.eigenvalues))
         assert np.abs(p - a).max() <= 1e-8 * np.abs(p).max()
@@ -304,7 +303,7 @@ class TestEigsVem:
         system = assemble(mesh, LAPLACE)
         A, M = system.A.tocsc(), system.M.tocsc()
         primal = solve_eigs(A, M, k=3, shift=15.0, seed=1)
-        adjoint = solve_adjoint_eigs(A, M, k=3, shift=15.0, seed=2)
+        adjoint = solve_eigs(A.T, M.T, k=3, shift=15.0, seed=2)
         assert np.abs(primal.eigenvalues - adjoint.eigenvalues).max() <= 1e-7 * np.abs(
             primal.eigenvalues
         ).max()
@@ -321,7 +320,7 @@ class TestEigsVem:
         A, M, system = eigen_pencil(16)
         shift = suggested_shift("unit_square", CASES["eigen_square"].coeffs)
         primal = solve_eigs(A, M, k=1, shift=shift)
-        adjoint = solve_adjoint_eigs(A, M, k=1, shift=shift)
+        adjoint = solve_eigs(A.T, M.T, k=1, shift=shift)
         mesh = gen_square_th2(16)
         x_coord = mesh.vertices[system.dof.interior_vertices, 0]
         w_p = np.abs(primal.eigenvectors[:, 0])
@@ -734,7 +733,7 @@ class TestFieldOfValuesGuard:
         system = assemble(gen_rotated_T("th7", 16), CASES["eigen_T"].coeffs)
         A = (system.A + system.B).tocsc()
         primal = solve_eigs(A, system.M, k=6, field_bound=system.field_bound)
-        adjoint = solve_adjoint_eigs(A, system.M, k=6, field_bound=system.field_bound)
+        adjoint = solve_eigs(A.T, system.M.T, k=6, field_bound=system.field_bound)
         assert adjoint.requested == 7
         p = np.sort_complex(primal.eigenvalues)
         a = np.sort_complex(np.conj(adjoint.eigenvalues))

@@ -5,13 +5,22 @@
 `polyvem.cli` imports, ...).  A refactor that drops one still passes every
 untraced run and fails only when the tracer is installed.  `install`
 monkeypatches the modules, so it runs in a subprocess of its own.
+
+The names `__all__` exports must exist too, so a deleted function leaves
+no stale export behind.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import polyvem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +63,12 @@ def test_solver_calls_go_through_the_traced_spla(tmp_path):
     assert codes == [0, 0]
     assert {"solvers.splu", "solvers.arnoldi"} <= set(names)
     assert opapps > 0
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["polyvem", *(f"polyvem.{m.name}" for m in pkgutil.iter_modules(polyvem.__path__))],
+)
+def test_every_export_exists(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
