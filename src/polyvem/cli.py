@@ -26,14 +26,10 @@ from .analysis import error_h1_semi, error_l2  # noqa: F401  perfbench/spans.py 
 from .assembly import AssemblyError, apply_dirichlet_lift, assemble, expand_solution
 from .coefficients import CASES, CoefficientSet, ManufacturedCase
 from .mesh import (
-    ROTATED_T_FAMILIES,
+    FAMILIES,
     MeshConformityError,
     PolyMesh,
     export_vtk,
-    gen_rotated_T,
-    gen_square_th1,
-    gen_square_th2,
-    gen_square_th3,
     io_write,
     reentrant_corners,
     validate,
@@ -54,22 +50,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-
-SQUARE_FAMILIES = ("th1", "th2", "th3")
-T_FAMILIES = ROTATED_T_FAMILIES
-FAMILIES = SQUARE_FAMILIES + T_FAMILIES
-
-# the tables' refinement sequences; generators accept any admissible N,
-# these are just the defaults per family
-DEFAULT_N = {
-    "th1": [8, 16, 32, 64],
-    "th2": [8, 16, 32, 64],
-    "th3": [8, 16, 32, 64],
-    "th4": [16, 30, 62, 130],
-    "th5": [16, 30, 62, 130],
-    "th6": [16, 30, 62, 130],
-    "th7": [16, 28, 60, 132],
-}
 
 
 class ConfigError(ValueError):
@@ -123,7 +103,9 @@ def parse_expression(src: str) -> Callable:
     Grammar: numbers, x, y, pi, + - * / ^ (or **), unary minus, and the
     calls sin, cos, exp.  Anything else is rejected.
     """
-    if not isinstance(src, str) or not src.strip():
+    if not isinstance(src, str):
+        raise ConfigError(f"coefficient expression must be a string, got {src!r}")
+    if not src.strip():
         raise ConfigError(f"empty coefficient expression: {src!r}")
     text = src.replace("^", "**")
     try:
@@ -161,9 +143,6 @@ def _parse_vector_expression(pair) -> Callable:
 
 # --- configuration -------------------------------------------------------
 
-_DOMAIN_OF_FAMILY = {f: "unit_square" for f in SQUARE_FAMILIES}
-_DOMAIN_OF_FAMILY.update({f: "rotated_T" for f in T_FAMILIES})
-
 
 def _is_a(value, kind) -> bool:
     """value is a `kind` number and not a bool (JSON's true would read as 1)."""
@@ -187,11 +166,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in ("load", "eigen"):
             raise ConfigError(f"problem must be 'load' or 'eigen', got {self.problem!r}")
-        if self.mesh_family not in FAMILIES:
+        if not (isinstance(self.mesh_family, str) and self.mesh_family in FAMILIES):
             raise ConfigError(
                 f"mesh_family must be one of {', '.join(FAMILIES)}, got {self.mesh_family!r}"
             )
-        expected_domain = _DOMAIN_OF_FAMILY[self.mesh_family]
+        expected_domain = FAMILIES[self.mesh_family].domain
         if self.domain is None:
             object.__setattr__(self, "domain", expected_domain)
         elif self.domain != expected_domain:
@@ -199,8 +178,10 @@ class ExperimentConfig:
                 f"family {self.mesh_family} lives on {expected_domain}, "
                 f"config says {self.domain!r}"
             )
-        if not all(_is_a(n, Integral) for n in self.N_list):
-            raise ConfigError(f"N_list must hold integers, got {self.N_list!r}")
+        if not isinstance(self.N_list, (list, tuple)) or not all(
+            _is_a(n, Integral) for n in self.N_list
+        ):
+            raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
         ns = tuple(int(n) for n in self.N_list)
         if not ns:
             raise ConfigError("N_list must not be empty")
@@ -294,9 +275,9 @@ def build_coefficients(
     """Resolve the config's coefficients to a CoefficientSet (+ named case)."""
     if isinstance(config.coefficients, str):
         case = CASES[config.coefficients]
-        if case.domain != config.domain:
+        if case.coeffs.domain != config.domain:
             raise ConfigError(
-                f"case {case.name!r} is defined on {case.domain}, "
+                f"case {case.name!r} is defined on {case.coeffs.domain}, "
                 f"but the study runs on {config.domain}"
             )
         return case.coeffs, case
@@ -314,7 +295,7 @@ def build_coefficients(
     if "u" in table:
         u = parse_expression(table["u"])
         grad_u = _parse_vector_expression(table["grad_u"]) if "grad_u" in table else None
-        case = ManufacturedCase("inline", config.domain, coeffs, u=u, grad_u=grad_u)
+        case = ManufacturedCase("inline", coeffs, u=u, grad_u=grad_u)
     return coeffs, case
 
 
@@ -326,18 +307,12 @@ def generate_mesh(family: str, N: int) -> PolyMesh:
     ConfigError
         On an unknown family, or an N the family's generator rejects.
     """
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown mesh family {family!r}")
     try:
-        if family == "th1":
-            return gen_square_th1(N)
-        if family == "th2":
-            return gen_square_th2(N)
-        if family == "th3":
-            return gen_square_th3(N)
-        if family in T_FAMILIES:
-            return gen_rotated_T(family, N)
+        return FAMILIES[family].generate(N)
     except ValueError as exc:
         raise ConfigError(f"mesh family {family}: {exc}") from exc
-    raise ConfigError(f"unknown mesh family {family!r}")
 
 
 def _quality_line(mesh: PolyMesh, N: int) -> str:
@@ -501,14 +476,27 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
+# the config key of each study flag, by its argparse dest; a flag not given
+# leaves the key to its `ExperimentConfig` default
+_STUDY_FLAGS = {
+    "problem": "problem", "family": "mesh_family", "case": "coefficients", "N": "N_list",
+    "eig_count": "eig_count", "shift": "shift", "seed": "seed",
+}
+
+
 def _load_config(args, problem: str) -> ExperimentConfig:
     """The command's study: the --config file, or the flags as a `problem` study.
 
-    A config file fixes every study input, its problem included; --out,
-    when given, is the one study flag that overrides it.  `convergence`
-    runs the file's problem; `solve` and `eig` refuse a file of the other.
+    A config file fixes every study input, its problem included, so a
+    study flag next to it is refused; --out, when given, replaces its
+    output_dir.  `convergence` runs the file's problem; `solve` and `eig`
+    refuse a file of the other.
     """
+    given = {k: v for k, v in vars(args).items() if k in _STUDY_FLAGS and v is not None}
     if args.config:
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ConfigError(f"--config fixes every study input; remove {flags}")
         config = ExperimentConfig.from_json(args.config)
         if args.command != "convergence" and config.problem != problem:
             raise ConfigError(
@@ -516,20 +504,15 @@ def _load_config(args, problem: str) -> ExperimentConfig:
                 f"polyvem {args.command} runs only {problem} problems"
             )
         return config if args.out is None else replace(config, output_dir=args.out)
-    if not args.family:
+    if "family" not in given:
         raise ConfigError("either --config or --family is required")
-    if args.case is None:
+    if "case" not in given:
         raise ConfigError("either --config or --case is required")
-    return ExperimentConfig(
-        problem=problem,
-        mesh_family=args.family,
-        N_list=tuple(args.N if args.N else DEFAULT_N[args.family]),
-        coefficients=args.case,
-        eig_count=args.eig_count,
-        shift=args.shift,
-        output_dir="out" if args.out is None else args.out,
-        seed=args.seed,
-    )
+    study = {"problem": problem, "N_list": FAMILIES[args.family].table_N}
+    study.update((_STUDY_FLAGS[dest], value) for dest, value in given.items())
+    if args.out is not None:
+        study["output_dir"] = args.out
+    return ExperimentConfig(**study)
 
 
 def _log(args) -> Callable[[str], None]:
@@ -552,7 +535,7 @@ def _cmd_solve(args) -> int:
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    N = config.N_list[-1] if args.N_single is None else args.N_single
+    N = config.N_list[-1]
     level = _load_level(config, coeffs, case, N)
     stem = f"solution_{config.mesh_family}_N{N}"
     if args.format in ("vtk", "both"):
@@ -575,7 +558,7 @@ def _cmd_eig(args) -> int:
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    N = config.N_list[-1] if args.N_single is None else args.N_single
+    N = config.N_list[-1]
     level = _eigen_level(config, coeffs, N)
     result = level.eigs
     log = _log(args)
@@ -594,7 +577,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config = _load_config(args, args.problem or "load")
+    config = _load_config(args, "load")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"convergence_{config.problem}_{config.mesh_family}"
@@ -634,17 +617,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--N",
         type=int,
         nargs="+",
-        help="mesh resolution list (default: the family's table values)",
+        help="mesh resolution list (default: the family's table values); "
+        "solve and eig run the finest",
     )
-    p.add_argument(
-        "--N-single",
-        type=int,
-        default=None,
-        help="resolution for single-mesh commands (default: finest of --N)",
-    )
-    p.add_argument("--eig-count", type=int, default=6)
-    p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eig-count", type=int)
+    p.add_argument("--shift", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--out", default=None, help="output directory (default: the config's output_dir, else out)"
     )
@@ -695,9 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(handler=_cmd_eig)
 
     p_conv = sub.add_parser("convergence", help="run a refinement study")
-    p_conv.add_argument(
-        "--problem", choices=("load", "eigen"), default=None, help="study kind"
-    )
+    p_conv.add_argument("--problem", choices=("load", "eigen"), help="study kind (default: load)")
     _add_common_flags(p_conv)
     p_conv.set_defaults(handler=_cmd_convergence)
 

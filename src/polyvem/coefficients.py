@@ -65,10 +65,10 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """A named benchmark: coefficients plus (optional) exact references."""
+    """A named benchmark: coefficients, on their `domain`, plus (optional)
+    exact references."""
 
     name: str
-    domain: str
     coeffs: CoefficientSet
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
@@ -100,7 +100,7 @@ def _test1() -> ManufacturedCase:
         f=f,
         domain="unit_square",
     )
-    return ManufacturedCase("test1", "unit_square", coeffs, u=u, grad_u=grad_u)
+    return ManufacturedCase("test1", coeffs, u=u, grad_u=grad_u)
 
 
 def _test2() -> ManufacturedCase:
@@ -137,7 +137,7 @@ def _test2() -> ManufacturedCase:
         f=f,
         domain="unit_square",
     )
-    return ManufacturedCase("test2", "unit_square", coeffs, u=u, grad_u=grad_u)
+    return ManufacturedCase("test2", coeffs, u=u, grad_u=grad_u)
 
 
 def square_exact_eigenvalues(k: int, theta=(1.0, 0.0), kappa: float = 1.0) -> np.ndarray:
@@ -169,7 +169,6 @@ def _eigen_square() -> ManufacturedCase:
     )
     return ManufacturedCase(
         "eigen_square",
-        "unit_square",
         coeffs,
         exact_eigenvalues=lambda k: square_exact_eigenvalues(k, theta=(1.0, 0.0), kappa=1.0),
     )
@@ -182,7 +181,7 @@ def _eigen_t() -> ManufacturedCase:
         gamma=constant(0.0),
         domain="rotated_T",
     )
-    return ManufacturedCase("eigen_T", "rotated_T", coeffs)
+    return ManufacturedCase("eigen_T", coeffs)
 
 
 CASES: dict[str, ManufacturedCase] = {

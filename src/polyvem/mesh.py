@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,8 @@ __all__ = [
     "gen_square_th3",
     "gen_rotated_T",
     "ROTATED_T_FAMILIES",
+    "MeshFamily",
+    "FAMILIES",
     "validate",
     "io_read",
     "io_write",
@@ -60,7 +62,11 @@ __all__ = [
 ]
 
 DOMAIN_TAGS = ("unit_square", "rotated_T", "custom")
-ROTATED_T_FAMILIES = ("th4", "th5", "th6", "th7")
+# the primitive meshes of the left and right half of each rotated-T family
+_T_HALVES = {
+    "th4": ("quad", "quad"), "th5": ("quad", "tri"), "th6": ("tri", "tri"), "th7": ("brick", "quad")
+}
+ROTATED_T_FAMILIES = tuple(_T_HALVES)
 # height of the line where th1 and th3 glue their lower and upper grids
 _INTERFACE_Y = 0.6
 
@@ -545,15 +551,30 @@ def gen_rotated_T(family: str, N: int) -> PolyMesh:
     _check_n(N, 4)
     if N % 2 != 0:
         raise ValueError(f"N must be even for rotated-T meshes, got {N}")
-    kinds = {
-        "th4": ("quad", "quad"),
-        "th5": ("quad", "tri"),
-        "th6": ("tri", "tri"),
-        "th7": ("brick", "quad"),
-    }[family]
+    kinds = _T_HALVES[family]
     m = N // 2
     parts = _rotated_t_half(kinds[0], m, -1) + _rotated_t_half(kinds[1], m + 1, +1)
     return _build_mesh(parts, "rotated_T")
+
+
+class MeshFamily(NamedTuple):
+    """A mesh family: its domain, its generator of N, and the N list of its
+    table (the generator takes any admissible N)."""
+
+    domain: str
+    generate: Callable[[int], PolyMesh]
+    table_N: tuple
+
+
+FAMILIES: dict[str, MeshFamily] = {
+    "th1": MeshFamily("unit_square", gen_square_th1, (8, 16, 32, 64)),
+    "th2": MeshFamily("unit_square", gen_square_th2, (8, 16, 32, 64)),
+    "th3": MeshFamily("unit_square", gen_square_th3, (8, 16, 32, 64)),
+    "th4": MeshFamily("rotated_T", partial(gen_rotated_T, "th4"), (16, 30, 62, 130)),
+    "th5": MeshFamily("rotated_T", partial(gen_rotated_T, "th5"), (16, 30, 62, 130)),
+    "th6": MeshFamily("rotated_T", partial(gen_rotated_T, "th6"), (16, 30, 62, 130)),
+    "th7": MeshFamily("rotated_T", partial(gen_rotated_T, "th7"), (16, 28, 60, 132)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +603,8 @@ def _edge_fault(topo: EdgeTopology, n: int) -> str | None:
         return None
     _, first, inverse = np.unique(topo.tail * n + topo.head, return_index=True, return_inverse=True)
     repeated = np.flatnonzero(first[inverse] != np.arange(len(inverse)))
-    if len(repeated):
-        a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
-        return f"edge ({a}, {b}) is traversed twice in the same direction"
-    return None
+    a, b = int(topo.tail[repeated[0]]), int(topo.head[repeated[0]])
+    return f"edge ({a}, {b}) is traversed twice in the same direction"
 
 
 def _shape_representatives(g) -> np.ndarray:

@@ -32,6 +32,7 @@ from polyvem.cli import (
     run_load_study,
 )
 from polyvem import solvers
+from polyvem.mesh import FAMILIES, MeshFamily, gen_square_th1
 from polyvem.solvers import SolverError
 
 RNG = np.random.default_rng(20240817)
@@ -135,6 +136,7 @@ def test_config_domain_inferred_for_t_families():
     [
         dict(problem="wave"),
         dict(mesh_family="th9"),
+        dict(mesh_family=["th2"]),  # JSON's list is no family name, and unhashable
         dict(N_list=()),
         dict(N_list=(8, 8)),
         dict(N_list=(16, 8)),
@@ -540,16 +542,26 @@ def test_single_level_commands_refuse_a_config_of_the_other_problem(
 @pytest.mark.parametrize(
     "overrides, fragment",
     [
-        (dict(N_list="16"), "N_list must hold integers"),  # was read as N = 1, 6
-        (dict(N_list=[4.7]), "N_list must hold integers"),  # was truncated to 4
-        (dict(N_list=[True, 4]), "N_list must hold integers"),  # was read as 1
+        (dict(N_list="16"), "N_list must be a list of integers"),  # was read as N = 1, 6
+        (dict(N_list=[4.7]), "N_list must be a list of integers"),  # was truncated to 4
+        (dict(N_list=[True, 4]), "N_list must be a list of integers"),  # was read as 1
         (dict(N_list=[1]), "N must be an integer >= 2"),
         (dict(mesh_family="th7", coefficients="eigen_T", N_list=[5]), "N must be even"),
         (dict(eig_count=2.5), "eig_count must be an integer"),
         (dict(seed="x"), "seed must be an integer"),
         (dict(shift="x"), "shift must be a number"),
+        # a TypeError of iterating an int, passed on as the message
+        (dict(N_list=5), "error: N_list must be a list of integers, got 5\n"),
+        # was "empty coefficient expression: 1"
+        (
+            dict(coefficients={"kappa": 1}),
+            "error: coefficient expression must be a string, got 1\n",
+        ),
     ],
-    ids=["N_str", "N_float", "N_bool", "N_small", "N_odd_T", "eig_count", "seed", "shift"],
+    ids=[
+        "N_str", "N_float", "N_bool", "N_small", "N_odd_T", "eig_count", "seed", "shift",
+        "N_int", "kappa_number",
+    ],
 )
 def test_bad_study_input_exits_2(tmp_path, capsys, overrides, fragment):
     # each of these ran a wrong study or ended in a traceback
@@ -607,6 +619,82 @@ def test_eig_takes_a_negative_shift_in_exponent_notation(tmp_path, capsys, flags
     argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--eig-count", "2"]
     assert main([*argv, *flags, "--format", "csv", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("shift -1000, ")
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        # ran the file's th1 study and exited 0
+        (["solve", "--config", "no_u.json", "--family", "th7", "--N", "16", "--seed", "3"],
+         "--family, --N, --seed"),
+        (["convergence", "--problem", "eigen", "--config", "no_u.json"], "--problem"),
+        (["eig", "--config", "eig_square.json", "--eig-count", "6", "--shift", "0",
+          "--case", "eigen_T"], "--case, --eig-count, --shift"),
+    ],
+    ids=["solve", "convergence", "eig"],
+)
+def test_study_flags_next_to_a_config_are_refused(argv, flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "generate_mesh", lambda *args: built.append(args))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --config fixes every study input; remove {flags}\n"
+    assert built == [] and sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_CONFIGS)
+
+
+def test_output_flags_apply_on_top_of_a_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    assert main(["eig", "--config", "eig_square.json", "--format", "csv", "--quiet", "--out", "o"]) == 0
+    assert capsys.readouterr().out == "wrote o/eig_th2_N8.csv\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "eig", "convergence"])
+def test_study_flags_take_their_defaults_from_the_config(command, tmp_path):
+    # the parser holds no default of its own, so a flag-built study and a
+    # file with only the required keys are one study, hash included
+    args = cli.build_parser().parse_args([command, "--family", "th7", "--case", "eigen_T"])
+    unset = {dest for dest in cli._STUDY_FLAGS if getattr(args, dest, None) is None}
+    assert unset == set(cli._STUDY_FLAGS) - {"family", "case"}
+    p = tmp_path / "c.json"
+    problem = "eigen" if command == "eig" else "load"
+    p.write_text(
+        json.dumps(
+            {
+                "problem": problem,
+                "mesh_family": "th7",
+                "N_list": [16, 28, 60, 132],
+                "coefficients": "eigen_T",
+            }
+        )
+    )
+    assert cli._load_config(args, problem) == ExperimentConfig.from_json(p)
+
+
+def test_single_level_commands_take_no_N_single(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--family", "th2", "--case", "test1", "--N", "4", "--N-single", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N-single 8" in capsys.readouterr().err
+
+
+def test_a_family_added_to_the_table_is_a_choice_with_its_domain_and_N_list(
+    tmp_path, monkeypatch, capsys
+):
+    built = []
+
+    def generate(N):
+        built.append(N)
+        return gen_square_th1(N)
+
+    monkeypatch.setitem(FAMILIES, "th9", MeshFamily("unit_square", generate, (4,)))
+    argv = ["solve", "--family", "th9", "--case", "test1", "--format", "csv", "--quiet"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert built == [4]
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'solution_th9_N4_errors.csv'}\n"
+    assert ExperimentConfig("load", "th9", (4,), "test1").domain == "unit_square"
 
 
 def test_main_unknown_subcommand():
@@ -803,7 +891,7 @@ def test_eig_command_reports_exact(tmp_path, capsys):
             "th2",
             "--case",
             "eigen_square",
-            "--N-single",
+            "--N",
             "8",
             "--eig-count",
             "2",
@@ -910,7 +998,7 @@ def test_out_overrides_config_output_dir(tmp_path, monkeypatch, capsys):
     # "out" is also the flag's fallback; given explicitly it must still win
     monkeypatch.chdir(tmp_path)
     _write_pinned_configs(tmp_path)
-    assert main(["eig", "--config", "eig_square.json", "--N-single", "8", "--out", "out"]) == 0
+    assert main(["eig", "--config", "eig_square.json", "--out", "out"]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "eig_th2_N8.csv").exists()
     assert not (tmp_path / "elsewhere").exists()
@@ -987,12 +1075,12 @@ PINNED_CONFIGS = {
 PINNED = {
     "solve_th2_csv": "solve --family th2 --case test1 --format csv --N 8",
     "solve_th1_both": "solve --family th1 --case test1 --N 4 8 --format both",
-    "solve_th3_vtk": "solve --family th3 --case test2 --N-single 8 --format vtk",
+    "solve_th3_vtk": "solve --family th3 --case test2 --N 8 --format vtk",
     "solve_config_no_u": "solve --config no_u.json",
     "solve_case_without_u": "solve --family th1 --case eigen_square --N 4",
     "eig_th7_csv": "eig --family th7 --case eigen_T --eig-count 6 --format csv --seed 2 --N 16",
-    "eig_th2_both": "eig --family th2 --case eigen_square --N-single 8 --eig-count 2 --format both",
-    "eig_config": "eig --config eig_square.json --N-single 8",
+    "eig_th2_both": "eig --family th2 --case eigen_square --N 8 --eig-count 2 --format both",
+    "eig_config": "eig --config eig_square.json",
     "conv_square_exact": "convergence --config conv_square.json",
     "conv_T_extrap": "convergence --config conv_T.json",
     "conv_inline_load": "convergence --config conv_load.json",

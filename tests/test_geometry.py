@@ -14,6 +14,8 @@ from polyvem.geometry import (
     Polygon,
     QUAD_RULES,
     _shoelace,
+    cell_quadrature,
+    polygon_batch,
     polygon_quadrature,
     star_metric,
 )
@@ -273,6 +275,28 @@ class TestQuadrature:
     def test_scalar_return_broadcasts(self):
         val = integrate(Polygon(UNIT_SQUARE), lambda x, y: 3.5, 2)
         assert val == pytest.approx(3.5, rel=1e-13)
+
+    def test_ear_clip_drops_a_collinear_corner(self):
+        # a U whose centroid lies in the notch, so it is ear-clipped; its
+        # first vertex hangs on the bottom edge, a corner of zero area that
+        # is dropped, so 9 vertices give 6 triangles rather than 7
+        U = [(0.5, 0), (1, 0), (1, 1), (0.7, 1), (0.7, 0.3), (0.3, 0.3), (0.3, 1), (0, 1), (0, 0)]
+        g = polygon_batch(U)
+        assert not g.fan[0]
+        x, y, w = (a[0] for a in cell_quadrature(g, 6))
+        npts = len(QUAD_RULES[6].weights)
+        assert np.count_nonzero(w) == 6 * npts
+        for f, exact in [
+            (lambda x, y: np.ones_like(x), 0.72),
+            (lambda x, y: x, 0.36),
+            (lambda x, y: x**2, 0.2596),
+            (lambda x, y: x * y, 0.159),
+        ]:
+            assert w @ f(x, y) == pytest.approx(exact, rel=1e-13)
+        rx, ry, rw = reference.polygon_quadrature(U, 6)
+        np.testing.assert_array_equal(x[: 6 * npts], rx)
+        np.testing.assert_array_equal(y[: 6 * npts], ry)
+        np.testing.assert_array_equal(w[: 6 * npts], rw)
 
     def test_tiny_edge_polygon_integrates(self):
         eps = 1e-8

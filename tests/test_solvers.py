@@ -259,6 +259,18 @@ class TestEigsSmallPencils:
         assert res.method == "dense"
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], rtol=1e-12)
 
+    def test_shift_retries_are_exhausted(self):
+        # with M = 0 every shift leaves A - sigma M = A, which is singular
+        A = sp.diags([1.0, 2.0, 0.0, 3.0]).tocsc()
+        M = sp.csc_matrix((4, 4))
+        message = (
+            "shifted factorization failed after 5 retries "
+            "(last shift 9.48717): Factor is exactly singular"
+        )
+        with pytest.raises(SolverError) as exc:
+            solve_eigs(A, M, k=1, shift=1.0)
+        assert str(exc.value) == message
+
 
 class TestEigsVem:
     def test_arnoldi_matches_dense_qz(self):
