@@ -19,8 +19,16 @@ fails() {
 
 polyvem mesh --family th3 --N 8 --out m
 test -s m/th3_N8.json
-polyvem solve --family th2 --case test1 --N 8 --format csv --out s
-test -s s/solution_th2_N8_errors.csv
+# the JSON that `polyvem mesh` writes, read back and written again, is the same file
+python -c "from polyvem.mesh import io_read, io_write; io_write('again.json', io_read('m/th3_N8.json'))"
+cmp m/th3_N8.json again.json
+# a solution VTK carries one POINT_DATA value per vertex
+polyvem solve --family th2 --case test1 --N 8 --format both --out b
+test -s b/solution_th2_N8_errors.csv
+points=$(awk '$1 == "POINTS" {print $2}' b/solution_th2_N8.vtk)
+test "$points" -gt 0
+test "$(awk '$1 == "POINT_DATA" {print $2}' b/solution_th2_N8.vtk)" -eq "$points"
+test "$(awk '/^LOOKUP_TABLE/ {on = 1; next} on' b/solution_th2_N8.vtk | wc -l)" -eq "$points"
 polyvem eig --family th2 --case eigen_square --N 8 --format csv --out e
 test -s e/eig_th2_N8.csv
 # the reentrant T domain, where the field-of-values guard decides the request

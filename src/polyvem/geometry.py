@@ -433,7 +433,8 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
 
     Groups are ordered by ascending vertex count and cells by ascending
     index within a group, so the result is a fixed function of the mesh.
-    Vertex ids must be in range.
+    Vertex ids must be in range.  The arrays of a group are allocated once
+    and filled BATCH_CELLS cells at a time.
     """
     starts = np.cumsum(sizes) - sizes
     valid = np.zeros(len(sizes), dtype=bool)
@@ -441,11 +442,16 @@ def mesh_geometry(vertices: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> 
     for k in np.unique(sizes[sizes >= 3]):
         idx = np.flatnonzero(sizes == k)
         ids = flat[starts[idx][:, None] + np.arange(k)]
-        parts = []
+        v = vertices[ids]
+        computed = None  # area .. fan of the whole group
         for start in range(0, len(idx), BATCH_CELLS):
             chunk = slice(start, start + BATCH_CELLS)
-            parts.append(_cell_batch(idx[chunk], ids[chunk], vertices[ids[chunk]]))
-        g = CellBatch._make(np.concatenate(a) for a in zip(*parts))
+            part = _cell_batch(idx[chunk], ids[chunk], v[chunk])[3:]
+            if computed is None:
+                computed = [np.empty((len(idx),) + a.shape[1:], a.dtype) for a in part]
+            for whole, a in zip(computed, part):
+                whole[chunk] = a
+        g = CellBatch(idx, ids, v, *computed)
         groups.append(g)
         valid[g.cells] = g.fault == 0
     return MeshGeometry(tuple(groups), np.flatnonzero(~valid))

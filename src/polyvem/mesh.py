@@ -201,23 +201,22 @@ class PolyMesh:
         return flags
 
     @cached_property
-    def _coordinate_tokens(self) -> tuple[list, list]:
-        """Every coordinate x0, y0, x1, ... as JSON and as `repr`.
+    def _coordinate_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct coordinate spellings, as JSON and as `repr`, and the
+        index of the spelling of each coordinate x0, y0, x1, ...
 
-        Each distinct float is spelled once and its token scattered back.
         The values are told apart by their bits, since 0.0 and -0.0 are
         equal but spelled differently; a spelling is a function of the bits.
         `json.dumps` spells a float as `repr` does, except nan and ±inf,
-        so the two are one list unless a coordinate is not finite.
+        so the two are one array unless a coordinate is not finite.
         """
         flat = np.ascontiguousarray(self.vertices, dtype=np.float64).ravel()
-        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-        spellings = [json.dumps(values.tolist())[1:-1].split(", ") if len(values) else []]
-        if not np.isfinite(values).all():
-            spellings.append(list(map(repr, values.tolist())))
-        tokens = [np.array(s, dtype=object)[inverse].tolist() for s in spellings]
-        return tokens[0], tokens[-1]
+        bits, index = np.unique(flat.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        reprs = np.array(list(map(repr, values)), dtype=object)
+        finite = np.isfinite(bits.view(np.float64)).all()
+        spellings = reprs if finite else np.array(list(map(json.dumps, values)), dtype=object)
+        return spellings, reprs, index
 
     @cached_property
     def _id_tokens(self) -> np.ndarray:
@@ -696,25 +695,57 @@ def reentrant_corners(mesh: PolyMesh) -> list[Point2]:
 # file IO
 
 
-def _join_rows(tokens, sizes: np.ndarray, sep: str, row_end: str) -> str:
-    """`tokens` joined by `sep` inside a row and ended by `row_end` after each
-    row, where row i holds the next `sizes[i]` >= 1 tokens."""
-    out = [sep] * (2 * len(tokens))
-    out[::2] = tokens
-    for end in (2 * np.cumsum(sizes) - 1).tolist():
-        out[end] = row_end
-    return "".join(out)
+# rows per chunk of the writers: a write holds one chunk's tokens and text
+# at a time, whatever the size of the mesh
+ROW_CHUNK = 4096
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _json_rows(tokens, sizes: np.ndarray) -> str:
-    """The list of lists `json.dumps` writes for rows of `sizes` tokens."""
-    if len(sizes) == 0:
-        return "[]"
-    empty = sizes == 0
-    if empty.any():  # a row holding one blank token is written []
-        tokens = np.insert(np.asarray(tokens, dtype=object), (np.cumsum(sizes) - sizes)[empty], "")
-        sizes = np.maximum(sizes, 1)
-    return "[[" + _join_rows(tokens, sizes, ", ", "], [")[: -len("], [")] + "]]"
+def _write_rows(fh, n_rows: int, chunk, sep: str, row_end: str, last_end: str) -> None:
+    """Write `n_rows` rows to fh, ROW_CHUNK rows at a time.
+
+    `chunk(r0, r1)` returns the tokens of rows r0 .. r1 - 1 and their
+    counts, an array or one count for every row.  A row is its tokens
+    joined by `sep` and followed by `row_end`, the last row by `last_end`.
+    """
+    for r0 in range(0, n_rows, ROW_CHUNK):
+        r1 = min(r0 + ROW_CHUNK, n_rows)
+        tokens, sizes = chunk(r0, r1)
+        if np.ndim(sizes) and not sizes.all():  # an empty row holds one blank token
+            at = (np.cumsum(sizes) - sizes)[sizes == 0]
+            tokens = np.insert(np.array(tokens, dtype=object), at, "").tolist()
+            sizes = np.maximum(sizes, 1)
+        out = [sep] * (2 * len(tokens))
+        out[::2] = tokens
+        if np.ndim(sizes):
+            for end in (2 * np.cumsum(sizes) - 1).tolist():
+                out[end] = row_end
+        else:  # rows of one length
+            out[2 * sizes - 1 :: 2 * sizes] = [row_end] * (r1 - r0)
+        if r1 == n_rows:
+            out[-1] = last_end
+        fh.write("".join(out))
+
+
+def _write_json_list(fh, n_rows: int, chunk, nested: bool = True) -> None:
+    """The list `json.dumps` writes for the rows of `chunk`: a list of
+    lists, or if not `nested` a list of the rows' one token each."""
+    if n_rows == 0:
+        fh.write("[]")
+        return
+    opening, closing = ("[", "]") if nested else ("", "")
+    fh.write("[" + opening)
+    _write_rows(fh, n_rows, chunk, ", ", f"{closing}, {opening}", closing + "]")
+
+
+def _coordinate_rows(spellings: np.ndarray, index: np.ndarray):
+    """`_write_rows` chunks of the vertices (x, y), spelled from the table."""
+    return lambda r0, r1: (spellings[index[2 * r0 : 2 * r1]].tolist(), 2)
+
+
+def _cell_span(mesh: PolyMesh, r0: int, r1: int) -> slice:
+    """The span of `mesh.cell_ids` that holds cells r0 .. r1 - 1."""
+    return slice(int(mesh._starts[r0]), int(mesh._starts[r1 - 1] + mesh.cell_sizes[r1 - 1]))
 
 
 def io_write(path, mesh: PolyMesh) -> None:
@@ -722,24 +753,30 @@ def io_write(path, mesh: PolyMesh) -> None:
 
     The bytes are those of one `json.dumps` of the document: key order
     version, domain, vertices, cells, boundary, and ", " and ": " as
-    separators.  The coordinates and the ids are the mesh's cached tokens,
-    shared with `export_vtk`.  A cell that
-    references a vertex out of range raises MeshConformityError before
-    anything is written.
+    separators.  Each block is written ROW_CHUNK rows at a time, its
+    coordinates and ids spelled from the mesh's tables, which it shares
+    with `export_vtk`.  A cell that references a vertex out of range
+    raises MeshConformityError before the file is opened.
     """
     mesh._check_vertex_ids()
-    n = mesh.n_vertices
-    parts = [
-        f'{{"version": 1, "domain": {json.dumps(mesh.domain_tag)}, "vertices": ',
-        _json_rows(mesh._coordinate_tokens[0], np.full(n, 2)),
-        ', "cells": ',
-        _json_rows(mesh._id_tokens[mesh.cell_ids], mesh.cell_sizes),
-        ', "boundary": ',
-        json.dumps(mesh.boundary_vertex.tolist()),
-        "}\n",
-    ]
+    spellings, _, index = mesh._coordinate_table
+    flags = mesh.boundary_vertex.view(np.int8)
+
+    def cells(r0, r1):
+        ids = mesh.cell_ids[_cell_span(mesh, r0, r1)]
+        return mesh._id_tokens[ids].tolist(), mesh.cell_sizes[r0:r1]
+
+    def boundary(r0, r1):
+        return _JSON_BOOLS[flags[r0:r1]].tolist(), 1
+
     with open(path, "w") as fh:
-        fh.writelines(parts)
+        fh.write(f'{{"version": 1, "domain": {json.dumps(mesh.domain_tag)}, "vertices": ')
+        _write_json_list(fh, mesh.n_vertices, _coordinate_rows(spellings, index))
+        fh.write(', "cells": ')
+        _write_json_list(fh, mesh.n_cells, cells)
+        fh.write(', "boundary": ')
+        _write_json_list(fh, mesh.n_vertices, boundary, nested=False)
+        fh.write("}\n")
 
 
 def io_read(path) -> PolyMesh:
@@ -809,24 +846,33 @@ def io_read(path) -> PolyMesh:
 def export_vtk(path, mesh: PolyMesh, field=None) -> None:
     """Write a legacy ASCII VTK POLYDATA file, optionally with nodal data `u`.
 
-    Numbers are spelled by `repr` and `str`; the POINTS block, the POLYGONS
-    block and the field are each one join.  Vertex ids are checked as
-    in `io_write`.
+    Numbers are spelled by `repr` and `str`, from the tables `io_write`
+    uses; the POINTS block, the POLYGONS block and the field are each
+    written ROW_CHUNK rows at a time.  Vertex ids are checked as in
+    `io_write`, and the field's shape, before the file is opened.
     """
     mesh._check_vertex_ids()
     n = mesh.n_vertices
-    rows = np.insert(mesh.cell_ids, mesh._starts, mesh.cell_sizes)  # per cell: k, then k ids
-    parts = [
-        f"# vtk DataFile Version 3.0\npolyvem mesh\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n",
-        _join_rows(mesh._coordinate_tokens[1], np.full(n, 2), " ", " 0.0\n"),
-        f"POLYGONS {mesh.n_cells} {len(rows)}\n",
-        _join_rows(mesh._id_tokens[rows], mesh.cell_sizes + 1, " ", "\n"),
-    ]
     if field is not None:
         field = np.asarray(field, dtype=float)
         if field.shape != (n,):
             raise ValueError(f"nodal field must have shape ({n},), got {field.shape}")
-        parts.append(f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n")
-        parts.append("".join(map("{!r}\n".format, field.tolist())))
+    _, reprs, index = mesh._coordinate_table
+
+    def polygons(r0, r1):  # per cell: k, then k ids
+        span, sizes = _cell_span(mesh, r0, r1), mesh.cell_sizes[r0:r1]
+        rows = np.insert(mesh.cell_ids[span], mesh._starts[r0:r1] - span.start, sizes)
+        return mesh._id_tokens[rows].tolist(), sizes + 1
+
+    def values(r0, r1):
+        return list(map(repr, field[r0:r1].tolist())), 1
+
     with open(path, "w") as fh:
-        fh.writelines(parts)
+        fh.write("# vtk DataFile Version 3.0\npolyvem mesh\nASCII\nDATASET POLYDATA\n")
+        fh.write(f"POINTS {n} double\n")
+        _write_rows(fh, n, _coordinate_rows(reprs, index), " ", " 0.0\n", " 0.0\n")
+        fh.write(f"POLYGONS {mesh.n_cells} {mesh.n_cells + len(mesh.cell_ids)}\n")
+        _write_rows(fh, mesh.n_cells, polygons, " ", "\n", "\n")
+        if field is not None:
+            fh.write(f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, n, values, "", "\n", "\n")

@@ -378,13 +378,14 @@ def solve_eigs(
     _release_heap()
     lu = None
     last_exc: Optional[Exception] = None
-    for _ in range(6):
+    for attempt in range(6):
+        if attempt:
+            sigma = sigma * 1.1 + 1.0
         try:
             lu = _shifted_lu(A, M, sigma)
             break
         except RuntimeError as exc:
             last_exc = exc
-            sigma = sigma * 1.1 + 1.0
     if lu is None:
         raise SolverError(
             f"shifted factorization failed after 5 retries "

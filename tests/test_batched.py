@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import polyvem.cli as cli
+import polyvem.geometry as geometry
 from polyvem.analysis import error_h1_semi, error_l2, error_norms, triple_seminorm_interp
 from polyvem.assembly import (
     AssemblyError,
@@ -352,3 +353,18 @@ def test_error_norms_is_both_errors_in_one_pass(name, tmp_path):
     assert h1 == error_h1_semi(mesh, u_h, grad_u_smooth)
     assert (l2, h1) == pytest.approx(reference_errors(mesh, u_h, u_smooth, grad_u_smooth), rel=RTOL)
     assert error_norms(mesh, u_h, u_smooth) == (l2, None)
+
+
+def test_mesh_geometry_is_independent_of_the_batch_size(monkeypatch):
+    # mesh_geometry fills each vertex-count group BATCH_CELLS cells at a
+    # time; groups of many batches, the last one short, hold the same bits.
+    # th3 N=64 has 3317 triangles, 2431 quadrilaterals and 64 pentagons
+    mesh = gen_square_th3(64)
+    whole = mesh_geometry(mesh.vertices, mesh.cell_ids, mesh.cell_sizes)
+    monkeypatch.setattr(geometry, "BATCH_CELLS", 7)
+    parts = mesh_geometry(mesh.vertices, mesh.cell_ids, mesh.cell_sizes)
+    assert np.array_equal(parts.invalid, whole.invalid)
+    assert len(parts.groups) == len(whole.groups) == 3
+    for g, h in zip(whole.groups, parts.groups):
+        for name, a, b in zip(g._fields, g, h):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

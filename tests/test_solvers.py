@@ -259,17 +259,26 @@ class TestEigsSmallPencils:
         assert res.method == "dense"
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], rtol=1e-12)
 
-    def test_shift_retries_are_exhausted(self):
-        # with M = 0 every shift leaves A - sigma M = A, which is singular
+    def test_shift_retries_are_exhausted(self, monkeypatch):
+        # with M = 0 every shift leaves A - sigma M = A, which is singular;
+        # the message names the last shift tried, not the one after it
         A = sp.diags([1.0, 2.0, 0.0, 3.0]).tocsc()
         M = sp.csc_matrix((4, 4))
+        shifted_lu, shifts = solvers._shifted_lu, []
+
+        def spy(A, M, sigma):
+            shifts.append(sigma)
+            return shifted_lu(A, M, sigma)
+
+        monkeypatch.setattr(solvers, "_shifted_lu", spy)
         message = (
             "shifted factorization failed after 5 retries "
-            "(last shift 9.48717): Factor is exactly singular"
+            "(last shift 7.71561): Factor is exactly singular"
         )
         with pytest.raises(SolverError) as exc:
             solve_eigs(A, M, k=1, shift=1.0)
         assert str(exc.value) == message
+        np.testing.assert_allclose(shifts, [1.0, 2.1, 3.31, 4.641, 6.1051, 7.71561], rtol=1e-12)
 
 
 class TestEigsVem:
