@@ -43,9 +43,9 @@ test "$(wc -l < q.log)" -eq 1
 # k = 226 above the pencil's n = 225: exit 1 before anything is factored
 test "$(fails k.err polyvem eig --family th2 --case eigen_square --N 8 --eig-count 226 --format csv --out k)" -eq 1
 grep -q "exceeds" k.err
-# eig writes only a CSV: --format vtk is a usage error, before any mesh is built
+# eig writes only a CSV: --format vtk is not a choice
 test "$(fails v.err polyvem eig --family th2 --case eigen_square --N 8 --format vtk --out v)" -eq 2
-grep -q "use --format csv or both" v.err
+grep -q "invalid choice" v.err
 # eig runs only eigen problems: a load config is a usage error
 echo '{"problem": "load", "mesh_family": "th2", "N_list": [8], "coefficients": "test1"}' > load.json
 test "$(fails c.err polyvem eig --config load.json --out c)" -eq 2
@@ -56,4 +56,10 @@ grep -q -- "remove --family" f.err
 # solve and eig run the finest --N; there is no --N-single
 test "$(fails n.err polyvem solve --family th2 --case test1 --N 4 --N-single 8 --out n)" -eq 2
 grep -q -- "--N-single" n.err
+# a command takes only the inputs it reads: solve has no eigensolver flags,
+# convergence no --format
+test "$(fails s.err polyvem solve --family th2 --case test1 --N 4 --seed 1 --out s)" -eq 2
+grep -q -- "unrecognized arguments: --seed 1" s.err
+test "$(fails g.err polyvem convergence --family th2 --case test1 --N 4 8 --format csv --out g)" -eq 2
+grep -q -- "unrecognized arguments: --format csv" g.err
 python -c "import polyvem"

@@ -42,8 +42,7 @@ __all__ = [
     "parse_expression",
     "build_coefficients",
     "generate_mesh",
-    "run_load_study",
-    "run_eigen_study",
+    "run_study",
     "main",
 ]
 
@@ -151,13 +150,16 @@ def _is_a(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One reproducible experiment: problem, domain, meshes, coefficients."""
+    """One reproducible experiment: problem, meshes, coefficients.
+
+    A load study reads no eigensolver input, so it takes `eig_count`,
+    `shift` and `seed` only at their defaults.
+    """
 
     problem: str
     mesh_family: str
     N_list: tuple
     coefficients: Union[str, dict]
-    domain: Optional[str] = None
     eig_count: int = 6
     shift: Optional[float] = None
     output_dir: str = "out"
@@ -170,14 +172,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mesh_family must be one of {', '.join(FAMILIES)}, got {self.mesh_family!r}"
             )
-        expected_domain = FAMILIES[self.mesh_family].domain
-        if self.domain is None:
-            object.__setattr__(self, "domain", expected_domain)
-        elif self.domain != expected_domain:
-            raise ConfigError(
-                f"family {self.mesh_family} lives on {expected_domain}, "
-                f"config says {self.domain!r}"
-            )
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.N_list, (list, tuple)) or not all(
             _is_a(n, Integral) for n in self.N_list
         ):
@@ -202,6 +198,16 @@ class ExperimentConfig:
             object.__setattr__(self, "shift", float(self.shift))
             if not np.isfinite(self.shift):
                 raise ConfigError(f"shift must be finite, got {self.shift}")
+        if self.problem == "load":
+            # a value the study never reads would change the hash, not the numbers
+            extra = [
+                f.name for f in fields(self)
+                if f.name in ("eig_count", "shift", "seed") and getattr(self, f.name) != f.default
+            ]
+            if extra:
+                raise ConfigError(
+                    f"load studies read no eig_count, shift or seed; remove: {', '.join(extra)}"
+                )
         if self.problem == "eigen" and self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1 for eigenvalue problems")
         if isinstance(self.coefficients, str):
@@ -257,11 +263,18 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
+    @property
+    def domain(self) -> str:
+        """The domain the family's meshes cover."""
+        return FAMILIES[self.mesh_family].domain
+
     def canonical_json(self) -> str:
         # output_dir is deliberately excluded: it does not affect the numbers,
-        # and the hash must agree for the same study written anywhere
+        # and the hash must agree for the same study written anywhere.  The
+        # domain is kept, so hashes from when it was a key still hold.
         data = asdict(self)
         del data["output_dir"]
+        data["domain"] = self.domain
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     @property
@@ -388,57 +401,47 @@ def _eigen_level(config: ExperimentConfig, coeffs: CoefficientSet, N: int) -> _L
     return _Level(h, quality, n, values, eigs=result, shift=shift)
 
 
-def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[np.ndarray]:
+def _exact_eigenvalues(case: Optional[ManufacturedCase], k: int) -> Optional[list]:
     if case is None or case.exact_eigenvalues is None:
         return None
-    return np.asarray(case.exact_eigenvalues(k), dtype=float)
+    return np.asarray(case.exact_eigenvalues(k), dtype=float).tolist()
 
 
 # --- studies --------------------------------------------------------------
 
 
-def run_load_study(
+def run_study(
     config: ExperimentConfig, log: Callable[[str], None] = lambda s: None
-) -> tuple[ConvergenceRecord, list[str]]:
-    """Solve the load problem over N_list; returns record + quality lines."""
+) -> tuple[ConvergenceRecord, list[str], Optional[dict]]:
+    """Solve the config's problem over N_list.
+
+    Returns the record, the quality line of each level and, for an eigen
+    case with a closed form, the exact eigenvalues keyed by column.
+    """
     coeffs, case = build_coefficients(config)
-    if case is None or case.u is None:
+    load = config.problem == "load"
+    if load and (case is None or case.u is None):
         raise ConfigError(
             "a load study needs an exact solution: use a named case or an "
             "inline 'u' (and optionally 'grad_u') expression"
         )
     record = ConvergenceRecord()
     quality = []
+    fmt = ".6e" if load else ".6f"
     for N in config.N_list:
-        level = _load_level(config, coeffs, case, N)
+        level = _load_level(config, coeffs, case, N) if load else _eigen_level(config, coeffs, N)
         quality.append(level.quality)
         record.add_entry(N, level.h, level.n, level.values)
-        log(f"N={N}: " + " ".join(f"{k}={v:.6e}" for k, v in level.values.items()))
-    return record, quality
-
-
-def run_eigen_study(
-    config: ExperimentConfig, log: Callable[[str], None] = lambda s: None
-) -> tuple[ConvergenceRecord, list[str], Optional[np.ndarray]]:
-    """Solve the eigenproblem over N_list; returns record, quality, exact."""
-    coeffs, case = build_coefficients(config)
-    exact = _exact_eigenvalues(case, config.eig_count)
-    record = ConvergenceRecord()
-    quality = []
-    for N in config.N_list:
-        level = _eigen_level(config, coeffs, N)
-        quality.append(level.quality)
-        record.add_entry(N, level.h, level.n, level.values)
-        lams = level.eigs.eigenvalues
-        if any(is_complex(lam) for lam in lams):
-            log(f"N={N}: warning: complex eigenvalues reported: {lams}")
-        log(
-            f"N={N}: "
-            + " ".join(f"{name}={v:.6f}" for name, v in level.values.items())
-            + f" (discarded {level.eigs.discarded_count} infinite modes)"
-        )
+        line = f"N={N}: " + " ".join(f"{k}={v:{fmt}}" for k, v in level.values.items())
+        if not load:
+            if any(is_complex(lam) for lam in level.eigs.eigenvalues):
+                log(f"N={N}: warning: complex eigenvalues reported: {level.eigs.eigenvalues}")
+            line += f" (discarded {level.eigs.discarded_count} infinite modes)"
+        log(line)
+    exact = None if load else _exact_eigenvalues(case, config.eig_count)
     if exact is not None:
-        record.check_monotone_from_above(dict(zip(record.names, exact)))
+        exact = dict(zip(record.names, exact))
+        record.check_monotone_from_above(exact)
     return record, quality, exact
 
 
@@ -552,8 +555,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    if args.format == "vtk":
-        raise ConfigError("eig writes only a CSV of eigenvalues: use --format csv or both")
     config = _load_config(args, "eigen")
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
@@ -580,23 +581,18 @@ def _cmd_convergence(args) -> int:
     config = _load_config(args, "load")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"convergence_{config.problem}_{config.mesh_family}"
-    if config.problem == "load":
-        record, quality = run_load_study(config, log=_log(args))
-        exact = None
-    else:
-        record, quality, exact = run_eigen_study(config, log=_log(args))
-    exact_footer = None if exact is None else dict(zip(record.names, exact.tolist()))
+    record, quality, exact = run_study(config, log=_log(args))
     extrap = config.problem == "eigen" and exact is None
     header = "\n".join([f"config {config.config_hash}", *quality])
-    fits = record.column_fits(exact_footer, extrap)
+    fits = record.column_fits(exact, extrap)
     path = record.write_csv(
-        out / f"{stem}.csv", exact=exact_footer, extrap=extrap, header_comment=header, fits=fits
+        out / f"convergence_{config.problem}_{config.mesh_family}.csv",
+        exact=exact, extrap=extrap, header_comment=header, fits=fits,
     )
     for name, fit in fits.items():
         if fit.order is None:
             print(f"{name}: order undefined ({fit.undefined})")
-        elif exact_footer:
+        elif exact:
             print(f"{name}: order {fit.order:.3f} (exact {fit.limit:.6f})")
         elif extrap:
             print(f"{name}: order {fit.order:.3f} (extrapolated {fit.limit:.6f})")
@@ -606,7 +602,9 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_study_flags(p: argparse.ArgumentParser, eigen: bool, formats: tuple) -> None:
+    """The flags of a study command: the eigensolver's inputs with `eigen`,
+    and --format with the output kinds in `formats`, if any."""
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--family", choices=FAMILIES, help="mesh family")
     p.add_argument(
@@ -620,15 +618,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="mesh resolution list (default: the family's table values); "
         "solve and eig run the finest",
     )
-    p.add_argument("--eig-count", type=int)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--seed", type=int)
+    if eigen:
+        p.add_argument("--eig-count", type=int)
+        p.add_argument("--shift", type=float)
+        p.add_argument("--seed", type=int)
     p.add_argument(
         "--out", default=None, help="output directory (default: the config's output_dir, else out)"
     )
-    p.add_argument(
-        "--format", choices=("csv", "vtk", "both"), default="both", help="output kinds"
-    )
+    if formats:
+        p.add_argument("--format", choices=formats, default="both", help="output kinds")
     p.add_argument("--quiet", action="store_true", help="print only the names of written files")
 
 
@@ -665,16 +663,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.set_defaults(handler=_cmd_mesh)
 
     p_solve = sub.add_parser("solve", help="solve the load problem on one mesh")
-    _add_common_flags(p_solve)
+    _add_study_flags(p_solve, eigen=False, formats=("csv", "vtk", "both"))
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_eig = sub.add_parser("eig", help="solve the eigenproblem on one mesh")
-    _add_common_flags(p_eig)
+    # eig writes one CSV of eigenvalues and no VTK file
+    _add_study_flags(p_eig, eigen=True, formats=("csv", "both"))
     p_eig.set_defaults(handler=_cmd_eig)
 
     p_conv = sub.add_parser("convergence", help="run a refinement study")
     p_conv.add_argument("--problem", choices=("load", "eigen"), help="study kind (default: load)")
-    _add_common_flags(p_conv)
+    _add_study_flags(p_conv, eigen=True, formats=())
     p_conv.set_defaults(handler=_cmd_convergence)
 
     return parser

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import _Module, _tight
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, square_exact_eigenvalues
 
 # all solver code reaches scipy through these module attributes, so a
 # tracer can replace spla with a proxy of its own
@@ -425,14 +425,14 @@ def solve_eigs(
 def suggested_shift(domain_tag: str, coeffs: CoefficientSet) -> float:
     """Default shift-invert target for the named domain.
 
-    On the unit square with (near-)constant coefficients the first
-    eigenvalue is |theta|^2/(4 kappa) + 2 kappa pi^2; aim just below it.
-    Other domains default to 1.0, safely below the spectra of interest.
+    On the unit square with (near-)constant coefficients, aim just below
+    the first eigenvalue of the coefficients at the centre
+    (`square_exact_eigenvalues`).  Other domains default to 1.0, safely
+    below the spectra of interest.
     """
     if domain_tag == "unit_square":
         x = y = np.array([0.5])
         kappa = float(np.asarray(coeffs.kappa(x, y)).ravel()[0])
-        tx, ty = coeffs.theta(x, y)
-        tsq = float(np.asarray(tx).ravel()[0]) ** 2 + float(np.asarray(ty).ravel()[0]) ** 2
-        return 0.9 * (tsq / (4.0 * kappa) + 2.0 * kappa * np.pi**2)
+        theta = [float(np.asarray(t).ravel()[0]) for t in coeffs.theta(x, y)]
+        return float(0.9 * square_exact_eigenvalues(1, theta, kappa)[0])
     return 1.0

@@ -20,7 +20,7 @@ from polyvem.assembly import (
     assemble_full,
     expand_solution,
 )
-from polyvem.cli import ExperimentConfig, run_load_study
+from polyvem.cli import ExperimentConfig, run_study
 from polyvem.coefficients import (
     CASES,
     CoefficientSet,
@@ -102,7 +102,7 @@ def test_criterion_2_load_convergence(capsys):
             N_list=(8, 16, 32, 64),
             coefficients="test1",
         )
-        record, _ = run_load_study(cfg)
+        record, _, _ = run_study(cfg)
         l2 = record.fitted_order("err_l2")
         h1 = record.fitted_order("err_h1")
         assert 1.85 <= l2 <= 2.2, f"{family}: L2 order {l2}"

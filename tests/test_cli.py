@@ -28,8 +28,7 @@ from polyvem.cli import (
     generate_mesh,
     main,
     parse_expression,
-    run_eigen_study,
-    run_load_study,
+    run_study,
 )
 from polyvem import solvers
 from polyvem.mesh import FAMILIES, MeshFamily, gen_square_th1
@@ -143,15 +142,18 @@ def test_config_domain_inferred_for_t_families():
         dict(problem="eigen", eig_count=0),
         dict(coefficients="nosuch"),
         dict(coefficients=17),
-        dict(domain="rotated_T"),  # th1 is a square family
+        dict(domain="unit_square"),  # the family fixes it; no longer a key
         # the eigen pencil has no reaction or load slot
         dict(problem="eigen", coefficients={"kappa": "1", "gamma": "1"}),
         dict(problem="eigen", coefficients={"f": "1"}),
     ],
 )
-def test_config_rejections(overrides):
+def test_config_rejections(overrides, tmp_path):
+    p = tmp_path / "cfg.json"
+    raw = dict(problem="load", mesh_family="th1", N_list=[4, 8], coefficients="test1")
+    p.write_text(json.dumps({**raw, **overrides}))
     with pytest.raises(ConfigError):
-        make_config(**overrides)
+        ExperimentConfig.from_json(p)
 
 
 def test_config_inline_eigen_accepts_kappa_theta():
@@ -215,20 +217,35 @@ def test_config_that_is_a_directory(tmp_path):
         ExperimentConfig.from_json(tmp_path)
 
 
+def make_eigen_config(**overrides):
+    return make_config(problem="eigen", coefficients="eigen_square", **overrides)
+
+
 def test_config_hash_ignores_output_dir():
-    a = make_config(output_dir="here")
-    b = make_config(output_dir="there")
+    a = make_eigen_config(output_dir="here")
+    b = make_eigen_config(output_dir="there")
     assert a.config_hash == b.config_hash
     assert len(a.config_hash) == 12
-    c = make_config(seed=1)
+    c = make_eigen_config(seed=1)
     assert c.config_hash != a.config_hash
 
 
 def test_numpy_scalars_stored_as_python_numbers():
-    cfg = make_config(eig_count=np.int64(4), seed=np.int64(3), shift=np.float32(1.5))
+    cfg = make_eigen_config(eig_count=np.int64(4), seed=np.int64(3), shift=np.float32(1.5))
     assert (cfg.eig_count, cfg.seed, cfg.shift) == (4, 3, 1.5)
     assert [type(v) for v in (cfg.eig_count, cfg.seed, cfg.shift)] == [int, int, float]
-    assert cfg.config_hash == make_config(eig_count=4, seed=3, shift=1.5).config_hash
+    assert cfg.config_hash == make_eigen_config(eig_count=4, seed=3, shift=1.5).config_hash
+
+
+def test_a_load_config_stating_the_default_eigen_inputs_has_the_plain_hash(tmp_path):
+    # the hash of an accepted load study moves only with its numbers
+    p = tmp_path / "cfg.json"
+    raw = {"problem": "load", "mesh_family": "th2", "N_list": [4], "coefficients": "test1"}
+    p.write_text(json.dumps(raw))
+    plain = ExperimentConfig.from_json(p)
+    p.write_text(json.dumps({**raw, "eig_count": 6, "seed": 0}))
+    assert ExperimentConfig.from_json(p).config_hash == plain.config_hash == "8d319a780956"
+    assert plain.domain == "unit_square" and '"domain":"unit_square"' in plain.canonical_json()
 
 
 # --- coefficient resolution ----------------------------------------------
@@ -317,8 +334,8 @@ def test_generate_mesh_unknown_family():
 
 def test_run_load_study_errors_decrease():
     cfg = make_config(N_list=(4, 8, 16))
-    record, quality = run_load_study(cfg)
-    assert len(quality) == 3
+    record, quality, exact = run_study(cfg)
+    assert len(quality) == 3 and exact is None
     l2 = record.column("err_l2")
     h1 = record.column("err_h1")
     assert (np.diff(l2) < 0).all()
@@ -331,7 +348,7 @@ def test_run_load_study_errors_decrease():
 def test_run_load_study_needs_exact():
     cfg = make_config(coefficients={"f": "1"})
     with pytest.raises(ConfigError, match="exact solution"):
-        run_load_study(cfg)
+        run_study(cfg)
 
 
 def test_run_eigen_study_square():
@@ -342,13 +359,13 @@ def test_run_eigen_study_square():
         coefficients="eigen_square",
         eig_count=2,
     )
-    record, quality, exact = run_eigen_study(cfg)
-    assert exact is not None
-    np.testing.assert_allclose(exact[0], 0.25 + 2 * np.pi**2, rtol=1e-12)
+    record, quality, exact = run_study(cfg)
+    assert list(exact) == ["lambda_1", "lambda_2"]
+    np.testing.assert_allclose(exact["lambda_1"], 0.25 + 2 * np.pi**2, rtol=1e-12)
     lam1 = record.column("lambda_1")
     # discrete values decrease toward the exact one under refinement
     assert lam1[1] < lam1[0]
-    assert abs(lam1[1] - exact[0]) < abs(lam1[0] - exact[0])
+    assert abs(lam1[1] - exact["lambda_1"]) < abs(lam1[0] - exact["lambda_1"])
 
 
 # --- command level ----------------------------------------------------------
@@ -557,10 +574,13 @@ def test_single_level_commands_refuse_a_config_of_the_other_problem(
             dict(coefficients={"kappa": 1}),
             "error: coefficient expression must be a string, got 1\n",
         ),
+        # Path(5) raised a TypeError: a traceback and exit 1
+        (dict(output_dir=5), "error: output_dir must be a string, got 5\n"),
+        (dict(output_dir=["a"]), "error: output_dir must be a string, got ['a']\n"),
     ],
     ids=[
         "N_str", "N_float", "N_bool", "N_small", "N_odd_T", "eig_count", "seed", "shift",
-        "N_int", "kappa_number",
+        "N_int", "kappa_number", "output_dir_int", "output_dir_list",
     ],
 )
 def test_bad_study_input_exits_2(tmp_path, capsys, overrides, fragment):
@@ -606,9 +626,10 @@ def test_eig_rejects_the_vtk_format_before_building_a_mesh(tmp_path, capsys, mon
     built = []
     monkeypatch.setattr(cli, "generate_mesh", lambda *args: built.append(args))
     argv = ["eig", "--family", "th2", "--case", "eigen_square", "--N", "4", "--format", "vtk"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: eig writes only a CSV of eigenvalues: use --format csv or both\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'vtk'" in capsys.readouterr().err
     assert built == [] and not (tmp_path / "out").exists()
 
 
@@ -625,8 +646,7 @@ def test_eig_takes_a_negative_shift_in_exponent_notation(tmp_path, capsys, flags
     "argv, flags",
     [
         # ran the file's th1 study and exited 0
-        (["solve", "--config", "no_u.json", "--family", "th7", "--N", "16", "--seed", "3"],
-         "--family, --N, --seed"),
+        (["solve", "--config", "no_u.json", "--family", "th7", "--N", "16"], "--family, --N"),
         (["convergence", "--problem", "eigen", "--config", "no_u.json"], "--problem"),
         (["eig", "--config", "eig_square.json", "--eig-count", "6", "--shift", "0",
           "--case", "eigen_T"], "--case, --eig-count, --shift"),
@@ -642,6 +662,50 @@ def test_study_flags_next_to_a_config_are_refused(argv, flags, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: --config fixes every study input; remove {flags}\n"
     assert built == [] and sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_CONFIGS)
+
+
+SOLVE_TH2 = ["solve", "--family", "th2", "--case", "test1", "--N", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, err",
+    [
+        # each of these three wrote the plain solve's numbers under another hash
+        ([*SOLVE_TH2, "--seed", "5"], {}, "unrecognized arguments: --seed 5\n"),
+        ([*SOLVE_TH2, "--shift", "3"], {}, "unrecognized arguments: --shift 3\n"),
+        ([*SOLVE_TH2, "--eig-count", "9"], {}, "unrecognized arguments: --eig-count 9\n"),
+        # ran and wrote no VTK file
+        (["convergence", "--family", "th2", "--case", "test1", "--format", "csv"], {},
+         "unrecognized arguments: --format csv\n"),
+        (["convergence", "--problem", "load", "--family", "th2", "--case", "test1",
+          "--eig-count", "3"], {},
+         "error: load studies read no eig_count, shift or seed; remove: eig_count\n"),
+        (["convergence", "--config", "c.json"], {"seed": 1},
+         "error: load studies read no eig_count, shift or seed; remove: seed\n"),
+        (["solve", "--config", "c.json"], {"domain": "unit_square"},
+         "error: unknown config keys: domain\n"),
+    ],
+    ids=[
+        "solve_seed", "solve_shift", "solve_eig_count", "convergence_format",
+        "load_study_eig_count", "load_config_seed", "config_domain",
+    ],
+)
+def test_removed_inputs_exit_2_before_a_mesh_is_built(
+    argv, config, err, tmp_path, capsys, monkeypatch
+):
+    # eig --format vtk: test_eig_rejects_the_vtk_format_before_building_a_mesh
+    monkeypatch.chdir(tmp_path)
+    raw = {"problem": "load", "mesh_family": "th2", "N_list": [4], "coefficients": "test1"}
+    (tmp_path / "c.json").write_text(json.dumps({**raw, **config}))
+    built = []
+    monkeypatch.setattr(cli, "generate_mesh", lambda *args: built.append(args))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    assert code == 2
+    assert err in capsys.readouterr().err
+    assert built == [] and [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_output_flags_apply_on_top_of_a_config(tmp_path, monkeypatch, capsys):
