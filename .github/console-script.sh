@@ -22,6 +22,9 @@ test -s m/th3_N8.json
 # the JSON that `polyvem mesh` writes, read back and written again, is the same file
 python -c "from polyvem.mesh import io_read, io_write; io_write('again.json', io_read('m/th3_N8.json'))"
 cmp m/th3_N8.json again.json
+# th7 N=96 spells the stem's y = 0.5 on x = 0 two ways; the lattice keys make it one vertex
+polyvem mesh --family th7 --N 96 --out m96 > m96.log
+grep -q "^vertices 14457," m96.log
 # a solution VTK carries one POINT_DATA value per vertex
 polyvem solve --family th2 --case test1 --N 8 --format both --out b
 test -s b/solution_th2_N8_errors.csv

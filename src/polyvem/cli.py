@@ -324,6 +324,8 @@ def generate_mesh(family: str, N: int) -> PolyMesh:
         raise ConfigError(f"unknown mesh family {family!r}")
     try:
         return FAMILIES[family].generate(N)
+    except MeshConformityError:  # a generator bug, not a usage error
+        raise
     except ValueError as exc:
         raise ConfigError(f"mesh family {family}: {exc}") from exc
 

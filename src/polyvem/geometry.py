@@ -365,9 +365,10 @@ class MeshGeometry(NamedTuple):
     invalid: np.ndarray
 
     def batches(self):
-        """Valid cells in batches of at most BATCH_CELLS."""
+        """Valid cells in batches of at most BATCH_CELLS, views unless a group has a fault."""
         for g in self.groups:
-            g = g.take(g.fault == 0)
+            if g.fault.any():
+                g = g.take(g.fault == 0)
             for start in range(0, len(g.cells), BATCH_CELLS):
                 yield g.take(slice(start, start + BATCH_CELLS))
 

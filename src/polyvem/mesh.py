@@ -7,19 +7,19 @@ edge carries an extra vertex at squared-length distance from one endpoint,
 and offset brick meshes.  All of them keep every cell star-shaped with
 respect to a ball, which is the one shape assumption the solver relies on.
 
-Generators emit cells as stacked coordinate arrays.  The builder clusters
-the x and the y coordinates separately, a gap wider than 1e-12 starting a
-new cluster, so each point gets an integer (column, row) label; points
-with equal labels are one vertex.  It then inserts every vertex whose
-column (row) label matches both end points of a vertical (horizontal) cell
-edge and lies strictly between them into that edge, all as array
-operations.  All hanging-vertex situations in the shipped families occur
-on axis-aligned lines, so non-axis-aligned edges are never split.
+Generators emit cells as stacked coordinate arrays.  A family on a lattice
+states its scale (sx, sy), which makes every coordinate an integer, so
+each point has an exact (column, row) key however two blocks spell it.
+Points with equal keys are one vertex, and each vertex whose column (row)
+matches both end points of a vertical (horizontal) cell edge and lies
+strictly between them is inserted into that edge, all as array operations.
+th2 has no lattice: points with equal coordinates are one vertex.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -69,12 +69,6 @@ _T_HALVES = {
 ROTATED_T_FAMILIES = tuple(_T_HALVES)
 # height of the line where th1 and th3 glue their lower and upper grids
 _INTERFACE_Y = 0.6
-
-# the one tolerance of mesh construction: coordinates closer than this
-# (chained) are one column or row.  It is absolute, so it is also the floor
-# on edge length; distinct coordinates in all shipped families are
-# separated by at least ~1e-5, orders of magnitude above it
-_SNAP = 1e-12
 
 
 class MeshConformityError(ValueError):
@@ -293,41 +287,35 @@ def edge_topology(flat: np.ndarray, sizes: np.ndarray) -> EdgeTopology:
     return EdgeTopology(tail, head, np.column_stack([keys // n, keys % n]), counts, edge)
 
 
-def _cluster_ids(vals: np.ndarray) -> np.ndarray:
-    """Cluster label of each scalar, clusters numbered in increasing order.
+def _lattice_keys(pts: np.ndarray, scale) -> np.ndarray:
+    """Integer keys (columns, rows), shape (2, P), of points (P, 2) whose
+    coordinates times `scale` (sx, sy) are integers, shifted to start at 0.
 
-    A gap wider than _SNAP between neighbours in sorted order starts a new
-    cluster, so the labels do not depend on the order of the values.
+    Raises MeshConformityError if a point lies more than 1e-6 lattice units
+    off the lattice, or if column * rows + row could overflow int64.
     """
-    order = np.argsort(vals)
-    sv = vals[order]
-    ids = np.empty(len(vals), dtype=np.int64)
-    ids[order] = np.cumsum(np.diff(sv, prepend=sv[:1]) > _SNAP)
-    return ids
+    # (2, P) in C order: reductions along a (P, 2) column are slow
+    offset = np.multiply(pts.T, np.asarray(scale, dtype=float)[:, None], order="C")
+    keys = np.rint(offset)
+    offset -= keys
+    off = float(np.abs(offset, out=offset).max())
+    if not off <= 1e-6:
+        raise MeshConformityError(f"a generated point lies {off:.3g} lattice units off its family's lattice")
+    keys -= keys.min(axis=1, keepdims=True)
+    columns, rows = (int(k) + 1 for k in keys.max(axis=1))
+    if columns * rows > np.iinfo(np.int64).max:
+        raise MeshConformityError(f"lattice keys of {columns} x {rows} points overflow int64")
+    return keys.astype(np.int64)
 
 
-def _dedupe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge points (P, 2) whose x and whose y share a `_cluster_ids` label.
-
-    Vertices are numbered in order of first appearance and keep the
-    coordinates they first appeared with.  Which points merge does not
-    depend on their order.
-
-    Returns
-    -------
-    coords : ndarray, shape (n, 2)
-    ids : ndarray, shape (P,)
-        Vertex id of each point.
-    grid : ndarray of int64, shape (n, 2)
-        The x (column) and y (row) cluster label of each vertex.
-    """
-    label = np.column_stack([_cluster_ids(pts[:, 0]), _cluster_ids(pts[:, 1])])
-    key = label[:, 0] * (int(label[:, 1].max()) + 1) + label[:, 1]
+def _dedupe(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each vertex's first point and the vertex id of each
+    point, merging points of equal key; vertices in order of first appearance."""
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     vid = np.empty(len(order), dtype=np.int64)
     vid[order] = np.arange(len(order))
-    return pts[first[order]], vid[inv], label[first[order]]
+    return first[order], vid[inv]
 
 
 def _insert_hanging_vertices(
@@ -335,9 +323,10 @@ def _insert_hanging_vertices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Insert every vertex lying strictly inside an axis-aligned cell edge.
 
-    An edge whose end points share a column label of `grid` (else a row
-    label) receives the other vertices of that column (row) between its
-    end points, in the direction of travel.  Returns the new (flat, sizes).
+    `grid` (2, n) holds the lattice keys (columns, rows) of the vertices, all >= 0.
+    An edge whose end points share a column (else a row) receives the other
+    vertices of that column (row) between its end points, in the direction
+    of travel.  Returns the new (flat, sizes).
     """
     tail, head = flat, flat[_successor(sizes)]
     count = np.zeros(len(flat), dtype=np.int64)
@@ -346,8 +335,8 @@ def _insert_hanging_vertices(
     on_line = []
     taken = np.zeros(len(flat), dtype=bool)
     offset = 0
-    for axis in (0, 1):  # columns (parameter: row label), then rows
-        line, rank = grid[:, axis], grid[:, 1 - axis]
+    for axis in (0, 1):  # columns (parameter: row), then rows
+        line, rank = grid[axis], grid[1 - axis]
         stride = int(rank.max()) + 1
         key = line * stride + rank  # one vertex per key
         order = np.argsort(key)
@@ -376,17 +365,27 @@ def _insert_hanging_vertices(
     return out, sizes + np.add.reduceat(count, starts)
 
 
-def _build_mesh(parts, domain_tag: str, insert_hanging: bool = True) -> PolyMesh:
+def _build_mesh(parts, domain_tag: str, scale=None) -> PolyMesh:
     """Mesh from cells given as coordinate arrays, one (G, k, 2) array per part.
 
-    Shared vertices are merged (`_dedupe`) and hanging vertices inserted
-    into axis-aligned edges.  The cells keep the counter-clockwise order
-    the generators emit; `PolyMesh.geometry` rejects a clockwise one.
+    On a lattice `scale` (sx, sy), points with equal `_lattice_keys` are
+    one vertex and hanging vertices are inserted into axis-aligned edges;
+    without one, points with equal coordinates are one vertex.  A vertex
+    keeps the coordinates of its first point.  The cells keep the
+    counter-clockwise order the generators emit; `PolyMesh.geometry`
+    rejects a clockwise one.
     """
     sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
-    coords, flat, grid = _dedupe(np.concatenate([p.reshape(-1, 2) for p in parts]))
-    if insert_hanging:
-        flat, sizes = _insert_hanging_vertices(grid, flat, sizes)
+    pts = np.concatenate([p.reshape(-1, 2) for p in parts], dtype=np.float64)
+    if scale is None:
+        # one complex number per point: np.unique compares both coordinates exactly
+        first, flat = _dedupe(pts.view(np.complex128).ravel())
+        return PolyMesh(pts[first], flat, sizes, domain_tag)
+    keys = _lattice_keys(pts, scale)
+    first, flat = _dedupe(keys[0] * (int(keys[1].max()) + 1) + keys[1])
+    coords, grid = pts[first], keys[:, first]
+    del pts, keys  # the insertion's peak holds neither
+    flat, sizes = _insert_hanging_vertices(grid, flat, sizes)
     return PolyMesh(coords, flat, sizes, domain_tag)
 
 
@@ -445,7 +444,8 @@ def _glued_grids(N: int, upper_cells) -> PolyMesh:
         _quad_cells(0.0, 1.0, 0.0, _INTERFACE_Y, N, ny_low),
         upper_cells(0.0, 1.0, _INTERFACE_Y, 1.0, N + 1, ny_high),
     ]
-    return _build_mesh(parts, "unit_square")
+    # abscissae i/N and j/(N+1); ordinates 3i/(5 ny_low) and 3/5 + 2j/(5 ny_high)
+    return _build_mesh(parts, "unit_square", (N * (N + 1), 5 * math.lcm(ny_low, ny_high)))
 
 
 def gen_square_th1(N: int) -> PolyMesh:
@@ -489,7 +489,7 @@ def gen_square_th2(N: int) -> PolyMesh:
     # arc length he^2 from the anchor: a + he * (c - a)
     split = a + he[..., None] * (c - a)
     hexagons = np.stack([p, split], axis=2).reshape(-1, 6, 2)
-    return _build_mesh([hexagons], "unit_square", insert_hanging=False)
+    return _build_mesh([hexagons], "unit_square")
 
 
 def gen_square_th3(N: int) -> PolyMesh:
@@ -501,31 +501,20 @@ def gen_square_th3(N: int) -> PolyMesh:
     return _glued_grids(N, _tri_cells)
 
 
-def _rotated_t_half(kind: str, m: int, side: int):
-    """Cell arrays for one half (side -1: x<0, +1: x>0) of the rotated-T domain.
+def _rotated_t_half(kind: str, m: int, nq: int, side: int):
+    """Cell arrays for one half (side -1: x<0, +1: x>0) of the rotated-T
+    domain, of m rows per bar height and nq columns per quarter-width.
 
     The half is decomposed into three rectangles (outer bar, inner bar, stem)
     meshed conformingly, so the reentrant corner (+-0.25, 0) is a mesh vertex
     for every m.
     """
-    d = 0.5 / m
-    nq = max(1, round(0.25 / d))  # columns per quarter-width
-    ny_bar = m
-    ny_stem = max(1, round(1.0 / d))
     gen = {"quad": _quad_cells, "tri": _tri_cells, "brick": _brick_cells}[kind]
     if side < 0:
-        rects = [
-            (-0.5, -0.25, -0.5, 0.0, nq, ny_bar),
-            (-0.25, 0.0, -0.5, 0.0, nq, ny_bar),
-            (-0.25, 0.0, 0.0, 1.0, nq, ny_stem),
-        ]
+        rects = [(-0.5, -0.25, -0.5, 0.0, m), (-0.25, 0.0, -0.5, 0.0, m), (-0.25, 0.0, 0.0, 1.0, 2 * m)]
     else:
-        rects = [
-            (0.25, 0.5, -0.5, 0.0, nq, ny_bar),
-            (0.0, 0.25, -0.5, 0.0, nq, ny_bar),
-            (0.0, 0.25, 0.0, 1.0, nq, ny_stem),
-        ]
-    return [gen(*rect) for rect in rects]
+        rects = [(0.25, 0.5, -0.5, 0.0, m), (0.0, 0.25, -0.5, 0.0, m), (0.0, 0.25, 0.0, 1.0, 2 * m)]
+    return [gen(x0, x1, y0, y1, nq, ny) for x0, x1, y0, y1, ny in rects]
 
 
 def gen_rotated_T(family: str, N: int) -> PolyMesh:
@@ -552,8 +541,11 @@ def gen_rotated_T(family: str, N: int) -> PolyMesh:
         raise ValueError(f"N must be even for rotated-T meshes, got {N}")
     kinds = _T_HALVES[family]
     m = N // 2
-    parts = _rotated_t_half(kinds[0], m, -1) + _rotated_t_half(kinds[1], m + 1, +1)
-    return _build_mesh(parts, "rotated_T")
+    # columns per quarter-width: this quotient, not round(m / 2), which differs at m = 49, 99, ...
+    nq = [max(1, round(0.25 / (0.5 / k))) for k in (m, m + 1)]
+    parts = _rotated_t_half(kinds[0], m, nq[0], -1) + _rotated_t_half(kinds[1], m + 1, nq[1], +1)
+    # abscissae: multiples of half a column of either half; ordinates: of 1/(2m) and 1/(2m + 2)
+    return _build_mesh(parts, "rotated_T", (8 * math.lcm(*nq), 2 * math.lcm(m, m + 1)))
 
 
 class MeshFamily(NamedTuple):

@@ -368,3 +368,18 @@ def test_mesh_geometry_is_independent_of_the_batch_size(monkeypatch):
     for g, h in zip(whole.groups, parts.groups):
         for name, a, b in zip(g._fields, g, h):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_the_batches_of_a_valid_mesh_are_views_of_its_groups():
+    # PolyMesh.geometry refuses a mesh with a faulty cell, so its batches
+    # are slices of the groups, not filtered copies; th3 N=64 has 3317
+    # triangles, 2431 quadrilaterals and 64 pentagons
+    geom = gen_square_th3(64).geometry
+    batches = list(geom.batches())
+    assert len(batches) == 4 + 3 + 1
+    for g in geom.groups:
+        mine = [b for b in batches if b.ids.shape[1] == g.ids.shape[1]]
+        assert np.array_equal(np.concatenate([b.cells for b in mine]), g.cells)
+        for b in mine:
+            for name, a, whole in zip(g._fields, b, g):
+                assert np.shares_memory(a, whole), name

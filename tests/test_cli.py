@@ -31,7 +31,7 @@ from polyvem.cli import (
     run_study,
 )
 from polyvem import solvers
-from polyvem.mesh import FAMILIES, MeshFamily, gen_square_th1
+from polyvem.mesh import FAMILIES, MeshFamily, _build_mesh, _quad_cells, gen_square_th1
 from polyvem.solvers import SolverError
 
 RNG = np.random.default_rng(20240817)
@@ -759,6 +759,18 @@ def test_a_family_added_to_the_table_is_a_choice_with_its_domain_and_N_list(
     assert built == [4]
     assert capsys.readouterr().out == f"wrote {tmp_path / 'solution_th9_N4_errors.csv'}\n"
     assert ExperimentConfig("load", "th9", (4,), "test1").domain == "unit_square"
+
+
+def test_a_generator_bug_is_exit_1_not_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a MeshConformityError is a ValueError, but not one of a bad N
+    def generate(N):
+        return _build_mesh([_quad_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square", (2, 2))
+
+    monkeypatch.setitem(FAMILIES, "th9", MeshFamily("unit_square", generate, (3,)))
+    assert main(["mesh", "--family", "th9", "--N", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a generated point lies 0.333 lattice units off its family's lattice")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_unknown_subcommand():

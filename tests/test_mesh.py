@@ -191,8 +191,9 @@ class TestRotatedT:
     def test_th7_merges_two_spellings_of_one_interface_vertex(self):
         # the stem's y = 0.5 on x = 0 is linspace(0, 1, 97)[48] = 0.5 on the
         # left half and linspace(0, 1, 99)[49] = 0.49999999999999994 on the
-        # right; the 1e-12 snap makes them one vertex.  Merging only equal
-        # coordinates leaves two, and cell 3527 is then not simple
+        # right; times th7's y scale 2 * 48 * 49 both round to 2352, so they
+        # are one vertex.  Merging only equal coordinates leaves two, and
+        # cell 3527 is then not simple
         mesh = gen_rotated_T("th7", 96)
         report = validate(mesh)
         assert report.vertex_count == 14457

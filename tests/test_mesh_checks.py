@@ -50,11 +50,9 @@ from polyvem.geometry import (
     star_metric,
 )
 from polyvem.mesh import (
-    _SNAP,
     MeshConformityError,
     PolyMesh,
     _build_mesh,
-    _dedupe,
     _edge_fault,
     _shape_representatives,
     _quad_cells,
@@ -163,12 +161,12 @@ def th2_split_at(N, t, boundary_t=None):
         on_boundary = np.minimum(p, 1.0 - p).min(axis=-1) <= 1e-12
         f[on_boundary | np.roll(on_boundary, -1, axis=1)] = boundary_t
     hexagons = np.stack([p, a + f * (c - a)], axis=2).reshape(-1, 6, 2)
-    return _build_mesh([hexagons], "unit_square", insert_hanging=False)
+    return _build_mesh([hexagons], "unit_square")
 
 
 def th2_unsplit(N):
     """The N x N x 2 right-triangle mesh th2 splits, built by the same builder."""
-    return _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square", insert_hanging=False)
+    return _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square")
 
 
 @SETTINGS
@@ -195,14 +193,22 @@ def test_th2_with_tiny_split_fraction_validates(t):
     assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("t", [1e-11, 1e-12, 1e-13])
 @pytest.mark.parametrize("N", [16, 32])
-def test_split_below_the_snap_floor_merges_into_the_end_point(N):
-    # every edge is shorter than 0.09 at N >= 16, so at t = 1e-11 the extra
-    # vertex lies within the absolute _SNAP = 1e-12 of its end point and
-    # merges into it
-    with pytest.raises(MeshConformityError, match="cell 0 repeats a vertex index"):
-        validate(th2_split_at(N, 1e-11))
-    assert validate(th2_split_at(N, 1e-10)).cell_count == 2 * N * N
+def test_th2_split_far_below_the_cell_size_validates(N, t):
+    # th2 merges only equal coordinates, so the split vertex at 1e-13 of
+    # an edge of about 0.09 or less stays apart from the edge's end point
+    report = validate(th2_split_at(N, t))
+    assert report.cell_count == 2 * N * N
+    assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-2)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_the_geometry_sets_the_floor_on_split_th2(N):
+    # at 1e-14 of the edge the split vertex is a few ulps off the end
+    # point, within the geometry's 1e-14 * diameter "on the line" tolerance
+    with pytest.raises(MeshConformityError, match=r"^cell 0 is not a valid polygon: polygon is not simple: "):
+        validate(th2_split_at(N, 1e-14))
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9])
@@ -323,72 +329,68 @@ def test_builder_keeps_a_clockwise_cell_for_geometry_to_reject():
         mesh.geometry
 
 
-def test_one_quantum_apart_merges_into_the_first_vertex():
-    # the right square's left corners sit one 1e-12 quantum off the left
-    # square's right corners; they must still be shared
-    left = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
-    right = _quad_cells(1.0, 2.0, 0.0, 1.0, 1, 1)
-    right[0, [0, 3], 0] -= 1e-12
-    mesh = _build_mesh([left, right], "custom")
-    assert mesh.n_vertices == 6
-    assert mesh.cells == ((0, 1, 2, 3), (1, 4, 5, 2))
-    assert mesh.vertices[1].tolist() == [1.0, 0.0]
-    assert mesh.boundary_vertex.tolist() == [True] * 6
-
-
 @st.composite
-def points_with_near_copies(draw):
-    """Distinct points on a scaled integer lattice (so at least 1e-6 apart,
-    with shared columns and rows), copies of some of them moved by less
-    than _SNAP/2 in each coordinate, all shuffled.
+def spelled_lattice_points(draw):
+    """Points of the lattice (i/nx, j/ny), each coordinate spelled i/n,
+    i*(1/n) or linspace(0, 1, n + 1)[i] at random, sites repeating.
 
-    Returns the points and the index of each one's original in the lattice.
+    Returns the points, the site of each and the lattice scale (nx, ny).
     """
-    sites = draw(
-        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=20, unique=True)
-    )
-    step = draw(st.floats(1e-6, 0.1))
-    origin = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
-    lattice = origin + step * np.array(sites, dtype=float)
-    copies = draw(st.lists(st.integers(0, len(sites) - 1), max_size=20))
-    moves = draw(
-        st.lists(
-            st.tuples(*2 * [st.floats(-0.49 * _SNAP, 0.49 * _SNAP)]),
-            min_size=len(copies),
-            max_size=len(copies),
-        )
-    )
-    source = np.concatenate([np.arange(len(sites)), np.array(copies, dtype=np.int64)])
-    pts = np.concatenate([lattice, lattice[copies] + np.array(moves).reshape(-1, 2)])
-    perm = draw(st.permutations(range(len(pts))))
-    return pts[perm], source[perm]
+    scale = draw(st.tuples(st.integers(1, 200), st.integers(1, 200)))
+    sites = draw(st.lists(st.tuples(*(st.integers(0, n) for n in scale)), min_size=1, max_size=30))
+    spellings = [
+        lambda i, n: i / n,
+        lambda i, n: i * (1 / n),
+        lambda i, n: np.linspace(0.0, 1.0, n + 1)[i],
+    ]
+    pick = st.sampled_from(spellings)
+    pts = [[draw(pick)(i, n) for i, n in zip(site, scale)] for site in sites]
+    return np.array(pts, dtype=float), sites, scale
+
+
+def build_points(pts, scale):
+    """`_build_mesh` of points as cells of one vertex each: the merge alone,
+    since a one-vertex cell has no edge to insert into."""
+    mesh = _build_mesh([pts[:, None, :]], "custom", scale)
+    return mesh.vertices, mesh.cell_ids
 
 
 @settings(max_examples=60, deadline=None)
-@given(points_with_near_copies(), st.randoms(use_true_random=False))
-def test_lattice_merge(case, rnd):
-    pts, source = case
-    coords, ids, grid = _dedupe(pts)
-    # each copy joins its original's vertex, and distinct originals stay apart
-    assert len(coords) == source.max() + 1
-    assert len(set(zip(source.tolist(), ids.tolist()))) == len(coords)
+@given(spelled_lattice_points(), st.randoms(use_true_random=False))
+def test_every_spelling_of_a_lattice_point_is_one_vertex(case, rnd):
+    pts, sites, scale = case
+    coords, ids = build_points(pts, scale)
+    # one vertex per site, and points of distinct sites stay apart
+    assert len(coords) == len(set(sites))
+    assert len(set(zip(sites, ids.tolist()))) == len(coords)
     # vertices are numbered in order of first appearance and keep their
-    # first coordinates
+    # first point's coordinates
     assert list(dict.fromkeys(ids.tolist())) == list(range(len(coords)))
     first = np.unique(ids, return_index=True)[1]
     assert np.array_equal(coords, pts[first])
-    # the labels are the ranks of the x and y columns and rows
-    for axis in (0, 1):
-        order = np.argsort(coords[:, axis])
-        assert np.all(np.diff(grid[order, axis]) >= 0)
-    assert len(np.unique(grid, axis=0)) == len(coords)
     # the grouping into vertices does not depend on the input order
     perm = list(range(len(pts)))
     rnd.shuffle(perm)
-    _, ids_perm, _ = _dedupe(pts[perm])
+    _, ids_perm = build_points(pts[perm], scale)
     back = np.empty_like(ids_perm)
     back[perm] = ids_perm
     assert len(set(zip(ids.tolist(), back.tolist()))) == len(coords)
+
+
+def test_a_point_off_its_lattice_is_refused():
+    # cells on thirds, stated on a lattice of halves: a generator bug
+    cells = _quad_cells(0.0, 1.0, 0.0, 1.0, 3, 3)
+    with pytest.raises(MeshConformityError, match="^a generated point lies 0.333 lattice units off"):
+        _build_mesh([cells], "custom", (2, 2))
+    assert _build_mesh([cells], "custom", (6, 6)).n_vertices == 16
+
+
+def test_lattice_keys_that_would_overflow_are_refused():
+    # (2**32 + 1)**2 keys do not fit in int64, (2**31 + 1)**2 do
+    square = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
+    with pytest.raises(MeshConformityError, match=r"^lattice keys of 4294967297 x 4294967297 points overflow int64"):
+        _build_mesh([square], "custom", (2**32, 2**32))
+    assert _build_mesh([square], "custom", (2**31, 2**31)).cells == ((0, 1, 2, 3),)
 
 
 def bits(a):
