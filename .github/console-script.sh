@@ -32,6 +32,10 @@ points=$(awk '$1 == "POINTS" {print $2}' b/solution_th2_N8.vtk)
 test "$points" -gt 0
 test "$(awk '$1 == "POINT_DATA" {print $2}' b/solution_th2_N8.vtk)" -eq "$points"
 test "$(awk '/^LOOKUP_TABLE/ {on = 1; next} on' b/solution_th2_N8.vtk | wc -l)" -eq "$points"
+# solve runs only the finest --N, and heads its CSV with the hash of that one level
+polyvem solve --family th2 --case test1 --N 4 8 --format csv --quiet --out h48 > /dev/null
+polyvem solve --family th2 --case test1 --N 8 --format csv --quiet --out h8 > /dev/null
+test "$(cat h48/*.csv h8/*.csv | grep "^# config" | sort -u | wc -l)" -eq 1
 polyvem eig --family th2 --case eigen_square --N 8 --format csv --out e
 test -s e/eig_th2_N8.csv
 # the reentrant T domain, where the field-of-values guard decides the request
@@ -65,4 +69,6 @@ test "$(fails s.err polyvem solve --family th2 --case test1 --N 4 --seed 1 --out
 grep -q -- "unrecognized arguments: --seed 1" s.err
 test "$(fails g.err polyvem convergence --family th2 --case test1 --N 4 8 --format csv --out g)" -eq 2
 grep -q -- "unrecognized arguments: --format csv" g.err
+# any family splits: th7 with edges of 1e-10 of their length still validates
+python -c "from polyvem import gen_rotated_T, split_edges, validate; validate(split_edges(gen_rotated_T('th7', 16), 1e-10))"
 python -c "import polyvem"

@@ -44,6 +44,7 @@ from .mesh import (
     io_read,
     io_write,
     reentrant_corners,
+    split_edges,
     validate,
 )
 from .solvers import (
@@ -91,6 +92,7 @@ __all__ = [
     "star_metric",
     "solve_eigs",
     "solve_load",
+    "split_edges",
     "square_exact_eigenvalues",
     "suggested_shift",
     "triple_seminorm_interp",

@@ -527,11 +527,11 @@ def _log(args) -> Callable[[str], None]:
 
 
 def _write_level_csv(path: Path, config: ExperimentConfig, N: int, level: _Level) -> None:
-    """The one-level CSV of `solve` and `eig`, headed by the config hash and
-    the quality line."""
+    """The one-level CSV of `solve` and `eig`, headed by the hash of the
+    one-level study, which `convergence --N <N>` writes too, and the quality line."""
     record = ConvergenceRecord()
     record.add_entry(N, level.h, level.n, level.values)
-    header = f"config {config.config_hash}\n{level.quality}"
+    header = f"config {replace(config, N_list=(N,)).config_hash}\n{level.quality}"
     print(f"wrote {record.write_csv(path, header_comment=header)}")
 
 

@@ -7,13 +7,13 @@ edge carries an extra vertex at squared-length distance from one endpoint,
 and offset brick meshes.  All of them keep every cell star-shaped with
 respect to a ball, which is the one shape assumption the solver relies on.
 
-Generators emit cells as stacked coordinate arrays.  A family on a lattice
-states its scale (sx, sy), which makes every coordinate an integer, so
+Generators emit cells as stacked coordinate arrays.  Each family states
+its lattice scale (sx, sy), which makes every coordinate an integer, so
 each point has an exact (column, row) key however two blocks spell it.
 Points with equal keys are one vertex, and each vertex whose column (row)
 matches both end points of a vertical (horizontal) cell edge and lies
 strictly between them is inserted into that edge, all as array operations.
-th2 has no lattice: points with equal coordinates are one vertex.
+`split_edges` adds a vertex on every edge of a mesh, as th2 does.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "gen_square_th2",
     "gen_square_th3",
     "gen_rotated_T",
+    "split_edges",
     "ROTATED_T_FAMILIES",
     "MeshFamily",
     "FAMILIES",
@@ -365,28 +366,40 @@ def _insert_hanging_vertices(
     return out, sizes + np.add.reduceat(count, starts)
 
 
-def _build_mesh(parts, domain_tag: str, scale=None) -> PolyMesh:
+def _build_mesh(parts, domain_tag: str, scale) -> PolyMesh:
     """Mesh from cells given as coordinate arrays, one (G, k, 2) array per part.
 
-    On a lattice `scale` (sx, sy), points with equal `_lattice_keys` are
-    one vertex and hanging vertices are inserted into axis-aligned edges;
-    without one, points with equal coordinates are one vertex.  A vertex
-    keeps the coordinates of its first point.  The cells keep the
+    Points with equal `_lattice_keys` on the lattice `scale` (sx, sy) are
+    one vertex, which keeps its first point's coordinates, and hanging
+    vertices are inserted into axis-aligned edges.  The cells keep the
     counter-clockwise order the generators emit; `PolyMesh.geometry`
     rejects a clockwise one.
     """
     sizes = np.concatenate([np.full(len(p), p.shape[1], dtype=np.int64) for p in parts])
     pts = np.concatenate([p.reshape(-1, 2) for p in parts], dtype=np.float64)
-    if scale is None:
-        # one complex number per point: np.unique compares both coordinates exactly
-        first, flat = _dedupe(pts.view(np.complex128).ravel())
-        return PolyMesh(pts[first], flat, sizes, domain_tag)
     keys = _lattice_keys(pts, scale)
     first, flat = _dedupe(keys[0] * (int(keys[1].max()) + 1) + keys[1])
     coords, grid = pts[first], keys[:, first]
     del pts, keys  # the insertion's peak holds neither
     flat, sizes = _insert_hanging_vertices(grid, flat, sizes)
     return PolyMesh(coords, flat, sizes, domain_tag)
+
+
+def split_edges(mesh: PolyMesh, fraction) -> PolyMesh:
+    """`mesh` with a new vertex at a + f (c - a) on each edge (a, c) of
+    `mesh.topology.edges`, a its lexicographically smaller end point and f
+    the `fraction`, one number or one per edge.  In each cell the vertex
+    follows the edge's first vertex.  Vertices are numbered by first
+    appearance; a new one is keyed by its edge, not by its coordinates.
+    """
+    topo = mesh.topology
+    p, q = mesh.vertices[topo.edges.T]
+    swap = ((q[:, 0] < p[:, 0]) | ((q[:, 0] == p[:, 0]) & (q[:, 1] < p[:, 1])))[:, None]
+    a, c = np.where(swap, q, p), np.where(swap, p, q)
+    points = np.concatenate([mesh.vertices, a + np.reshape(fraction, (-1, 1)) * (c - a)])
+    key = np.stack([mesh.cell_ids, mesh.n_vertices + topo.edge], axis=1).ravel()
+    first, flat = _dedupe(key)
+    return PolyMesh(points[key[first]], flat, 2 * mesh.cell_sizes, mesh.domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +492,9 @@ def gen_square_th2(N: int) -> PolyMesh:
         Grid subdivisions per direction, N >= 2.
     """
     _check_n(N, 2)
-    p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
-    q = np.roll(p, -1, axis=1)
-    # anchor a at the lexicographically smaller endpoint of each edge (p, q)
-    swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))
-    a = np.where(swap[..., None], q, p)
-    c = np.where(swap[..., None], p, q)
-    he = np.hypot(c[..., 0] - a[..., 0], c[..., 1] - a[..., 1])
-    # arc length he^2 from the anchor: a + he * (c - a)
-    split = a + he[..., None] * (c - a)
-    hexagons = np.stack([p, split], axis=2).reshape(-1, 6, 2)
-    return _build_mesh([hexagons], "unit_square")
+    tri = _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square", (N, N))
+    a, c = tri.vertices[tri.topology.edges.T]
+    return split_edges(tri, np.hypot(*(c - a).T))
 
 
 def gen_square_th3(N: int) -> PolyMesh:

@@ -1011,6 +1011,16 @@ def test_convergence_csv_structure_and_determinism(tmp_path, capsys):
     assert "\nexact,,," in text
 
 
+def test_a_one_level_csv_has_the_hash_of_its_one_level(tmp_path):
+    # solve computes only the finest --N, so listing a coarser one moves no hash
+    study = ["--family", "th2", "--case", "test1", "--quiet", "--N"]
+    heads = set()
+    for i, argv in enumerate([["solve", *study, "4", "8"], ["solve", *study, "8"], ["convergence", *study, "8"]]):
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
+        heads.add(next((tmp_path / str(i)).glob("*.csv")).read_text().splitlines()[0])
+    assert heads == {f"# config {make_config(mesh_family='th2', N_list=(8,)).config_hash}"}
+
+
 def test_convergence_load_with_inline_config(tmp_path, capsys):
     cfg = {
         "problem": "load",

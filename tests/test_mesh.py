@@ -24,6 +24,7 @@ from polyvem.mesh import (
     io_read,
     io_write,
     reentrant_corners,
+    split_edges,
     validate,
 )
 from test_mesh_checks import th2_split_at, th2_unsplit
@@ -548,6 +549,7 @@ GENERATOR_DIGESTS = [
     ("th7", 16, lambda: gen_rotated_T("th7", 16), "db9f9a6948c9f1b8"),
     ("th7", 132, lambda: gen_rotated_T("th7", 132), "c9b85e24c8c1ad31"),
     ("th2-unsplit", 8, lambda: th2_unsplit(8), "082e1d73f5bb94cc"),
+    ("th7-split-1e-6", 16, lambda: split_edges(gen_rotated_T("th7", 16), 1e-6), "bfe1305cfc01d359"),
 ]
 
 

@@ -50,6 +50,7 @@ from polyvem.geometry import (
     star_metric,
 )
 from polyvem.mesh import (
+    FAMILIES,
     MeshConformityError,
     PolyMesh,
     _build_mesh,
@@ -61,6 +62,7 @@ from polyvem.mesh import (
     gen_square_th1,
     gen_square_th2,
     gen_square_th3,
+    split_edges,
     validate,
 )
 from polyvem.solvers import solve_eigs, solve_load, suggested_shift
@@ -146,27 +148,14 @@ def test_small_edge_polygons_are_valid(polys):
     assert len(mesh_geometry(vertices, np.arange(len(vertices)), sizes).invalid) == 0
 
 
-def th2_split_at(N, t, boundary_t=None):
-    """th2 with each edge's extra vertex at fraction t of the edge from its
-    lexicographically smaller end point, instead of at arc length h_e^2.
-    With boundary_t, edges with an end point on the boundary are split at
-    that fraction instead."""
-    p = _tri_cells(0.0, 1.0, 0.0, 1.0, N, N)
-    q = np.roll(p, -1, axis=1)
-    swap = (q[..., 0] < p[..., 0]) | ((q[..., 0] == p[..., 0]) & (q[..., 1] < p[..., 1]))
-    a = np.where(swap[..., None], q, p)
-    c = np.where(swap[..., None], p, q)
-    f = np.full(p.shape[:-1] + (1,), t)
-    if boundary_t is not None:
-        on_boundary = np.minimum(p, 1.0 - p).min(axis=-1) <= 1e-12
-        f[on_boundary | np.roll(on_boundary, -1, axis=1)] = boundary_t
-    hexagons = np.stack([p, a + f * (c - a)], axis=2).reshape(-1, 6, 2)
-    return _build_mesh([hexagons], "unit_square")
+def th2_split_at(N, t):
+    """th2 with each edge's extra vertex at fraction t of the edge, not h_e."""
+    return split_edges(th2_unsplit(N), t)
 
 
 def th2_unsplit(N):
     """The N x N x 2 right-triangle mesh th2 splits, built by the same builder."""
-    return _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square")
+    return _build_mesh([_tri_cells(0.0, 1.0, 0.0, 1.0, N, N)], "unit_square", (N, N))
 
 
 @SETTINGS
@@ -196,8 +185,8 @@ def test_th2_with_tiny_split_fraction_validates(t):
 @pytest.mark.parametrize("t", [1e-11, 1e-12, 1e-13])
 @pytest.mark.parametrize("N", [16, 32])
 def test_th2_split_far_below_the_cell_size_validates(N, t):
-    # th2 merges only equal coordinates, so the split vertex at 1e-13 of
-    # an edge of about 0.09 or less stays apart from the edge's end point
+    # a split vertex is keyed by its edge, so the one at 1e-13 of an edge
+    # of about 0.09 or less stays apart from the edge's end point
     report = validate(th2_split_at(N, t))
     assert report.cell_count == 2 * N * N
     assert report.min_edge_over_h == pytest.approx(t / np.sqrt(2.0), rel=1e-2)
@@ -209,6 +198,18 @@ def test_the_geometry_sets_the_floor_on_split_th2(N):
     # point, within the geometry's 1e-14 * diameter "on the line" tolerance
     with pytest.raises(MeshConformityError, match=r"^cell 0 is not a valid polygon: polygon is not simple: "):
         validate(th2_split_at(N, 1e-14))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.sampled_from([4, 6, 8, 12]), st.floats(-10.0, np.log10(0.5)))
+def test_a_split_of_any_family_keeps_its_cells_and_area(family, N, exponent):
+    mesh = FAMILIES[family].generate(N)
+    split = split_edges(mesh, 10.0**exponent)
+    assert np.array_equal(split.cell_sizes, 2 * mesh.cell_sizes)
+    assert split.n_vertices == mesh.n_vertices + len(mesh.topology.edges)
+    area = [sum(float(g.area.sum()) for g in m.geometry.groups) for m in (mesh, split)]
+    assert abs(area[1] - area[0]) <= 1e-12
+    validate(split)
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9])
@@ -323,7 +324,7 @@ def test_builder_keeps_a_clockwise_cell_for_geometry_to_reject():
     # the generators emit counter-clockwise cells; one that does not is a
     # generator bug, which the builder passes on and the geometry names
     square = _quad_cells(0.0, 1.0, 0.0, 1.0, 1, 1)
-    mesh = _build_mesh([square, square[:, ::-1] + [1.0, 0.0]], "custom")
+    mesh = _build_mesh([square, square[:, ::-1] + [1.0, 0.0]], "custom", (1, 1))
     assert mesh.cells == ((0, 1, 2, 3), (2, 4, 5, 1))
     with pytest.raises(MeshConformityError, match="^cell 1 is not a valid polygon: polygon is clockwise"):
         mesh.geometry
@@ -409,6 +410,8 @@ ORACLE_MESHES = {
     f"{f}-N{N}": partial(gen, N) for f, gen in GENERATORS.items() for N in SIZES.get(f, (8, 24))
 }
 ORACLE_MESHES["th2-split-1e-9-N8"] = partial(th2_split_at, 8, 1e-9)
+ORACLE_MESHES["th3-split-1e-6-N8"] = lambda: split_edges(gen_square_th3(8), 1e-6)
+ORACLE_MESHES["th7-split-1e-6-N8"] = lambda: split_edges(gen_rotated_T("th7", 8), 1e-6)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))

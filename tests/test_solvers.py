@@ -23,7 +23,7 @@ from polyvem.coefficients import (
     constant_vector,
     square_exact_eigenvalues,
 )
-from polyvem.mesh import gen_rotated_T, gen_square_th1, gen_square_th2
+from polyvem.mesh import gen_rotated_T, gen_square_th1, gen_square_th2, split_edges
 from polyvem import solvers
 from polyvem.solvers import (
     EigenResult,
@@ -35,7 +35,7 @@ from polyvem.solvers import (
 )
 
 from reference import qz_eigs
-from test_mesh_checks import th2_split_at
+from test_mesh_checks import th2_split_at, th2_unsplit
 
 LAPLACE = CoefficientSet(constant(1.0), constant_vector(0.0, 0.0), constant(0.0))
 
@@ -388,7 +388,8 @@ class TestBackwardError:
         # every tiny edge has two interior end points, so the rows next to
         # the boundary see no 1/t weights; those rows read 1.6e-5 for
         # 1.01 lambda_1, the computed pair 6e-16
-        mesh = th2_split_at(16, t, boundary_t=0.5)
+        base = th2_unsplit(16)
+        mesh = split_edges(base, np.where(base.boundary_vertex[base.topology.edges].any(axis=1), 0.5, t))
         coeffs = CASES["eigen_square"].coeffs
         system = assemble(mesh, coeffs)
         A, M = (system.A + system.B).tocsc(), system.M.tocsc()
