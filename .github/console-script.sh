@@ -32,10 +32,15 @@ points=$(awk '$1 == "POINTS" {print $2}' b/solution_th2_N8.vtk)
 test "$points" -gt 0
 test "$(awk '$1 == "POINT_DATA" {print $2}' b/solution_th2_N8.vtk)" -eq "$points"
 test "$(awk '/^LOOKUP_TABLE/ {on = 1; next} on' b/solution_th2_N8.vtk | wc -l)" -eq "$points"
-# solve runs only the finest --N, and heads its CSV with the hash of that one level
-polyvem solve --family th2 --case test1 --N 4 8 --format csv --quiet --out h48 > /dev/null
+# solve runs one level: it takes one --N, and heads its CSV with the hash
+# that convergence writes for that level
+test "$(fails h48.err polyvem solve --family th2 --case test1 --N 4 8 --out h48)" -eq 2
+grep -q -- "unrecognized arguments: 8" h48.err
 polyvem solve --family th2 --case test1 --N 8 --format csv --quiet --out h8 > /dev/null
-test "$(cat h48/*.csv h8/*.csv | grep "^# config" | sort -u | wc -l)" -eq 1
+polyvem convergence --family th2 --case test1 --N 8 --quiet --out c8 > /dev/null
+grep -h "^# config" h8/solution_th2_N8_errors.csv c8/convergence_load_th2.csv > heads
+test "$(wc -l < heads)" -eq 2
+test "$(sort -u heads | wc -l)" -eq 1
 polyvem eig --family th2 --case eigen_square --N 8 --format csv --out e
 test -s e/eig_th2_N8.csv
 # the reentrant T domain, where the field-of-values guard decides the request
@@ -60,7 +65,7 @@ grep -q "runs only eigen problems" c.err
 # a config fixes every study input: a study flag next to it is a usage error
 test "$(fails f.err polyvem solve --config load.json --family th2 --out f)" -eq 2
 grep -q -- "remove --family" f.err
-# solve and eig run the finest --N; there is no --N-single
+# solve and eig run one --N; there is no --N-single
 test "$(fails n.err polyvem solve --family th2 --case test1 --N 4 --N-single 8 --out n)" -eq 2
 grep -q -- "--N-single" n.err
 # a command takes only the inputs it reads: solve has no eigensolver flags,

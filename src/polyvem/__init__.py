@@ -28,7 +28,6 @@ from .assembly import (
     GlobalSystem,
     apply_dirichlet_lift,
     assemble,
-    assemble_full,
     dof_map,
     expand_solution,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "SolverError",
     "apply_dirichlet_lift",
     "assemble",
-    "assemble_full",
     "dof_map",
     "error_h1_semi",
     "error_l2",

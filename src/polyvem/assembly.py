@@ -27,10 +27,8 @@ __all__ = [
     "AssemblyError",
     "DofMap",
     "GlobalSystem",
-    "FullSystem",
     "dof_map",
     "assemble",
-    "assemble_full",
     "apply_dirichlet_lift",
     "expand_solution",
 ]
@@ -138,21 +136,6 @@ class GlobalSystem:
         return self.dof.n_interior
 
 
-@dataclass(frozen=True)
-class FullSystem:
-    """Operators over all vertex DOFs, boundary rows retained.
-
-    Used for pre-elimination invariants (constants lie in the kernel of A)
-    and for exporting the raw operators.
-    """
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-    M: sp.csr_matrix
-    F: np.ndarray
-
-
 def _check_domain(mesh: PolyMesh, coeffs: CoefficientSet) -> None:
     if coeffs.domain is not None and coeffs.domain != mesh.domain_tag:
         raise AssemblyError(
@@ -229,7 +212,7 @@ def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
     The load problem reads (A + B + C) u = F (plus lift contributions for
     inhomogeneous Dirichlet data); the eigenproblem pairs A + B (+ C) with M.
     The operators are the interior and interior-boundary blocks of the
-    triplets `assemble_full` sums.
+    triplets over all vertices.
     """
     rows, cols, ops, F, field_bound = _triplets(mesh, coeffs)
     dof = dof_map(mesh)
@@ -253,13 +236,6 @@ def assemble(mesh: PolyMesh, coeffs: CoefficientSet) -> GlobalSystem:
         dof=dof,
         field_bound=field_bound,
     )
-
-
-def assemble_full(mesh: PolyMesh, coeffs: CoefficientSet) -> FullSystem:
-    """Assemble over all vertex DOFs with boundary rows retained."""
-    rows, cols, ops, F, _ = _triplets(mesh, coeffs)
-    shape = (len(mesh.vertices),) * 2
-    return FullSystem(**{name: _csr(ops.pop(name), rows, cols, shape) for name in "ABCM"}, F=F)
 
 
 BoundaryData = Union[Callable, float, np.ndarray, Sequence[float]]

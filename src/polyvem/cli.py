@@ -495,29 +495,36 @@ def _load_config(args, problem: str) -> ExperimentConfig:
     A config file fixes every study input, its problem included, so a
     study flag next to it is refused; --out, when given, replaces its
     output_dir.  `convergence` runs the file's problem; `solve` and `eig`
-    refuse a file of the other.
+    refuse a file of the other.  `solve` and `eig` run one level: their
+    --N, else the finest of the file's or the family's N list.
     """
     given = {k: v for k, v in vars(args).items() if k in _STUDY_FLAGS and v is not None}
+    one_level = args.command != "convergence"
     if args.config:
         if given:
             flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
             raise ConfigError(f"--config fixes every study input; remove {flags}")
         config = ExperimentConfig.from_json(args.config)
-        if args.command != "convergence" and config.problem != problem:
+        if one_level and config.problem != problem:
             raise ConfigError(
                 f"{args.config} is a {config.problem} config; "
                 f"polyvem {args.command} runs only {problem} problems"
             )
-        return config if args.out is None else replace(config, output_dir=args.out)
-    if "family" not in given:
-        raise ConfigError("either --config or --family is required")
-    if "case" not in given:
-        raise ConfigError("either --config or --case is required")
-    study = {"problem": problem, "N_list": FAMILIES[args.family].table_N}
-    study.update((_STUDY_FLAGS[dest], value) for dest, value in given.items())
-    if args.out is not None:
-        study["output_dir"] = args.out
-    return ExperimentConfig(**study)
+        if args.out is not None:
+            config = replace(config, output_dir=args.out)
+    else:
+        if "family" not in given:
+            raise ConfigError("either --config or --family is required")
+        if "case" not in given:
+            raise ConfigError("either --config or --case is required")
+        if one_level and "N" in given:
+            given["N"] = (given["N"],)
+        study = {"problem": problem, "N_list": FAMILIES[args.family].table_N}
+        study.update((_STUDY_FLAGS[dest], value) for dest, value in given.items())
+        if args.out is not None:
+            study["output_dir"] = args.out
+        config = ExperimentConfig(**study)
+    return replace(config, N_list=config.N_list[-1:]) if one_level else config
 
 
 def _log(args) -> Callable[[str], None]:
@@ -526,12 +533,13 @@ def _log(args) -> Callable[[str], None]:
     return (lambda s: None) if args.quiet else print
 
 
-def _write_level_csv(path: Path, config: ExperimentConfig, N: int, level: _Level) -> None:
-    """The one-level CSV of `solve` and `eig`, headed by the hash of the
-    one-level study, which `convergence --N <N>` writes too, and the quality line."""
+def _write_level_csv(path: Path, config: ExperimentConfig, level: _Level) -> None:
+    """The CSV of a one-level study, headed by its hash, which
+    `convergence --N <N>` writes too, and the quality line."""
+    (N,) = config.N_list
     record = ConvergenceRecord()
     record.add_entry(N, level.h, level.n, level.values)
-    header = f"config {replace(config, N_list=(N,)).config_hash}\n{level.quality}"
+    header = f"config {config.config_hash}\n{level.quality}"
     print(f"wrote {record.write_csv(path, header_comment=header)}")
 
 
@@ -540,7 +548,7 @@ def _cmd_solve(args) -> int:
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    N = config.N_list[-1]
+    (N,) = config.N_list
     level = _load_level(config, coeffs, case, N)
     stem = f"solution_{config.mesh_family}_N{N}"
     if args.format in ("vtk", "both"):
@@ -548,7 +556,7 @@ def _cmd_solve(args) -> int:
         print(f"wrote {out / (stem + '.vtk')}")
     # the error CSV needs errors, which need an exact solution
     if level.values and args.format in ("csv", "both"):
-        _write_level_csv(out / f"{stem}_errors.csv", config, N, level)
+        _write_level_csv(out / f"{stem}_errors.csv", config, level)
     log = _log(args)
     for k, v in level.values.items():
         log(f"{k} = {v:.8e}")
@@ -561,7 +569,7 @@ def _cmd_eig(args) -> int:
     coeffs, case = build_coefficients(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    N = config.N_list[-1]
+    (N,) = config.N_list
     level = _eigen_level(config, coeffs, N)
     result = level.eigs
     log = _log(args)
@@ -575,7 +583,7 @@ def _cmd_eig(args) -> int:
         if exact is not None:
             line += f"  exact {exact[j]:.8f}  rel.err {abs(lam.real - exact[j]) / exact[j]:.3e}"
         log(line)
-    _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, N, level)
+    _write_level_csv(out / f"eig_{config.mesh_family}_N{N}.csv", config, level)
     return EXIT_OK
 
 
@@ -606,20 +614,23 @@ def _cmd_convergence(args) -> int:
 
 def _add_study_flags(p: argparse.ArgumentParser, eigen: bool, formats: tuple) -> None:
     """The flags of a study command: the eigensolver's inputs with `eigen`,
-    and --format with the output kinds in `formats`, if any."""
+    and --format with the output kinds in `formats`, if any.  A command
+    with `formats` runs one level, so it takes one --N."""
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--family", choices=FAMILIES, help="mesh family")
     p.add_argument(
         "--case",
         help="named coefficient case: " + ", ".join(sorted(CASES)),
     )
-    p.add_argument(
-        "--N",
-        type=int,
-        nargs="+",
-        help="mesh resolution list (default: the family's table values); "
-        "solve and eig run the finest",
-    )
+    if formats:
+        p.add_argument(
+            "--N", type=int, help="mesh resolution (default: the family's finest table value)"
+        )
+    else:
+        p.add_argument(
+            "--N", type=int, nargs="+",
+            help="mesh resolution list (default: the family's table values)",
+        )
     if eigen:
         p.add_argument("--eig-count", type=int)
         p.add_argument("--shift", type=float)

@@ -21,6 +21,7 @@ from polyvem.analysis import (
     is_complex,
     triple_seminorm_interp,
 )
+from polyvem.assembly import assemble
 from polyvem.coefficients import (
     CASES,
     CoefficientSet,
@@ -113,7 +114,7 @@ class TestErrorNorms:
         assert error_h1_semi(
             mesh, u_h, lambda x, y: (np.full_like(x, 2.0), np.full_like(x, 3.0))
         ) <= 1e-12
-        assert triple_seminorm_interp(mesh, u_h, u, LAPLACE) == 0.0
+        assert triple_seminorm_interp(mesh, assemble(mesh, LAPLACE).A, u_h, u) == 0.0
 
     def test_zero_data(self):
         mesh = gen_square_th1(3)
@@ -141,9 +142,16 @@ class TestErrorNorms:
 
     def test_triple_seminorm_positive_for_nonlinear_mismatch(self):
         mesh = gen_square_th1(4)
+        A = assemble(mesh, LAPLACE).A
         u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        u_h = np.zeros(len(mesh.vertices))
-        assert triple_seminorm_interp(mesh, u_h, u, LAPLACE) > 0.1
+        # u's own boundary values, as a load solve writes them; sin(pi) is not 0
+        u_h = np.where(mesh.boundary_vertex, u(*mesh.vertices.T), 0.0)
+        assert triple_seminorm_interp(mesh, A, u_h, u) > 0.1
+        # the interior form holds only while u_h is u on the boundary
+        v = np.flatnonzero(mesh.boundary_vertex)[-1]
+        u_h[v] += 1e-9
+        with pytest.raises(ValueError, match=rf"^u_h differs from u at boundary vertex {v}$"):
+            triple_seminorm_interp(mesh, A, u_h, u)
 
     def test_shape_validation(self):
         mesh = gen_square_th1(3)

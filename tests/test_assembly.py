@@ -15,11 +15,9 @@ import scipy.sparse.linalg as spla
 
 from polyvem.assembly import (
     AssemblyError,
-    FullSystem,
     GlobalSystem,
     apply_dirichlet_lift,
     assemble,
-    assemble_full,
     dof_map,
     expand_solution,
 )
@@ -96,11 +94,14 @@ class TestScatter:
         ],
     )
     def test_global_form_equals_sum_of_local(self, gen, coeffs):
+        # vectors that vanish at the boundary vertices see only the interior block
         mesh = gen(4)
-        full = assemble_full(mesh, coeffs)
+        system = assemble(mesh, coeffs)
+        ii = system.dof.interior_vertices
         rng = np.random.default_rng(11)
-        v = rng.standard_normal(len(mesh.vertices))
-        w = rng.standard_normal(len(mesh.vertices))
+        v, w = np.zeros((2, len(mesh.vertices)))
+        v[ii] = rng.standard_normal(len(ii))
+        w[ii] = rng.standard_normal(len(ii))
         acc = {"A": 0.0, "B": 0.0, "C": 0.0, "M": 0.0}
         for cell in mesh.cells:
             ids = list(cell)
@@ -111,23 +112,8 @@ class TestScatter:
             acc["C"] += vl @ le.Ch @ wl
             acc["M"] += vl @ le.Mh @ wl
         for name in acc:
-            glob = v @ (getattr(full, name) @ w)
+            glob = v[ii] @ (getattr(system, name) @ w[ii])
             assert glob == pytest.approx(acc[name], rel=1e-12, abs=1e-14)
-
-    def test_interior_block_matches_full_restriction(self):
-        mesh = gen_square_th2(3)
-        coeffs = CASES["test1"].coeffs
-        system = assemble(mesh, coeffs)
-        full = assemble_full(mesh, coeffs)
-        ii = system.dof.interior_vertices
-        for name in ("A", "B", "C", "M"):
-            red = getattr(system, name).toarray()
-            res = getattr(full, name).toarray()[np.ix_(ii, ii)]
-            # duplicate-summation order differs between the two scatters,
-            # so agreement is to roundoff, not bitwise
-            scale = max(np.abs(res).max(), 1e-300)
-            assert np.abs(red - res).max() <= 1e-14 * scale
-        assert np.array_equal(system.F, full.F[ii])
 
     def test_load_vector_against_direct_sum(self):
         mesh = gen_square_th1(3)
@@ -166,12 +152,13 @@ class TestOperatorStructure:
             assert eig.min() >= -1e-12 * max(eig.max(), 1e-300)
 
     def test_constants_in_kernel_pre_elimination(self):
-        # with boundary rows retained, A annihilates the constant vector
+        # with boundary rows retained, A annihilates the constant vector; its
+        # interior rows are A and, with B = C = 0, K_coupling
         mesh = gen_square_th2(3)
-        full = assemble_full(mesh, LAPLACE)
-        ones = np.ones(full.A.shape[0])
-        resid = np.abs(full.A @ ones).max()
-        assert resid <= 1e-12 * np.abs(full.A.data).max()
+        system = assemble(mesh, LAPLACE)
+        A, K = system.A, system.K_coupling
+        resid = np.abs(A @ np.ones(A.shape[1]) + K @ np.ones(K.shape[1])).max()
+        assert resid <= 1e-12 * np.abs(A.data).max()
 
     @pytest.mark.parametrize(
         "mesh, case",
@@ -183,10 +170,7 @@ class TestOperatorStructure:
         # long as the triplets; assembly keeps copies of just the nonzeros
         mesh = mesh()
         system = assemble(mesh, CASES[case].coeffs)
-        full = assemble_full(mesh, CASES[case].coeffs)
-        operators = [getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")]
-        operators += [getattr(full, name) for name in "ABCM"]
-        for mat in operators:
+        for mat in (getattr(system, name) for name in ("A", "B", "C", "M", "K_coupling")):
             for arr, size in ((mat.data, mat.nnz), (mat.indices, mat.nnz), (mat.indptr, mat.shape[0] + 1)):
                 assert arr.base is None and arr.size == size
 
@@ -217,13 +201,12 @@ class TestOperatorStructure:
         with pytest.raises(AssemblyError, match="domain"):
             assemble(mesh, CASES["test1"].coeffs)
         with pytest.raises(AssemblyError, match="domain"):
-            assemble_full(mesh, CASES["eigen_square"].coeffs)
+            assemble(mesh, CASES["eigen_square"].coeffs)
 
     def test_mesh_without_cells_rejected(self):
         mesh = PolyMesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [], "custom")
-        for build in (assemble, assemble_full):
-            with pytest.raises(AssemblyError, match="^mesh has no cells$"):
-                build(mesh, LAPLACE)
+        with pytest.raises(AssemblyError, match="^mesh has no cells$"):
+            assemble(mesh, LAPLACE)
 
     @pytest.mark.parametrize(
         "kappa, gamma, message",
@@ -240,9 +223,8 @@ class TestOperatorStructure:
         # batch order (13 or 15) is not the lowest one (2)
         mesh = gen_square_th3(4)
         coeffs = CoefficientSet(kappa, constant_vector(0.0, 0.0), gamma)
-        for build in (assemble, assemble_full):
-            with pytest.raises(AssemblyError, match=rf"^cell 2: {message}"):
-                build(mesh, coeffs)
+        with pytest.raises(AssemblyError, match=rf"^cell 2: {message}"):
+            assemble(mesh, coeffs)
 
     @pytest.mark.parametrize("bad_id", [7, -5])
     def test_vertex_id_out_of_range_rejected(self, bad_id):
@@ -250,18 +232,16 @@ class TestOperatorStructure:
         verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
         cells = [(0, 1, 4), (1, 2, 4), (2, 3, bad_id), (3, 0, 4)]
         mesh = PolyMesh.from_cells(verts, cells, "unit_square")
-        for build in (assemble, assemble_full):
-            with pytest.raises(MeshConformityError, match="^cell 2 references a vertex out of range$"):
-                build(mesh, LAPLACE)
+        with pytest.raises(MeshConformityError, match="^cell 2 references a vertex out of range$"):
+            assemble(mesh, LAPLACE)
 
     def test_non_simple_cell_rejected(self):
         mesh = th2_unsplit(2)
         cells = list(mesh.cells)
         cells[2] = (0, 4, 7, 8)  # corners (0,0), (1,0), (0,1), (1,1): a bow-tie
         bad = PolyMesh.from_cells(mesh.vertices, cells, mesh.domain_tag)
-        for build in (assemble, assemble_full):
-            with pytest.raises(ValueError, match="cell 2 .*not simple: edges 1 and 3"):
-                build(bad, CASES["test1"].coeffs)
+        with pytest.raises(ValueError, match="cell 2 .*not simple: edges 1 and 3"):
+            assemble(bad, CASES["test1"].coeffs)
 
     def test_determinism_bit_identical(self):
         mesh = gen_square_th2(3)
@@ -275,7 +255,7 @@ class TestOperatorStructure:
             assert m1.data.tobytes() == m2.data.tobytes()
         assert s1.F.tobytes() == s2.F.tobytes()
 
-    @pytest.mark.parametrize("system", [GlobalSystem, FullSystem])
+    @pytest.mark.parametrize("system", [GlobalSystem])
     def test_annotations_resolve(self, system):
         # the operator annotations name scipy.sparse through the module's
         # `sp`, which imports it on first use

@@ -734,7 +734,12 @@ def test_study_flags_take_their_defaults_from_the_config(command, tmp_path):
             }
         )
     )
-    assert cli._load_config(args, problem) == ExperimentConfig.from_json(p)
+    if command == "convergence":
+        assert cli._load_config(args, problem) == ExperimentConfig.from_json(p)
+    else:
+        # solve and eig run the finest level of either
+        from_file = cli.build_parser().parse_args([command, "--config", str(p)])
+        assert cli._load_config(args, problem) == cli._load_config(from_file, problem)
 
 
 def test_single_level_commands_take_no_N_single(capsys):
@@ -944,7 +949,6 @@ def test_solve_command_writes_outputs(tmp_path, capsys):
             "--case",
             "test1",
             "--N",
-            "4",
             "8",
             "--out",
             str(tmp_path),
@@ -1011,14 +1015,19 @@ def test_convergence_csv_structure_and_determinism(tmp_path, capsys):
     assert "\nexact,,," in text
 
 
-def test_a_one_level_csv_has_the_hash_of_its_one_level(tmp_path):
-    # solve computes only the finest --N, so listing a coarser one moves no hash
+def test_a_one_level_csv_has_the_hash_of_its_one_level(tmp_path, capsys):
+    # solve takes one --N; it used to run only the last of several and hash them all
     study = ["--family", "th2", "--case", "test1", "--quiet", "--N"]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *study, "4", "8", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: 8" in capsys.readouterr().err
     heads = set()
-    for i, argv in enumerate([["solve", *study, "4", "8"], ["solve", *study, "8"], ["convergence", *study, "8"]]):
+    for i, argv in enumerate([["solve", *study, "8"], ["convergence", *study, "8"]]):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
         heads.add(next((tmp_path / str(i)).glob("*.csv")).read_text().splitlines()[0])
     assert heads == {f"# config {make_config(mesh_family='th2', N_list=(8,)).config_hash}"}
+    assert not (tmp_path / "x").exists()
 
 
 def test_convergence_load_with_inline_config(tmp_path, capsys):
@@ -1160,7 +1169,7 @@ PINNED_CONFIGS = {
 
 PINNED = {
     "solve_th2_csv": "solve --family th2 --case test1 --format csv --N 8",
-    "solve_th1_both": "solve --family th1 --case test1 --N 4 8 --format both",
+    "solve_th1_both": "solve --family th1 --case test1 --N 8 --format both",
     "solve_th3_vtk": "solve --family th3 --case test2 --N 8 --format vtk",
     "solve_config_no_u": "solve --config no_u.json",
     "solve_case_without_u": "solve --family th1 --case eigen_square --N 4",
