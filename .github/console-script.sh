@@ -28,6 +28,11 @@ grep -q "^vertices 14457," m96.log
 # a solution VTK carries one POINT_DATA value per vertex
 polyvem solve --family th2 --case test1 --N 8 --format both --out b
 test -s b/solution_th2_N8_errors.csv
+# the error norms' exact-solution pass runs on a second thread while the
+# main thread factors K: two runs of one study still write the same bytes
+polyvem convergence --family th2 --case test1 --N 8 16 32 --quiet --out r1 > /dev/null
+polyvem convergence --family th2 --case test1 --N 8 16 32 --quiet --out r2 > /dev/null
+cmp r1/convergence_load_th2.csv r2/convergence_load_th2.csv
 points=$(awk '$1 == "POINTS" {print $2}' b/solution_th2_N8.vtk)
 test "$points" -gt 0
 test "$(awk '$1 == "POINT_DATA" {print $2}' b/solution_th2_N8.vtk)" -eq "$points"

@@ -21,9 +21,12 @@ import numpy as np
 from .geometry import cell_quadrature
 from .geometry import polygon_quadrature  # noqa: F401  perfbench/spans.py wraps this name
 from .mesh import PolyMesh
-from .vem_core import pi_nabla_batch
+from .vem_core import _scaled_monomials, pi_nabla_batch
 
 __all__ = [
+    "exact_moments",
+    "moment_buffer",
+    "finish_error_norms",
     "error_norms",
     "error_l2",
     "error_h1_semi",
@@ -37,34 +40,116 @@ __all__ = [
 ]
 
 ERROR_QUAD_DEGREE = 6
+# cells per chunk of `exact_moments`: its (cells x nodes) temporaries stay
+# small, so a thread running it leaves no large freed blocks behind
+MOMENT_CHUNK = 32
+# columns of a cell's moments: c (3), E2, r (3); with the gradient also
+# gbar (2), H2, rho (2)
+L2_MOMENTS, H1_MOMENTS = 7, 12
+
+
+def moment_buffer(mesh: PolyMesh, gradient: bool) -> np.ndarray:
+    """Uninitialised rows for `exact_moments`, one per valid cell."""
+    cells = mesh.n_cells - len(mesh.geometry.invalid)
+    return np.empty((cells, H1_MOMENTS if gradient else L2_MOMENTS))
+
+
+def exact_moments(
+    mesh: PolyMesh,
+    u_exact: Callable,
+    grad_u_exact: Optional[Callable] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """All the error norms need of the exact solution: a row per valid cell.
+
+    With the degree-6 nodes (x, y), weights w and scaled monomials m of a
+    cell, its row holds the cell's P1 L2 projection c = G^-1 sum w u m
+    (G = sum w m m^T), E2 = sum w e^2 and r = sum w e m for e = u - c.m
+    and, when grad_u is given, gbar = sum w grad u / sum w,
+    H2 = sum w |grad u - gbar|^2 and rho = sum w (grad u - gbar).  Rows
+    follow `MeshGeometry.batches`.  No u_h is read, so the pass can run
+    while u_h is being solved for; it fills `out` (from `moment_buffer`)
+    MOMENT_CHUNK cells at a time.
+    """
+    if out is None:
+        out = moment_buffer(mesh, grad_u_exact is not None)
+    row = 0
+    for batch in mesh.geometry.batches():
+        for start in range(0, len(batch.cells), MOMENT_CHUNK):
+            g = batch.take(slice(start, start + MOMENT_CHUNK))
+            x, y, w = cell_quadrature(g, ERROR_QUAD_DEGREE)
+            m = _scaled_monomials(x, y, g)
+            mwT = np.swapaxes(m * w[..., None], 1, 2)  # (G, 3, q)
+            u = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), x.shape)
+            c = np.linalg.solve(mwT @ m, mwT @ u[..., None])[..., 0]
+            e = u - (m @ c[..., None])[..., 0]
+            rows = out[row : row + len(g.cells)]
+            rows[:, :3] = c
+            rows[:, 3] = (w * e * e).sum(axis=1)
+            rows[:, 4:7] = (mwT @ e[..., None])[..., 0]
+            if grad_u_exact is not None:
+                grad = np.stack(
+                    [np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in grad_u_exact(x, y)]
+                )  # (2, G, q)
+                gbar = (grad * w).sum(axis=2) / w.sum(axis=1)
+                dev = grad - gbar[..., None]
+                rows[:, 7:9] = gbar.T
+                rows[:, 9] = (w * (dev * dev).sum(axis=0)).sum(axis=1)
+                rows[:, 10:12] = (dev * w).sum(axis=2).T
+            row += len(g.cells)
+    return out
+
+
+def finish_error_norms(
+    mesh: PolyMesh, moments: np.ndarray, u_h: np.ndarray
+) -> tuple[float, Optional[float]]:
+    """(|| u - Pi u_h ||_{L2}, | u - Pi u_h |_{H1}) from the `exact_moments` of u.
+
+    With s = Pi u_h in the scaled monomials, d = c - s and a = (s_1, s_2)/h_E,
+    a cell contributes E2 + 2 d.r + d^T G d and H2 + 2 (gbar - a).rho
+    + |gbar - a|^2 |E|.  Both are exact expansions of the sums over the
+    nodes, and every term is small, so nothing cancels.  d^T G d is the
+    integral of (d.m)^2, taken exactly from the values of d.m at the
+    vertices and the centroid over the centroid fan, whose signed
+    triangles sum to the cell whether or not the cell is star-shaped.  The
+    H1 seminorm is None when the moments hold no gradient.
+    """
+    u_h = np.asarray(u_h, dtype=float)
+    if u_h.shape != (len(mesh.vertices),):
+        raise ValueError(f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)")
+    gradient = moments.shape[1] == H1_MOMENTS
+    l2 = h1 = 0.0
+    row = 0
+    for g in mesh.geometry.batches():
+        rows = moments[row : row + len(g.cells)]
+        row += len(g.cells)
+        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]  # Pi u_h, scaled monomials
+        d = rows[:, :3] - s
+        v = g.vertices - g.centroid[:, None, :]
+        vn = np.roll(v, -1, axis=1)
+        fan = 0.5 * (v[..., 0] * vn[..., 1] - v[..., 1] * vn[..., 0])  # signed triangle areas
+        p = d[:, :1] + (d[:, 1:2] * v[..., 0] + d[:, 2:] * v[..., 1]) / g.diameter[:, None]
+        pn, pc = np.roll(p, -1, axis=1), d[:, :1]  # d.m at the next vertex and the centroid
+        dGd = (fan * (p * p + pn * pn + pc * pc + p * pn + pc * (p + pn))).sum(axis=1) / 6.0
+        l2 += float((rows[:, 3] + 2.0 * (d * rows[:, 4:7]).sum(axis=1) + dGd).sum())
+        if gradient:
+            dg = rows[:, 7:9] - s[:, 1:] / g.diameter[:, None]
+            cross = 2.0 * (dg * rows[:, 10:12]).sum(axis=1)
+            h1 += float((rows[:, 9] + cross + (dg * dg).sum(axis=1) * g.area).sum())
+    l2, h1 = np.sqrt(np.maximum([l2, h1], 0.0)).tolist()
+    return l2, h1 if gradient else None
 
 
 def error_norms(
     mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable, grad_u_exact: Optional[Callable] = None
 ) -> tuple[float, Optional[float]]:
-    """(|| u - Pi u_h ||_{L2}, | u - Pi u_h |_{H1}) from one pass over the cells.
+    """(|| u - Pi u_h ||_{L2}, | u - Pi u_h |_{H1}): `exact_moments`, then
+    `finish_error_norms`.
 
-    Both norms share each batch's Pi u_h and quadrature.  u_h is given at
-    all vertices; the projected gradient is constant per cell.  The H1
-    seminorm is None when no exact gradient is given.
+    u_h is given at all vertices; the projected gradient is constant per
+    cell.  The H1 seminorm is None when no exact gradient is given.
     """
-    u_h = np.asarray(u_h, dtype=float)
-    if u_h.shape != (len(mesh.vertices),):
-        raise ValueError(f"u_h has shape {u_h.shape}, expected ({len(mesh.vertices)},)")
-    l2 = h1 = 0.0
-    for g in mesh.geometry.batches():
-        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0]  # Pi u_h, scaled monomials
-        x, y, w = cell_quadrature(g, ERROR_QUAD_DEGREE)
-        c, h = g.centroid, g.diameter[:, None]
-        proj = s[:, :1] + s[:, 1:2] * (x - c[:, :1]) / h + s[:, 2:] * (y - c[:, 1:]) / h
-        l2 += float((w * (np.asarray(u_exact(x, y), dtype=float) - proj) ** 2).sum())
-        if grad_u_exact is not None:
-            gx, gy = grad_u_exact(x, y)
-            dx = np.asarray(gx, dtype=float) - s[:, 1:2] / h
-            dy = np.asarray(gy, dtype=float) - s[:, 2:] / h
-            h1 += float((w * (dx**2 + dy**2)).sum())
-    l2, h1 = np.sqrt(np.maximum([l2, h1], 0.0)).tolist()
-    return l2, None if grad_u_exact is None else h1
+    return finish_error_norms(mesh, exact_moments(mesh, u_exact, grad_u_exact), u_h)
 
 
 def error_l2(mesh: PolyMesh, u_h: np.ndarray, u_exact: Callable) -> float:

@@ -338,12 +338,17 @@ def _insert_hanging_vertices(
     offset = 0
     for axis in (0, 1):  # columns (parameter: row), then rows
         line, rank = grid[axis], grid[1 - axis]
+        sel = ~taken & (line[tail] == line[head])
+        taken |= sel
+        # a vertex fits strictly inside an edge only if its ends are at least
+        # 2 lattice steps apart; an axis without such an edge is not searched
+        sel &= np.abs(rank[tail] - rank[head]) >= 2
+        if not sel.any():
+            continue
         stride = int(rank.max()) + 1
         key = line * stride + rank  # one vertex per key
         order = np.argsort(key)
         sorted_key = key[order]
-        sel = ~taken & (line[tail] == line[head])
-        taken |= sel
         a, b = tail[sel], head[sel]
         i0 = np.searchsorted(sorted_key, line[a] * stride + np.minimum(rank[a], rank[b]), "right")
         i1 = np.searchsorted(sorted_key, line[a] * stride + np.maximum(rank[a], rank[b]), "left")
@@ -352,7 +357,7 @@ def _insert_hanging_vertices(
         forward[sel] = rank[a] < rank[b]
         on_line.append(order)
         offset += len(order)
-    line_vids = np.concatenate(on_line)
+    line_vids = np.concatenate(on_line) if on_line else np.empty(0, dtype=np.int64)
 
     out_len = 1 + count
     out_start = np.cumsum(out_len) - out_len

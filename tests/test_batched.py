@@ -17,7 +17,13 @@ import pytest
 
 import polyvem.cli as cli
 import polyvem.geometry as geometry
-from polyvem.analysis import error_h1_semi, error_l2, error_norms, triple_seminorm_interp
+from polyvem.analysis import (
+    ERROR_QUAD_DEGREE,
+    error_h1_semi,
+    error_l2,
+    error_norms,
+    triple_seminorm_interp,
+)
 from polyvem.assembly import (
     AssemblyError,
     apply_dirichlet_lift,
@@ -50,6 +56,7 @@ from polyvem.solvers import solve_load
 from polyvem.vem_core import _stab_batch, local_forms, local_forms_batch, pi_nabla_batch
 
 import reference
+from test_mesh_checks import th2_split_at
 
 RTOL = 1e-12
 
@@ -349,6 +356,42 @@ def test_error_norms_is_both_errors_in_one_pass(name, tmp_path):
     assert h1 == error_h1_semi(mesh, u_h, grad_u_smooth)
     assert (l2, h1) == pytest.approx(reference_errors(mesh, u_h, u_smooth, grad_u_smooth), rel=RTOL)
     assert error_norms(mesh, u_h, u_smooth) == (l2, None)
+
+
+def long_double_errors(mesh, u_h, u, grad_u):
+    """Squared L2 and H1 errors as long-double sums over the degree-6 nodes
+    of w (u - Pi u_h)^2 and w |grad u - grad Pi u_h|^2."""
+    l2 = h1 = np.longdouble(0)
+    for g in mesh.geometry.batches():
+        s = (pi_nabla_batch(g) @ u_h[g.ids][..., None])[..., 0].astype(np.longdouble)
+        x, y, w = (a.astype(np.longdouble) for a in cell_quadrature(g, ERROR_QUAD_DEGREE))
+        c, h = g.centroid.astype(np.longdouble), g.diameter[:, None].astype(np.longdouble)
+        proj = s[:, :1] + s[:, 1:2] * (x - c[:, :1]) / h + s[:, 2:] * (y - c[:, 1:]) / h
+        xd, yd = x.astype(float), y.astype(float)
+        gx, gy = (a.astype(np.longdouble) for a in grad_u(xd, yd))
+        l2 += (w * (u(xd, yd).astype(np.longdouble) - proj) ** 2).sum()
+        h1 += (w * ((gx - s[:, 1:2] / h) ** 2 + (gy - s[:, 2:] / h) ** 2)).sum()
+    return l2, h1
+
+
+@pytest.mark.parametrize("name", ["th2_interpolant", "th2_split", "u_shaped"])
+def test_error_norms_match_long_double_sums_over_the_nodes(name, tmp_path):
+    # error_norms expands each cell's sums around the L2 projection of u
+    # (exact_moments) and adds Pi u_h's part after the solve; the expansion
+    # is exact, so it must agree with the direct node sums to round-off.
+    # u_h = u_I makes the errors small, where a cancellation would show
+    if name == "u_shaped":
+        mesh = u_shaped_mesh(tmp_path)
+    else:
+        mesh = gen_square_th2(16) if name == "th2_interpolant" else th2_split_at(16, 1e-6)
+    xy = mesh.vertices
+    u_h = u_smooth(xy[:, 0], xy[:, 1])
+    if name != "th2_interpolant":
+        u_h = u_h + 0.01 * np.random.default_rng(3).standard_normal(len(xy))
+    l2, h1 = error_norms(mesh, u_h, u_smooth, grad_u_smooth)
+    ref_l2, ref_h1 = long_double_errors(mesh, u_h, u_smooth, grad_u_smooth)
+    assert abs(np.longdouble(l2) ** 2 - ref_l2) <= 1e-13 * ref_l2
+    assert abs(np.longdouble(h1) ** 2 - ref_h1) <= 1e-13 * ref_h1
 
 
 def test_mesh_geometry_is_independent_of_the_batch_size(monkeypatch):

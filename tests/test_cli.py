@@ -13,8 +13,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +435,73 @@ def test_load_level_factors_with_only_K_alive(monkeypatch):
     assert events == [("norm", alive), ("release", alive), ("splu", alive)]
     assert 0.0 < level.values["err_l2"] < 0.05
     assert level.h == level.mesh.h and level.quality == cli._quality_line(level.mesh, 8)
+
+
+def _spy_threads(monkeypatch):
+    """Record the name of every thread started from here on."""
+    started, thread = [], threading.Thread
+
+    class Spy(thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+def test_a_solver_error_propagates_unchanged_past_the_moments_thread(monkeypatch):
+    # the exact solution's moments fill on a thread while solve_load runs;
+    # a failed solve still joins it, and its error is the one raised
+    started = _spy_threads(monkeypatch)
+    error = SolverError("load solve backward error 1e+00 exceeds 1e-10")
+
+    def fail(K, F):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_load", fail)
+    config = make_config(mesh_family="th2", N_list=[8])
+    coeffs, case = build_coefficients(config)
+    before = threading.active_count()
+    with pytest.raises(SolverError) as caught:
+        cli._load_level(config, coeffs, case, 8)
+    assert caught.value is error
+    assert len(started) == 1 and threading.active_count() == before
+
+
+def test_an_exception_of_the_exact_solution_surfaces_after_the_solve(monkeypatch):
+    # u is evaluated at the boundary vertices for the lift (1-D) and at the
+    # quadrature nodes on the thread (rows of cells): the thread's error is
+    # raised by _load_level once the solve has finished
+    events = []
+    solve_load = cli.solve_load
+
+    def logged_solve(K, F):
+        u = solve_load(K, F)
+        events.append("solved")
+        return u
+
+    def u(x, y):
+        if np.ndim(x) == 2:
+            raise FloatingPointError("u overflowed at a quadrature node")
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    monkeypatch.setattr(cli, "solve_load", logged_solve)
+    config = make_config(mesh_family="th2", N_list=[8])
+    coeffs, case = build_coefficients(config)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="at a quadrature node"):
+        cli._load_level(config, coeffs, replace(case, u=u), 8)
+    assert events == ["solved"] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", ["solve_th2_csv", "solve_case_without_u", "solve_config_no_u"])
+def test_only_a_solve_with_an_exact_solution_starts_a_thread(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_configs(tmp_path)
+    started = _spy_threads(monkeypatch)
+    assert main([*PINNED[name].split(), "--quiet"]) == 0
+    assert len(started) == (1 if name == "solve_th2_csv" else 0)
 
 
 def test_eig_count_above_the_pencil_order_fails_before_factoring(monkeypatch, capsys, tmp_path):

@@ -65,6 +65,30 @@ def test_solver_calls_go_through_the_traced_spla(tmp_path):
     assert opapps > 0
 
 
+def test_a_traced_solve_opens_every_span_on_the_main_thread(tmp_path):
+    # the error moments run on a second thread while the main thread
+    # solves; the tracer's span stack is shared between threads, so that
+    # thread must enter no traced name.  Every span then closes on the
+    # stack it opened, and lies within its parent's interval
+    argv = ["solve", "--family", "th2", "--case", "test1", "--N", "8", "--out", str(tmp_path), "--quiet"]
+    proc = run_traced(
+        "import json, threading; import polyvem.cli as cli; "
+        "openers = set(); "
+        "Stack = type('Stack', (list,), {'append': lambda self, i: "
+        "(openers.add(threading.get_ident()), list.append(self, i))[1]}); "
+        "rec.stack = Stack(); "
+        f"code = cli.main({argv!r}); "
+        "print(json.dumps([code, openers == {threading.get_ident()}, rec.stack, rec.spans]))"
+    )
+    code, main_only, stack, spans_ = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and main_only and stack == []
+    assert {"cli.op", "solvers.splu", "assembly.assemble"} <= {s[0] for s in spans_}
+    for name, start, end, parent, _, status in spans_:
+        assert start <= end and status == "ok"
+        if parent >= 0:
+            assert spans_[parent][1] <= start and end <= spans_[parent][2], name
+
+
 @pytest.mark.parametrize(
     "module",
     ["polyvem", *(f"polyvem.{m.name}" for m in pkgutil.iter_modules(polyvem.__path__))],
