@@ -67,6 +67,10 @@ grep -q "invalid choice" v.err
 echo '{"problem": "load", "mesh_family": "th2", "N_list": [8], "coefficients": "test1"}' > load.json
 test "$(fails c.err polyvem eig --config load.json --out c)" -eq 2
 grep -q "runs only eigen problems" c.err
+# a coefficient whose constant part fails to evaluate is a usage error
+echo '{"problem": "load", "mesh_family": "th2", "N_list": [8], "coefficients": {"f": "1/0"}}' > div.json
+test "$(fails z.err polyvem solve --config div.json --out z)" -eq 2
+grep -q "^error: cannot evaluate expression '1/0'" z.err
 # a config fixes every study input: a study flag next to it is a usage error
 test "$(fails f.err polyvem solve --config load.json --family th2 --out f)" -eq 2
 grep -q -- "remove --family" f.err

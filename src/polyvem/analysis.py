@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .coefficients import _eval_scalar, _eval_vector
 from .geometry import cell_quadrature
 from .geometry import polygon_quadrature  # noqa: F401  perfbench/spans.py wraps this name
 from .mesh import PolyMesh
@@ -25,7 +26,6 @@ from .vem_core import _scaled_monomials, pi_nabla_batch
 
 __all__ = [
     "exact_moments",
-    "moment_buffer",
     "finish_error_norms",
     "error_norms",
     "error_l2",
@@ -48,17 +48,8 @@ MOMENT_CHUNK = 32
 L2_MOMENTS, H1_MOMENTS = 7, 12
 
 
-def moment_buffer(mesh: PolyMesh, gradient: bool) -> np.ndarray:
-    """Uninitialised rows for `exact_moments`, one per valid cell."""
-    cells = mesh.n_cells - len(mesh.geometry.invalid)
-    return np.empty((cells, H1_MOMENTS if gradient else L2_MOMENTS))
-
-
 def exact_moments(
-    mesh: PolyMesh,
-    u_exact: Callable,
-    grad_u_exact: Optional[Callable] = None,
-    out: Optional[np.ndarray] = None,
+    mesh: PolyMesh, u_exact: Callable, grad_u_exact: Optional[Callable] = None
 ) -> np.ndarray:
     """All the error norms need of the exact solution: a row per valid cell.
 
@@ -68,11 +59,11 @@ def exact_moments(
     and, when grad_u is given, gbar = sum w grad u / sum w,
     H2 = sum w |grad u - gbar|^2 and rho = sum w (grad u - gbar).  Rows
     follow `MeshGeometry.batches`.  No u_h is read, so the pass can run
-    while u_h is being solved for; it fills `out` (from `moment_buffer`)
-    MOMENT_CHUNK cells at a time.
+    while u_h is being solved for; it fills the rows MOMENT_CHUNK cells at
+    a time.
     """
-    if out is None:
-        out = moment_buffer(mesh, grad_u_exact is not None)
+    cells = mesh.n_cells - len(mesh.geometry.invalid)
+    out = np.empty((cells, L2_MOMENTS if grad_u_exact is None else H1_MOMENTS))
     row = 0
     for batch in mesh.geometry.batches():
         for start in range(0, len(batch.cells), MOMENT_CHUNK):
@@ -80,7 +71,7 @@ def exact_moments(
             x, y, w = cell_quadrature(g, ERROR_QUAD_DEGREE)
             m = _scaled_monomials(x, y, g)
             mwT = np.swapaxes(m * w[..., None], 1, 2)  # (G, 3, q)
-            u = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), x.shape)
+            u = _eval_scalar(u_exact, x, y)
             c = np.linalg.solve(mwT @ m, mwT @ u[..., None])[..., 0]
             e = u - (m @ c[..., None])[..., 0]
             rows = out[row : row + len(g.cells)]
@@ -88,9 +79,7 @@ def exact_moments(
             rows[:, 3] = (w * e * e).sum(axis=1)
             rows[:, 4:7] = (mwT @ e[..., None])[..., 0]
             if grad_u_exact is not None:
-                grad = np.stack(
-                    [np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in grad_u_exact(x, y)]
-                )  # (2, G, q)
+                grad = np.stack(_eval_vector(grad_u_exact, x, y))  # (2, G, q)
                 gbar = (grad * w).sum(axis=2) / w.sum(axis=1)
                 dev = grad - gbar[..., None]
                 rows[:, 7:9] = gbar.T
@@ -177,9 +166,7 @@ def triple_seminorm_interp(
     boundary vertex where u_h differs from u.
     """
     u_h = np.asarray(u_h, dtype=float)
-    u_i = np.asarray(
-        u_exact(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float
-    )
+    u_i = _eval_scalar(u_exact, mesh.vertices[:, 0], mesh.vertices[:, 1])
     if u_h.shape != u_i.shape:
         raise ValueError(
             f"u_h has shape {u_h.shape}, expected {u_i.shape}"

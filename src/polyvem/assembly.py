@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, _eval_scalar
 from .mesh import PolyMesh
 from .vem_core import form_fault, local_forms_batch
 from .vem_core import local_forms  # noqa: F401  perfbench/spans.py wraps this name
@@ -244,8 +244,7 @@ BoundaryData = Union[Callable, float, np.ndarray, Sequence[float]]
 def _boundary_values(mesh: PolyMesh, dof: DofMap, g: BoundaryData) -> np.ndarray:
     if callable(g):
         xy = mesh.vertices[dof.boundary_vertices]
-        vals = np.asarray(g(xy[:, 0], xy[:, 1]), dtype=float)
-        vals = np.broadcast_to(vals, (dof.n_boundary,)).copy()
+        vals = _eval_scalar(g, xy[:, 0], xy[:, 1]).copy()
     elif np.isscalar(g):
         vals = np.full(dof.n_boundary, float(g))
     else:

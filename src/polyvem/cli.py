@@ -14,7 +14,6 @@ import ast
 import hashlib
 import json
 import sys
-import threading
 from numbers import Integral, Real
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import ConvergenceRecord, exact_moments, finish_error_norms, is_complex, moment_buffer
+from .analysis import ConvergenceRecord, exact_moments, finish_error_norms, is_complex
 from .analysis import error_h1_semi, error_l2  # noqa: F401  perfbench/spans.py wraps these names
 from .assembly import AssemblyError, apply_dirichlet_lift, assemble, expand_solution
 from .coefficients import CASES, CoefficientSet, ManufacturedCase
@@ -101,7 +100,9 @@ def parse_expression(src: str) -> Callable:
     """Compile an arithmetic expression of x and y into a vectorized callable.
 
     Grammar: numbers, x, y, pi, + - * / ^ (or **), unary minus, and the
-    calls sin, cos, exp.  Anything else is rejected.
+    calls sin, cos, exp.  Anything else is rejected.  Numbers are floats,
+    so 9^9^9 overflows at once instead of building a huge integer, and an
+    ArithmeticError of an evaluation (1/0, 2^2^24) raises ConfigError.
     """
     if not isinstance(src, str):
         raise ConfigError(f"coefficient expression must be a string, got {src!r}")
@@ -113,11 +114,20 @@ def parse_expression(src: str) -> Callable:
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {src!r}: {exc.msg}") from exc
     _validate_expr_node(tree, src)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ConfigError(f"number too large in expression {src!r}") from None
     code = compile(tree, "<coefficient>", "eval")
     env = dict(_ALLOWED_CALLS, pi=np.pi)
 
     def func(x, y, _code=code, _env=env):
-        out = eval(_code, {"__builtins__": {}}, dict(_env, x=x, y=y))
+        try:
+            out = eval(_code, {"__builtins__": {}}, dict(_env, x=x, y=y))
+        except ArithmeticError as exc:  # an OverflowError's args are (errno, message)
+            raise ConfigError(f"cannot evaluate expression {src!r}: {exc.args[-1]}") from exc
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy()
 
     func.expression = src
@@ -369,10 +379,13 @@ def _load_level(
 
     With an exact solution in `case` its boundary values are lifted and the
     errors measured; without one the lift is 0 and no errors are returned.
-    The part of the errors that reads only u (`exact_moments`) runs on one
-    helper thread while `solve_load` factors K, since SuperLU releases the
-    GIL; an exception it raises is raised here after the solve.
+    The part of the errors that reads only u (`exact_moments`) runs on a
+    one-worker executor while `solve_load` factors K, since SuperLU releases
+    the GIL.  Leaving the executor joins the worker on every path; an
+    exception the worker raised is raised by `result()` after the solve.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here: keeps start-up fast
+
     mesh = generate_mesh(config.mesh_family, N)
     system = assemble(mesh, coeffs)
     u_exact = None if case is None else case.u
@@ -380,29 +393,16 @@ def _load_level(
     K, F, dof, n = system.K_load.tocsc(), system.F + delta, system.dof, system.n
     # only K and F live through the factorization
     del system, delta
-    if u_exact is None:
+    moments = None  # a case without an exact solution submits nothing: no thread starts
+    with ThreadPoolExecutor(1, thread_name_prefix="polyvem-exact-moments") as pool:
+        if u_exact is not None:
+            moments = pool.submit(exact_moments, mesh, u_exact, case.grad_u)
         u_full = expand_solution(dof, solve_load(K, F), g_b)
-        return _Level(mesh.h, _quality_line(mesh, N), n, {}, mesh=mesh, u=u_full)
-    moments, raised = moment_buffer(mesh, case.grad_u is not None), []
-
-    def fill():
-        try:
-            exact_moments(mesh, u_exact, case.grad_u, out=moments)
-        except BaseException as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=fill, name="polyvem-exact-moments")
-    worker.start()
-    try:
-        u_full = expand_solution(dof, solve_load(K, F), g_b)
-    finally:
-        worker.join()
-    if raised:
-        raise raised[0]
     values = {}
-    values["err_l2"], err_h1 = finish_error_norms(mesh, moments, u_full)
-    if err_h1 is not None:
-        values["err_h1"] = err_h1
+    if moments is not None:
+        values["err_l2"], err_h1 = finish_error_norms(mesh, moments.result(), u_full)
+        if err_h1 is not None:
+            values["err_h1"] = err_h1
     return _Level(mesh.h, _quality_line(mesh, N), n, values, mesh=mesh, u=u_full)
 
 

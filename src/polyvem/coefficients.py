@@ -1,6 +1,7 @@
 """Coefficient model and named benchmark problems.
 
-Fields are vectorized callables f(x, y) -> array (scalar returns broadcast);
+Fields are vectorized callables f(x, y) -> array (scalar returns broadcast,
+as `_eval_scalar` and `_eval_vector` do wherever a field is evaluated);
 the vector field theta returns an (tx, ty) pair.  kappa is treated as
 piecewise constant per cell and is sampled at cell centroids.
 """
@@ -34,6 +35,21 @@ def constant_vector(cx: float, cy: float) -> Callable:
         return np.full(np.shape(x), _cx), np.full(np.shape(x), _cy)
 
     return field
+
+
+def _eval_scalar(field: Callable, x, y) -> np.ndarray:
+    """field(x, y) as floats of x's shape: a scalar return broadcasts."""
+    return np.broadcast_to(np.asarray(field(x, y), dtype=float), np.shape(x))
+
+
+def _eval_vector(field: Callable, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both components of a vector field, each broadcast as by `_eval_scalar`."""
+    tx, ty = field(x, y)
+    shape = np.shape(x)
+    return (
+        np.broadcast_to(np.asarray(tx, dtype=float), shape),
+        np.broadcast_to(np.asarray(ty, dtype=float), shape),
+    )
 
 
 @dataclass(frozen=True)

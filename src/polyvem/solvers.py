@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import _Module, _tight
-from .coefficients import CoefficientSet, square_exact_eigenvalues
+from .coefficients import CoefficientSet, _eval_scalar, _eval_vector, square_exact_eigenvalues
 
 # all solver code reaches scipy through these module attributes, so a
 # tracer can replace spla with a proxy of its own
@@ -432,7 +432,7 @@ def suggested_shift(domain_tag: str, coeffs: CoefficientSet) -> float:
     """
     if domain_tag == "unit_square":
         x = y = np.array([0.5])
-        kappa = float(np.asarray(coeffs.kappa(x, y)).ravel()[0])
-        theta = [float(np.asarray(t).ravel()[0]) for t in coeffs.theta(x, y)]
+        kappa = float(_eval_scalar(coeffs.kappa, x, y)[0])
+        theta = [float(t[0]) for t in _eval_vector(coeffs.theta, x, y)]
         return float(0.9 * square_exact_eigenvalues(1, theta, kappa)[0])
     return 1.0

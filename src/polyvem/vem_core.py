@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, _eval_scalar, _eval_vector
 from .geometry import (
     CellBatch,
     Point2,
@@ -109,19 +109,6 @@ def form_fault(g: CellBatch, coeffs: CoefficientSet, row: int) -> str:
         centroid = Point2(float(x[0]), float(y[0]))
         return f"kappa must be strictly positive, got {kappa} at {centroid}"
     return "coefficient evaluation produced non-finite values"
-
-
-def _eval_scalar(field, x, y) -> np.ndarray:
-    return np.broadcast_to(np.asarray(field(x, y), dtype=float), np.shape(x))
-
-
-def _eval_vector(field, x, y) -> tuple[np.ndarray, np.ndarray]:
-    tx, ty = field(x, y)
-    shape = np.shape(x)
-    return (
-        np.broadcast_to(np.asarray(tx, dtype=float), shape),
-        np.broadcast_to(np.asarray(ty, dtype=float), shape),
-    )
 
 
 # --- batched forms ---------------------------------------------------------

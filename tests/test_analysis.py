@@ -116,6 +116,16 @@ class TestErrorNorms:
         ) <= 1e-12
         assert triple_seminorm_interp(mesh, assemble(mesh, LAPLACE).A, u_h, u) == 0.0
 
+    @pytest.mark.parametrize("gen,N", [(gen_square_th1, 4), (gen_square_th2, 4)])
+    def test_a_constant_exact_solution_broadcasts(self, gen, N):
+        # u = 1 returns a scalar; every norm broadcasts it to its nodes
+        mesh = gen(N)
+        one = lambda x, y: 1.0
+        u_h = np.ones(len(mesh.vertices))
+        assert error_l2(mesh, u_h, one) <= 1e-12
+        assert error_h1_semi(mesh, u_h, lambda x, y: (0.0, 0.0)) <= 1e-12
+        assert triple_seminorm_interp(mesh, assemble(mesh, LAPLACE).A, u_h, one) == 0.0
+
     def test_zero_data(self):
         mesh = gen_square_th1(3)
         zero = np.zeros(len(mesh.vertices))

@@ -99,6 +99,32 @@ def test_expression_rejections(src):
         parse_expression(src)
 
 
+@pytest.mark.parametrize(
+    "src,why",
+    [
+        ("1/0", "float division by zero"),
+        ("x + 1/0", "float division by zero"),
+        ("2^2^24", "out of range"),
+        ("1" + "0" * 400, "number too large"),
+    ],
+    ids=["divide_by_zero", "divide_by_zero_in_a_sum", "power_overflow", "literal_overflow"],
+)
+def test_expression_arithmetic_errors(src, why):
+    # a constant part that fails is a usage error that names the expression,
+    # whether it fails when parsed or when evaluated
+    with pytest.raises(ConfigError, match=why) as caught:
+        parse_expression(src)(np.array([0.5]), np.array([0.5]))
+    assert repr(src) in str(caught.value)
+
+
+def test_a_load_that_fails_to_evaluate_exits_2(tmp_path, capsys):
+    # f is first evaluated inside assembly; its ConfigError reaches main
+    cfg = {"problem": "load", "mesh_family": "th2", "N_list": [8], "coefficients": {"f": "1/0"}}
+    (tmp_path / "div.json").write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(tmp_path / "div.json"), "--out", str(tmp_path)]) == 2
+    assert "error: cannot evaluate expression '1/0'" in capsys.readouterr().err
+
+
 def test_expression_no_builtins_leak():
     # the compiled code runs with empty builtins; only the whitelist resolves
     f = parse_expression("sin(x)")
@@ -959,7 +985,7 @@ def run_fresh(code, cwd):
     return proc.stdout.splitlines()[-1]
 
 
-SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+LAZY_LOADED = "[m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')]"
 
 
 @pytest.mark.parametrize(
@@ -972,8 +998,9 @@ SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'
 )
 def test_loads_no_scipy(code, tmp_path):
     # assembly and the solvers import scipy on their first call; the
-    # import alone costs about 0.3 s, most of a small mesh command
-    assert run_fresh(f"import sys; {code}; print({SCIPY_LOADED})", tmp_path) == "[]"
+    # import alone costs about 0.3 s, most of a small mesh command.  A load
+    # level imports concurrent.futures, and with it logging, 4-17 ms
+    assert run_fresh(f"import sys; {code}; print({LAZY_LOADED})", tmp_path) == "[]"
 
 
 FIRST_USE_COMMANDS = [
